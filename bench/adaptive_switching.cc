@@ -6,9 +6,9 @@
 // A strong-consistency query is driven through a workload whose provider
 // guarantees stall mid-stream (a burst/outage: events keep arriving but
 // no sync points). Strong consistency's alignment buffers grow without
-// bound; a LoadPolicy watching the buffer trips, the query switches to
-// middle consistency at a sync point, and the buffers drain. When the
-// provider recovers, the policy switches back. The converged answer is
+// bound; a threshold on the buffer trips, the query switches to middle
+// consistency at a sync point, and the buffers drain. When the provider
+// recovers, the query switches back. The converged answer is
 // identical to a pure run.
 #include <cstdio>
 
@@ -58,11 +58,6 @@ int Run() {
       "            RESTART AS z, 10)\n"
       "WHERE CorrelationKey(Machine_Id, EQUAL)";
 
-  LoadPolicy policy;
-  policy.max_buffer = 60;
-  policy.preferred = ConsistencySpec::Strong();
-  policy.overload = ConsistencySpec::Middle();
-
   auto query = SwitchableQuery::Create(text, workload::MachineCatalog(),
                                        ConsistencySpec::Strong())
                    .ValueOrDie();
@@ -77,7 +72,9 @@ int Run() {
   for (size_t i = 0; i < feed.size(); ++i) {
     if (i % check_every == check_every - 1) {
       QueryStats stats = query->Stats();
-      ConsistencySpec want = policy.Recommend(stats);
+      ConsistencySpec want = stats.max_buffer_size > 60
+                                 ? ConsistencySpec::Middle()
+                                 : ConsistencySpec::Strong();
       if (!(want == query->current_spec())) {
         query->SwitchTo(want).ok();
       }
@@ -102,7 +99,7 @@ int Run() {
       "\nswitches: %d, converged alerts: %zu, matches pure run: %s\n",
       query->switches(), query->Ideal().size(), exact ? "yes" : "NO");
   std::printf(
-      "\nThe policy sheds the blocking level while guarantees are absent\n"
+      "\nThe loop sheds the blocking level while guarantees are absent\n"
       "and restores it afterwards; Section 5's sync-point equivalence is\n"
       "what makes the splice seamless.\n");
   return exact ? 0 : 1;

@@ -12,7 +12,6 @@
 #include "ops/select.h"
 #include "pattern/negation.h"
 #include "pattern/sequence.h"
-#include "stream/batch.h"
 #include "workload/disorder.h"
 #include "workload/machines.h"
 
@@ -57,28 +56,6 @@ ConsistencySpec SpecFor(int level) {
   }
 }
 
-/// Chunks a message stream into EventBatches of at most `batch_size`
-/// rows each, splitting at representability boundaries exactly the way
-/// CompiledQuery::PushBatch does.
-std::vector<EventBatch> Chunk(const std::vector<Message>& input,
-                              size_t batch_size) {
-  std::vector<EventBatch> out;
-  size_t i = 0;
-  while (i < input.size()) {
-    out.emplace_back();
-    EventBatch& eb = out.back();
-    while (i < input.size() && eb.size() < batch_size &&
-           eb.Append(input[i])) {
-      ++i;
-    }
-    if (eb.empty()) {
-      out.pop_back();
-      ++i;  // unrepresentable message; irrelevant for this generator
-    }
-  }
-  return out;
-}
-
 AttributeComparison ValueGt50() {
   AttributeComparison c;
   c.left_contributor = 0;
@@ -89,12 +66,10 @@ AttributeComparison ValueGt50() {
   return c;
 }
 
-// --- Columnar batch plane vs per-event dispatch --------------------
+// --- Structured Select/Project forms ------------------------------
 //
-// The *Scalar/*Columnar pairs push the same ordered stream through the
-// same operator; Scalar uses per-event Push (one Value-variant dispatch
-// per field per event), Columnar pushes pre-chunked EventBatches whose
-// insert runs execute as monomorphic loops over typed column lanes.
+// The planner's structured forms (a WHERE-clause comparison list and an
+// OUTPUT-stage gather) pushed per event over an ordered stream.
 
 void BM_SelectStructuredScalar(benchmark::State& state) {
   auto input = MakeStream(4096, 16, 0.0, 7);
@@ -110,24 +85,6 @@ void BM_SelectStructuredScalar(benchmark::State& state) {
                           static_cast<int64_t>(input.size()));
 }
 BENCHMARK(BM_SelectStructuredScalar);
-
-void BM_SelectStructuredColumnar(benchmark::State& state) {
-  auto input = MakeStream(4096, 16, 0.0, 7);
-  auto batches = Chunk(input, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    SelectOp op(std::vector<AttributeComparison>{ValueGt50()},
-                ConsistencySpec::Middle());
-    CollectingSink sink;
-    op.ConnectTo(&sink, 0);
-    for (const EventBatch& b : batches) {
-      benchmark::DoNotOptimize(op.PushColumnar(0, b));
-    }
-    benchmark::DoNotOptimize(op.Drain());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(input.size()));
-}
-BENCHMARK(BM_SelectStructuredColumnar)->Arg(64)->Arg(256)->ArgName("batch");
 
 void BM_ProjectScalar(benchmark::State& state) {
   auto input = MakeStream(4096, 16, 0.0, 31);
@@ -145,47 +102,6 @@ void BM_ProjectScalar(benchmark::State& state) {
                           static_cast<int64_t>(input.size()));
 }
 BENCHMARK(BM_ProjectScalar);
-
-void BM_ProjectColumnar(benchmark::State& state) {
-  auto input = MakeStream(4096, 16, 0.0, 31);
-  auto batches = Chunk(input, static_cast<size_t>(state.range(0)));
-  SchemaPtr out_schema = Schema::Make(
-      {{"value", ValueType::kInt64}, {"key", ValueType::kInt64}});
-  for (auto _ : state) {
-    ProjectOp op(std::vector<int>{1, 0}, out_schema,
-                 ConsistencySpec::Middle());
-    CollectingSink sink;
-    op.ConnectTo(&sink, 0);
-    for (const EventBatch& b : batches) {
-      benchmark::DoNotOptimize(op.PushColumnar(0, b));
-    }
-    benchmark::DoNotOptimize(op.Drain());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(input.size()));
-}
-BENCHMARK(BM_ProjectColumnar)->Arg(64)->Arg(256)->ArgName("batch");
-
-void BM_GroupByCountColumnar(benchmark::State& state) {
-  auto input = MakeStream(2048, 8, 0.0, 19);
-  auto batches = Chunk(input, static_cast<size_t>(state.range(0)));
-  SchemaPtr schema = Schema::Make(
-      {{"key", ValueType::kInt64}, {"count", ValueType::kInt64}});
-  std::vector<AggregateSpec> aggs = {
-      AggregateSpec{AggregateKind::kCount, "", "count"}};
-  for (auto _ : state) {
-    GroupByAggregateOp op({"key"}, aggs, schema, ConsistencySpec::Middle());
-    CollectingSink sink;
-    op.ConnectTo(&sink, 0);
-    for (const EventBatch& b : batches) {
-      benchmark::DoNotOptimize(op.PushColumnar(0, b));
-    }
-    benchmark::DoNotOptimize(op.Drain());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(input.size()));
-}
-BENCHMARK(BM_GroupByCountColumnar)->Arg(64)->Arg(256)->ArgName("batch");
 
 void BM_Select(benchmark::State& state) {
   auto input = MakeStream(4096, 16, state.range(0) / 100.0, 7);

@@ -2,13 +2,11 @@
 // logical equivalence, coalescing, alignment.
 #include <benchmark/benchmark.h>
 
-#include "common/column.h"
 #include "common/rng.h"
 #include "engine/query.h"
 #include "engine/source.h"
 #include "ops/alignment_buffer.h"
 #include "pattern/predicate.h"
-#include "stream/batch.h"
 #include "stream/canonical.h"
 #include "stream/coalesce.h"
 #include "stream/equivalence.h"
@@ -241,16 +239,28 @@ void BM_QueryPushSingle(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryPushSingle)->Arg(400);
 
-// --- Columnar kernels vs per-event Value dispatch -------------------
+void BM_QueryPushBatch(benchmark::State& state) {
+  auto feed = QueryFeed(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto query = FeedQuery();
+    state.ResumeTiming();
+    Status st = query->PushBatch(feed);
+    benchmark::DoNotOptimize(st.ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(feed.size()));
+}
+BENCHMARK(BM_QueryPushBatch)->Arg(400);
+
+// --- Per-event payload access --------------------------------------
 //
-// The selection/projection/aggregation *kernels* in isolation: the same
-// 4096 rows evaluated the way the per-event operator path reads them
-// (field lookup by name, `Value` variant dispatch, per-row `Row`
-// construction) versus the columnar batch plane's monomorphic loop over
-// a typed column lane. This is the per-row cost the EventBatch refactor
-// removes from the hot path; the BM_Select/Project/GroupBy *Scalar vs
-// *Columnar pairs in micro_operators measure the same change end-to-end
-// through the full operator (monitor bookkeeping and sink included).
+// The selection/projection/aggregation inner loops in isolation: 4096
+// rows evaluated the way the operators read them (field lookup by name,
+// `Value` variant dispatch, per-row `Row` construction). The
+// BM_SelectStructuredScalar/BM_ProjectScalar/BM_GroupByCount benches in
+// micro_operators measure the same work through the full operator
+// (monitor bookkeeping and sink included).
 
 SchemaPtr KernelSchema() {
   static const SchemaPtr schema = Schema::Make(
@@ -271,12 +281,6 @@ std::vector<Message> KernelStream(int n, uint64_t seed) {
     out.push_back(InsertOf(std::move(e), i + 1));
   }
   return out;
-}
-
-EventBatch KernelBatch(const std::vector<Message>& msgs) {
-  EventBatch b;
-  for (const Message& m : msgs) b.Append(m);
-  return b;
 }
 
 void BM_SelectionKernelScalar(benchmark::State& state) {
@@ -304,24 +308,6 @@ void BM_SelectionKernelScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectionKernelScalar);
 
-void BM_SelectionKernelColumnar(benchmark::State& state) {
-  auto msgs = KernelStream(4096, 3);
-  EventBatch b = KernelBatch(msgs);
-  const Column& col =
-      b.column(b.schema()->FieldIndex("value").ValueOrDie());
-  for (auto _ : state) {
-    int passed = 0;
-    const int64_t* data = col.i64_data();
-    for (size_t i = 0; i < b.size(); ++i) {
-      passed += (!col.IsNull(i) && data[i] > 50) ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(passed);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(msgs.size()));
-}
-BENCHMARK(BM_SelectionKernelColumnar);
-
 void BM_ProjectionKernelScalar(benchmark::State& state) {
   auto msgs = KernelStream(4096, 5);
   SchemaPtr out_schema = Schema::Make(
@@ -341,26 +327,6 @@ void BM_ProjectionKernelScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_ProjectionKernelScalar);
 
-void BM_ProjectionKernelColumnar(benchmark::State& state) {
-  auto msgs = KernelStream(4096, 5);
-  EventBatch b = KernelBatch(msgs);
-  SchemaPtr out_schema = Schema::Make(
-      {{"value", ValueType::kInt64}, {"key", ValueType::kInt64}});
-  const std::vector<int> gather = {1, 0};
-  std::vector<Time> restamps;
-  restamps.reserve(b.size());
-  for (size_t i = 0; i < b.size(); ++i) restamps.push_back(b.arrival_cs(i));
-  EventBatch out;
-  for (auto _ : state) {
-    out.Reset(out_schema);  // reuses column allocations across rounds
-    out.AppendProjectedRunFrom(b, 0, b.size(), gather, restamps.data());
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(msgs.size()));
-}
-BENCHMARK(BM_ProjectionKernelColumnar);
-
 void BM_AggregationKernelScalar(benchmark::State& state) {
   auto msgs = KernelStream(4096, 7);
   for (auto _ : state) {
@@ -379,38 +345,6 @@ void BM_AggregationKernelScalar(benchmark::State& state) {
                           static_cast<int64_t>(msgs.size()));
 }
 BENCHMARK(BM_AggregationKernelScalar);
-
-void BM_AggregationKernelColumnar(benchmark::State& state) {
-  auto msgs = KernelStream(4096, 7);
-  EventBatch b = KernelBatch(msgs);
-  const Column& col =
-      b.column(b.schema()->FieldIndex("value").ValueOrDie());
-  for (auto _ : state) {
-    int64_t sum = 0;
-    const int64_t* data = col.i64_data();
-    for (size_t i = 0; i < b.size(); ++i) {
-      if (!col.IsNull(i)) sum += data[i];
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(msgs.size()));
-}
-BENCHMARK(BM_AggregationKernelColumnar);
-
-void BM_QueryPushBatch(benchmark::State& state) {
-  auto feed = QueryFeed(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto query = FeedQuery();
-    state.ResumeTiming();
-    Status st = query->PushBatch(feed);
-    benchmark::DoNotOptimize(st.ok());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(feed.size()));
-}
-BENCHMARK(BM_QueryPushBatch)->Arg(400);
 
 }  // namespace
 }  // namespace cedr

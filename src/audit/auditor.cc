@@ -32,7 +32,7 @@ const char* ExecModeToString(ExecMode mode) {
       return "snapshot";
     case ExecMode::kSwitchLevels:
       return "switch";
-    case ExecMode::kColumnarBatch:
+    case ExecMode::kBatch:
       return "batch";
   }
   return "?";
@@ -198,7 +198,7 @@ bool InputsRetractionFree(const AuditCase& c) {
 }
 
 /// Byte-exact serialization of a sink's recorded output stream: the
-/// kColumnarBatch equality claim is bit-identity of every field of every
+/// kBatch equality claim is bit-identity of every field of every
 /// message, not just Star-equality of the converged tables.
 std::string SerializeSinkMessages(const CollectingSink& sink) {
   io::BinaryWriter w;
@@ -275,10 +275,10 @@ AuditResult RunSingleOp(const AuditCase& c, const OpSpec& spec,
 
   SingleOpRun run = SingleOpRun::Make(spec, c.spec);
   Status st;
-  /// kColumnarBatch: serialized output of the per-event reference run.
+  /// kBatch: serialized output of the per-event reference run.
   std::string ref_bytes;
   bool have_ref = false;
-  if (c.schedule.mode == ExecMode::kColumnarBatch) {
+  if (c.schedule.mode == ExecMode::kBatch) {
     // Reference: the identical schedule, one message at a time.
     SingleOpRun ref = SingleOpRun::Make(spec, c.spec);
     for (const PortMessage& pm : merged) {
@@ -290,25 +290,19 @@ AuditResult RunSingleOp(const AuditCase& c, const OpSpec& spec,
       ref_bytes = SerializeSinkMessages(*ref.sink);
       have_ref = true;
     }
-    // Columnar: same-port chunks of at most batch_size rows. A message
-    // the batch cannot represent is pushed scalar (the engine ingress
-    // does the same split).
+    // Batched: same-port chunks of at most batch_size messages.
     const size_t batch_size = std::max<size_t>(1, c.schedule.batch_size);
-    EventBatch eb;
+    std::vector<Message> chunk;
     size_t i = 0;
     while (i < merged.size() && st.ok()) {
       const int port = merged[i].port;
-      eb.Clear();
+      chunk.clear();
       while (i < merged.size() && merged[i].port == port &&
-             eb.size() < batch_size && eb.Append(merged[i].msg)) {
+             chunk.size() < batch_size) {
+        chunk.push_back(merged[i].msg);
         ++i;
       }
-      if (!eb.empty()) {
-        st = run.op->PushColumnar(port, eb);
-      } else {
-        st = run.Push(port, merged[i].msg);
-        ++i;
-      }
+      st = run.op->PushBatch(port, chunk);
     }
   } else if (c.schedule.mode == ExecMode::kSnapshotRestore) {
     size_t cut = static_cast<size_t>(
@@ -346,7 +340,7 @@ AuditResult RunSingleOp(const AuditCase& c, const OpSpec& spec,
   }
   if (have_ref && SerializeSinkMessages(*run.sink) != ref_bytes) {
     result.detail = StrCat(
-        "columnar batch output is not bit-identical to per-event\n",
+        "batched output is not bit-identical to per-event\n",
         "per-event: ", ref_bytes.size(), " bytes, batch: ",
         SerializeSinkMessages(*run.sink).size(), " bytes");
     return result;
@@ -460,9 +454,8 @@ AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
             merged.data() + cut, merged.size() - cut));
       }
       if (st.ok()) st = query->Finish();
-    } else if (c.schedule.mode == ExecMode::kColumnarBatch) {
-      // Reference: the identical schedule, one message at a time (Push
-      // never takes the columnar ingress).
+    } else if (c.schedule.mode == ExecMode::kBatch) {
+      // Reference: the identical schedule, one message at a time.
       auto ref_r = make_query();
       if (!ref_r.ok()) {
         st = ref_r.status();
@@ -475,7 +468,7 @@ AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
         if (st.ok()) st = ref->Finish();
         if (st.ok()) {
           const std::string ref_bytes = SerializeSinkMessages(ref->sink());
-          // Columnar: the batched ingress over batch_size-row spans.
+          // Batched: the PushBatch ingress over batch_size-message spans.
           const size_t bs = std::max<size_t>(1, c.schedule.batch_size);
           for (size_t i = 0; i < merged.size() && st.ok(); i += bs) {
             st = query->PushBatch(std::span<const TypedMessage>(
@@ -485,7 +478,7 @@ AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
           if (st.ok() &&
               SerializeSinkMessages(query->sink()) != ref_bytes) {
             result.detail =
-                "columnar batch output is not bit-identical to per-event";
+                "batched output is not bit-identical to per-event";
             return result;
           }
         }

@@ -41,11 +41,13 @@ enum class ExecMode {
   /// (whole-query mode only; switch specs must keep M = inf so the
   /// spliced stream still converges to the ideal).
   kSwitchLevels,
-  /// Push the schedule through the columnar batch plane (EventBatch
-  /// chunks of ScheduleSpec::batch_size) AND per-event through a fresh
-  /// reference instance, then assert the two recorded output streams
-  /// are bit-identical before the usual oracle comparison.
-  kColumnarBatch,
+  /// Push the schedule in batches of ScheduleSpec::batch_size
+  /// (Operator::PushBatch over same-port chunks in single-op mode,
+  /// CompiledQuery::PushBatch spans in whole-query mode) AND per-event
+  /// through a fresh reference instance, then assert the two recorded
+  /// output streams are bit-identical before the usual oracle
+  /// comparison.
+  kBatch,
 };
 
 const char* ExecModeToString(ExecMode mode);
@@ -61,7 +63,7 @@ struct ScheduleSpec {
   double snapshot_at = 0.5;
   /// kSwitchLevels: (fraction of merged stream, target spec) pairs.
   std::vector<std::pair<double, ConsistencySpec>> switches;
-  /// kColumnarBatch: rows per EventBatch pushed at once.
+  /// kBatch: messages pushed per batch.
   size_t batch_size = 64;
 };
 

@@ -125,7 +125,7 @@ std::string FormatCase(const AuditCase& c) {
     std::snprintf(buf, sizeof(buf), "%.4f", c.schedule.snapshot_at);
     out += StrCat("snapshot_at ", buf, "\n");
   }
-  if (c.schedule.mode == ExecMode::kColumnarBatch) {
+  if (c.schedule.mode == ExecMode::kBatch) {
     out += StrCat("batch_size ", c.schedule.batch_size, "\n");
   }
   for (const auto& [at, spec] : c.schedule.switches) {
@@ -248,7 +248,7 @@ Result<AuditCase> ParseCase(const std::string& text) {
       } else if (toks[1] == "switch") {
         c.schedule.mode = ExecMode::kSwitchLevels;
       } else if (toks[1] == "batch") {
-        c.schedule.mode = ExecMode::kColumnarBatch;
+        c.schedule.mode = ExecMode::kBatch;
       } else {
         return fail(StrCat("unknown mode ", toks[1]));
       }

@@ -154,14 +154,14 @@ AuditCase GenerateCase(uint64_t seed, uint64_t index) {
                           GenerateStream(&rng, stream_config, base)});
     }
     // Engine-level schedules (parallel, switch) have no single-op
-    // realization; the columnar batch plane does.
+    // realization; batched push does.
     switch (rng.NextBounded(4)) {
       case 0:
         c.schedule.mode = ExecMode::kSnapshotRestore;
         break;
       case 1:
       case 2: {
-        c.schedule.mode = ExecMode::kColumnarBatch;
+        c.schedule.mode = ExecMode::kBatch;
         static constexpr size_t kBatchSizes[] = {1, 3, 16, 64, 256};
         c.schedule.batch_size = kBatchSizes[rng.NextBounded(5)];
         break;
@@ -193,7 +193,7 @@ AuditCase GenerateCase(uint64_t seed, uint64_t index) {
             static_cast<double>(rng.NextInt(2, 8)) / 10.0;
         break;
       case 3: {
-        c.schedule.mode = ExecMode::kColumnarBatch;
+        c.schedule.mode = ExecMode::kBatch;
         static constexpr size_t kBatchSizes[] = {1, 3, 16, 64, 256};
         c.schedule.batch_size = kBatchSizes[rng.NextBounded(5)];
         break;

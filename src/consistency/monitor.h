@@ -34,15 +34,6 @@ class ConsistencyMonitor {
   /// state change when the full Offer path is needed.
   bool OfferDirect(int port, const Message& msg, Time now_cs);
 
-  /// Columnar fast path: admits the longest prefix of insert rows of
-  /// `batch` (from `begin`) that pass the port's alignment buffer
-  /// directly, advancing frontiers per row. Returns the run's end index;
-  /// == `begin` means the next row needs the full Offer path.
-  size_t AdmitDirectInsertRun(int port, const EventBatch& batch,
-                              size_t begin) {
-    return buffers_[port]->AdmitDirectInsertRun(batch, begin);
-  }
-
   /// Releases everything still blocked (end of stream); appends to
   /// `released`.
   void Drain(int port, Time now_cs, std::vector<Message>* released);
@@ -54,10 +45,6 @@ class ConsistencyMonitor {
   /// batch as the inserts it unblocked must not be visible early - that
   /// would let strong consistency emit provisional output).
   void NoteDispatch(int port, const Message& msg);
-
-  /// NoteDispatch for a non-CTI row of a columnar run: only the sync
-  /// time participates in guarantee tracking.
-  void NoteSyncDispatch(int port, Time sync) { tracker_.OnSync(port, sync); }
 
   /// Combined input guarantee as seen by the operational module.
   Time InputGuarantee() const { return tracker_.CombinedGuarantee(); }

@@ -66,43 +66,12 @@ Status CompiledQuery::PushBatch(std::span<const TypedMessage> batch) {
       continue;
     }
     const std::vector<std::pair<Operator*, int>>& entries = it->second;
-    if (fault_hook_ || entries.size() != 1 ||
-        !entries[0].first->OffersInsertRunKernel(entries[0].second)) {
-      // Fault injection and fan-out are per-message concerns, and for an
-      // entry operator without a columnar kernel the pack + per-row
-      // materialize round-trip costs more than the scalar push; keep the
-      // per-message path exactly as before.
-      for (; i < run_end; ++i) {
-        const Message& msg = batch[i].second;
-        last_cs_ = std::max(last_cs_, msg.cs);
-        if (fault_hook_) CEDR_RETURN_NOT_OK(fault_hook_(type, msg));
-        for (const auto& [op, port] : entries) {
-          CEDR_RETURN_NOT_OK(op->Push(port, msg));
-        }
-      }
-      continue;
-    }
-    // Columnar ingress: pack the run into an arena batch and push it
-    // through the single entry operator. A message the batch cannot
-    // represent (schema clash, exotic payload) splits the run: flush,
-    // push it scalar, resume.
-    Operator* op = entries[0].first;
-    const int port = entries[0].second;
-    BatchArena::Lease lease(&ingress_arena_);
-    EventBatch& eb = *lease;
-    while (i < run_end) {
-      eb.Clear();
-      while (i < run_end && eb.Append(batch[i].second)) {
-        last_cs_ = std::max(last_cs_, batch[i].second.cs);
-        ++i;
-      }
-      if (!eb.empty()) CEDR_RETURN_NOT_OK(op->PushColumnar(port, eb));
-      if (i < run_end && eb.empty()) {
-        // Append refused even into an empty batch: unrepresentable.
-        const Message& msg = batch[i].second;
-        last_cs_ = std::max(last_cs_, msg.cs);
+    for (; i < run_end; ++i) {
+      const Message& msg = batch[i].second;
+      last_cs_ = std::max(last_cs_, msg.cs);
+      if (fault_hook_) CEDR_RETURN_NOT_OK(fault_hook_(type, msg));
+      for (const auto& [op, port] : entries) {
         CEDR_RETURN_NOT_OK(op->Push(port, msg));
-        ++i;
       }
     }
   }

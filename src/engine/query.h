@@ -93,8 +93,6 @@ class CompiledQuery {
   std::unique_ptr<plan::PhysicalPlan> physical_;
   std::unique_ptr<CollectingSink> sink_;
   FaultHook fault_hook_;
-  /// Pool backing the columnar ingress path of PushBatch.
-  BatchArena ingress_arena_;
   Time last_cs_ = 0;
   bool finished_ = false;
 };

@@ -92,6 +92,11 @@ Status CedrService::PublishRetraction(const std::string& type,
     return Status::InvalidArgument(
         "retractions only shrink lifetimes (new end must be smaller)");
   }
+  if (new_end < original.vs) {
+    return Status::InvalidArgument(
+        StrCat("retraction of event ", original.id, " ends at ", new_end,
+               ", before its start ", original.vs));
+  }
   return Route(type, RetractOf(original, new_end, next_cs_++));
 }
 

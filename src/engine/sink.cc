@@ -10,16 +10,7 @@ CollectingSink::CollectingSink(std::string name)
 Status CollectingSink::ProcessInsert(const Event& e, int /*port*/) {
   if (closed()) return terminal_;
   ++inserts_;
-  // Purely scalar flows record straight into the per-message log, same
-  // as the per-event plane always did. Once a columnar run is pending,
-  // scalar arrivals append into its tail instead - no Message is
-  // constructed, and interleaved CTIs/retractions no longer force the
-  // pending runs to materialize. Refused rows fall back to the log.
-  if (pending_.empty() ||
-      !AppendPending(
-          [&](EventBatch& b) { return b.AppendInsert(e, now_cs()); })) {
-    messages_.push_back(InsertOf(e, now_cs()));
-  }
+  messages_.push_back(InsertOf(e, now_cs()));
   return Status::OK();
 }
 
@@ -27,66 +18,15 @@ Status CollectingSink::ProcessRetract(const Event& e, Time new_ve,
                                       int /*port*/) {
   if (closed()) return terminal_;
   ++retracts_;
-  if (pending_.empty() || !AppendPending([&](EventBatch& b) {
-        return b.AppendRetract(e, new_ve, now_cs());
-      })) {
-    messages_.push_back(RetractOf(e, new_ve, now_cs()));
-  }
+  messages_.push_back(RetractOf(e, new_ve, now_cs()));
   return Status::OK();
 }
 
 Status CollectingSink::ProcessCti(Time t, int /*port*/) {
   if (closed()) return terminal_;
   ++ctis_;
-  if (pending_.empty()) {
-    messages_.push_back(CtiOf(t, now_cs()));
-  } else {
-    AppendPending([&](EventBatch& b) {
-      b.AppendCti(t, now_cs());
-      return true;
-    });
-  }
+  messages_.push_back(CtiOf(t, now_cs()));
   return Status::OK();
-}
-
-bool CollectingSink::HasInsertRunKernel(const EventBatch& /*batch*/,
-                                        int /*port*/) const {
-  return true;
-}
-
-Status CollectingSink::ProcessInsertRun(const EventBatch& batch, size_t begin,
-                                        size_t end, int port) {
-  if (closed()) return terminal_;
-  // Retain the run columnar; rows materialize into Messages only when a
-  // reader needs them. Each row is restamped with the running cs clock,
-  // exactly what InsertOf(e, now_cs()) records on the scalar path.
-  // Reuse the pending tail when it already carries this batch's schema
-  // (pointer compare is conservative: a miss just starts a new batch).
-  if (pending_.empty() || pending_.back().schema() != batch.schema()) {
-    pending_.emplace_back();
-    pending_.back().ResetLike(batch);
-  }
-  EventBatch& dst = pending_.back();
-  for (size_t i = begin; i < end; ++i) {
-    NoteRunRow(port, batch.vs(i), batch.arrival_cs(i));
-    ++inserts_;
-    dst.AppendRowFrom(batch, i, now_cs());
-  }
-  // Stateless recorder: TrimState is a no-op and StateSize 0, so one
-  // trailing AfterBatch matches the scalar path's per-message calls.
-  AfterRunRow();
-  return Status::OK();
-}
-
-void CollectingSink::EnsureMaterialized() const {
-  if (pending_.empty()) return;
-  for (const EventBatch& b : pending_) {
-    messages_.reserve(messages_.size() + b.size());
-    for (size_t i = 0; i < b.size(); ++i) {
-      messages_.push_back(b.MaterializeMessage(i));
-    }
-  }
-  pending_.clear();
 }
 
 void CollectingSink::CloseWithError(const Status& error) {
@@ -109,13 +49,11 @@ EventList CollectingSink::AliveAt(Time t) const {
 
 void CollectingSink::Clear() {
   messages_.clear();
-  pending_.clear();
   inserts_ = retracts_ = ctis_ = 0;
   terminal_ = Status::OK();
 }
 
 void CollectingSink::SnapshotState(io::BinaryWriter* w) const {
-  EnsureMaterialized();
   w->PutU64(messages_.size());
   for (const Message& m : messages_) io::WriteMessage(w, m);
   w->PutU64(inserts_);
@@ -126,7 +64,6 @@ void CollectingSink::SnapshotState(io::BinaryWriter* w) const {
 Status CollectingSink::RestoreState(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
   messages_.clear();
-  pending_.clear();
   messages_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     CEDR_ASSIGN_OR_RETURN(Message m, io::ReadMessage(r));

@@ -13,12 +13,8 @@ class CollectingSink : public Operator {
   explicit CollectingSink(std::string name = "sink");
 
   /// Every message received, in arrival order (the physical output
-  /// stream, including retractions and CTIs). Columnar arrivals are held
-  /// as batches and materialized on first read.
-  const std::vector<Message>& messages() const {
-    EnsureMaterialized();
-    return messages_;
-  }
+  /// stream, including retractions and CTIs).
+  const std::vector<Message>& messages() const { return messages_; }
 
   /// The converged logical output: replay, reduce, drop empties
   /// (Section 6's ideal history table of the output).
@@ -45,43 +41,17 @@ class CollectingSink : public Operator {
 
   void Clear();
 
-  bool OffersInsertRunKernel(int /*port*/) const override { return true; }
-
  protected:
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
   Status ProcessCti(Time t, int port) override;
-  bool HasInsertRunKernel(const EventBatch& batch, int port) const override;
-  Status ProcessInsertRun(const EventBatch& batch, size_t begin, size_t end,
-                          int port) override;
   /// Serializes the recorded output stream, so a recovered service
   /// resumes with the pre-crash output intact.
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;
 
  private:
-  /// Records one scalar arrival into the pending columnar tail. The
-  /// callback appends into the given batch and reports whether the batch
-  /// accepted the row; on refusal (schema clash, exotic payload) the
-  /// recorded prefix is materialized and the caller falls back to the
-  /// per-message log (returns false).
-  template <typename AppendFn>
-  bool AppendPending(const AppendFn& append) {
-    if (!pending_.empty() && append(pending_.back())) return true;
-    pending_.emplace_back();
-    if (append(pending_.back())) return true;
-    pending_.pop_back();
-    EnsureMaterialized();
-    return false;
-  }
-  /// Flushes pending_ into messages_, preserving arrival order. Called
-  /// before any read of messages_.
-  void EnsureMaterialized() const;
-
-  /// Record + counters are mutable: materialization of pending columnar
-  /// batches is deferred until a reader needs per-row Messages.
-  mutable std::vector<Message> messages_;
-  mutable std::vector<EventBatch> pending_;
+  std::vector<Message> messages_;
   uint64_t inserts_ = 0;
   uint64_t retracts_ = 0;
   uint64_t ctis_ = 0;

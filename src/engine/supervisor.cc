@@ -282,6 +282,11 @@ Status SupervisedService::Validate(const io::JournalRecord& record) const {
         return Status::InvalidArgument(
             "retractions only shrink lifetimes (new end must be smaller)");
       }
+      if (record.new_ve < record.event.vs) {
+        return Status::InvalidArgument(
+            StrCat("retraction of event ", record.event.id, " ends at ",
+                   record.new_ve, ", before its start ", record.event.vs));
+      }
       return Status::OK();
     case io::JournalOp::kSyncPoint:
       // The must-advance check runs after admission (in Offer): a stale
@@ -704,14 +709,7 @@ Status SupervisedService::RunGovernor() {
       g.calm_streak = 0;
       if (++g.over_streak >= config_.governor.degrade_after &&
           g.rung + 1 < g.ladder.size()) {
-        ++g.rung;
-        Status switched =
-            GuardQuery([&] { return g.query->SwitchTo(g.ladder[g.rung]).status(); });
-        if (!switched.ok()) {
-          QuarantineQuery(name, switched, "switch");
-          continue;
-        }
-        g.last_total_blocking = g.query->Stats().total_blocking;
+        if (!SwitchRung(name, &g, g.rung + 1)) continue;
         g.over_streak = 0;
         g.phase = GovernorPhase::kDegraded;
         ++g.degrades;
@@ -722,14 +720,7 @@ Status SupervisedService::RunGovernor() {
       // degraded: the tenant governor restores its queries together.
       if (++g.calm_streak >= config_.governor.restore_after && g.rung > 0 &&
           !TenantFor(g.tenant).degraded) {
-        --g.rung;
-        Status switched =
-            GuardQuery([&] { return g.query->SwitchTo(g.ladder[g.rung]).status(); });
-        if (!switched.ok()) {
-          QuarantineQuery(name, switched, "switch");
-          continue;
-        }
-        g.last_total_blocking = g.query->Stats().total_blocking;
+        if (!SwitchRung(name, &g, g.rung - 1)) continue;
         g.calm_streak = 0;
         ++g.restores;
         g.phase = g.rung == 0 ? GovernorPhase::kSteady
@@ -775,14 +766,7 @@ Status SupervisedService::RunGovernor() {
         Governed& g = qit->second;
         if (g.phase == GovernorPhase::kQuarantined) continue;
         if (g.rung + 1 >= g.ladder.size()) continue;
-        ++g.rung;
-        Status switched =
-            GuardQuery([&] { return g.query->SwitchTo(g.ladder[g.rung]).status(); });
-        if (!switched.ok()) {
-          QuarantineQuery(qname, switched, "switch");
-          continue;
-        }
-        g.last_total_blocking = g.query->Stats().total_blocking;
+        if (!SwitchRung(qname, &g, g.rung + 1)) continue;
         g.phase = GovernorPhase::kDegraded;
         ++g.degrades;
         moved = true;
@@ -807,14 +791,7 @@ Status SupervisedService::RunGovernor() {
         Governed& g = qit->second;
         if (g.phase == GovernorPhase::kQuarantined) continue;
         if (g.rung > 0) {
-          --g.rung;
-          Status switched =
-              GuardQuery([&] { return g.query->SwitchTo(g.ladder[g.rung]).status(); });
-          if (!switched.ok()) {
-            QuarantineQuery(qname, switched, "switch");
-            continue;
-          }
-          g.last_total_blocking = g.query->Stats().total_blocking;
+          if (!SwitchRung(qname, &g, g.rung - 1)) continue;
           ++g.restores;
           moved = true;
         }
@@ -851,6 +828,19 @@ void SupervisedService::QuarantineQuery(const std::string& name,
   quarantine_.insert_or_assign(name, std::move(report));
 }
 
+bool SupervisedService::SwitchRung(const std::string& name, Governed* g,
+                                   size_t rung) {
+  g->rung = rung;
+  Status switched = GuardQuery(
+      [&] { return g->query->SwitchTo(g->ladder[rung]).status(); });
+  if (!switched.ok()) {
+    QuarantineQuery(name, switched, "switch");
+    return false;
+  }
+  g->last_total_blocking = g->query->Stats().total_blocking;
+  return true;
+}
+
 Status SupervisedService::RunWatchdog() {
   if (!config_.watchdog.enabled) return Status::OK();
   for (auto& [name, g] : queries_) {
@@ -880,14 +870,7 @@ Status SupervisedService::RunWatchdog() {
     // quarantine threshold ends it.
     if (g.slow_streak >= config_.watchdog.degrade_after &&
         g.rung + 1 < g.ladder.size()) {
-      ++g.rung;
-      Status switched =
-          GuardQuery([&] { return g.query->SwitchTo(g.ladder[g.rung]).status(); });
-      if (!switched.ok()) {
-        QuarantineQuery(name, switched, "switch");
-        continue;
-      }
-      g.last_total_blocking = g.query->Stats().total_blocking;
+      if (!SwitchRung(name, &g, g.rung + 1)) continue;
       g.over_streak = 0;
       g.calm_streak = 0;
       g.phase = GovernorPhase::kDegraded;
@@ -1008,13 +991,7 @@ Status SupervisedService::Finish() {
   for (auto& [name, g] : queries_) {
     if (g.phase == GovernorPhase::kQuarantined) continue;
     if (g.rung != 0) {
-      g.rung = 0;
-      Status switched =
-          GuardQuery([&] { return g.query->SwitchTo(g.ladder[0]).status(); });
-      if (!switched.ok()) {
-        QuarantineQuery(name, switched, "switch");
-        continue;
-      }
+      if (!SwitchRung(name, &g, 0)) continue;
       ++g.restores;
       g.phase = GovernorPhase::kSteady;
     }

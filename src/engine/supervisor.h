@@ -459,6 +459,10 @@ class SupervisedService {
   /// from routing and governing (phase kQuarantined). Idempotent.
   void QuarantineQuery(const std::string& name, const Status& fault,
                        const char* origin);
+  /// Moves a governed query to ladder rung `rung` through a guarded
+  /// SwitchTo, then restarts its blocking baseline from the new plan. A
+  /// failed switch quarantines the query and returns false.
+  bool SwitchRung(const std::string& name, Governed* g, size_t rung);
   /// Per-tick deadline enforcement (no-op unless watchdog.enabled).
   Status RunWatchdog();
   /// Finds-or-creates the tenant's state, quota from config.

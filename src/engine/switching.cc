@@ -180,12 +180,4 @@ EventList SwitchableQuery::Ideal() const {
   return denotation::IdealOf(OutputMessages());
 }
 
-ConsistencySpec LoadPolicy::Recommend(const QueryStats& stats) const {
-  if (stats.max_state_size > max_state ||
-      stats.max_buffer_size > max_buffer) {
-    return overload;
-  }
-  return preferred;
-}
-
 }  // namespace cedr

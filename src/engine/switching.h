@@ -126,19 +126,6 @@ class SwitchableQuery {
   bool finished_ = false;
 };
 
-/// A simple load policy for adaptive switching: recommends dropping to a
-/// cheaper level when the plan's footprint exceeds the thresholds, and
-/// returning to the preferred level when it recedes.
-struct LoadPolicy {
-  size_t max_state = 1 << 16;
-  size_t max_buffer = 1 << 16;
-  ConsistencySpec preferred = ConsistencySpec::Strong();
-  ConsistencySpec overload = ConsistencySpec::Weak(0);
-
-  /// The spec the query should be running at given its current stats.
-  ConsistencySpec Recommend(const QueryStats& stats) const;
-};
-
 }  // namespace cedr
 
 #endif  // CEDR_ENGINE_SWITCHING_H_

@@ -34,27 +34,6 @@ bool AlignmentBuffer::OfferDirect(const Message& msg, Time /*now_cs*/) {
   return true;
 }
 
-size_t AlignmentBuffer::AdmitDirectInsertRun(const EventBatch& batch,
-                                             size_t begin) {
-  if (!buffered_.empty()) return begin;
-  const size_t n = batch.size();
-  size_t i = begin;
-  for (; i < n && batch.kind(i) == MessageKind::kInsert; ++i) {
-    // Row-wise replay of OfferDirect's insert branch: the watermark
-    // advances per admitted row, so a row is admitted iff the equivalent
-    // per-message OfferDirect would have returned true at that point.
-    const Time sync = batch.vs(i);
-    const Time new_watermark = std::max(watermark_, sync);
-    Time frontier = guarantee_;
-    if (max_blocking_ != kInfinity && new_watermark != kMinTime) {
-      frontier = std::max(frontier, TimeSub(new_watermark, max_blocking_));
-    }
-    if (!pass_through() && sync > frontier) break;
-    watermark_ = new_watermark;
-  }
-  return i;
-}
-
 void AlignmentBuffer::Offer(const Message& msg, Time now_cs,
                             std::vector<Message>* released) {
   switch (msg.kind) {

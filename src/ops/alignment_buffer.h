@@ -19,7 +19,6 @@
 
 #include "consistency/spec.h"
 #include "io/serde.h"
-#include "stream/batch.h"
 #include "stream/message.h"
 
 namespace cedr {
@@ -50,14 +49,6 @@ class AlignmentBuffer {
   /// false with no state change when the message needs the full Offer
   /// path (something is buffered, or `msg` itself must be buffered).
   bool OfferDirect(const Message& msg, Time now_cs);
-
-  /// Columnar fast path: admits the longest prefix of insert rows of
-  /// `batch` starting at `begin` that would each pass OfferDirect,
-  /// advancing the watermark per row exactly as the per-message path
-  /// would. Returns the end of the admitted run (== `begin` when the
-  /// first row must take the full Offer path). State is only advanced
-  /// for admitted rows, so the caller can hand the remainder to Offer.
-  size_t AdmitDirectInsertRun(const EventBatch& batch, size_t begin);
 
   /// Releases everything still buffered (end of stream).
   void Drain(Time now_cs, std::vector<Message>* released);

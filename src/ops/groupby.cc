@@ -142,63 +142,6 @@ Status GroupByAggregateOp::Recompute(const std::vector<Value>& key) {
   return Status::OK();
 }
 
-bool GroupByAggregateOp::HasInsertRunKernel(const EventBatch& /*batch*/,
-                                            int /*port*/) const {
-  return true;
-}
-
-Status GroupByAggregateOp::ProcessInsertRun(const EventBatch& batch,
-                                            size_t begin, size_t end,
-                                            int port) {
-  // Resolve key and aggregate-input fields against the batch schema once
-  // per run. An unresolvable field maps to -1, which yields Null per row
-  // below — exactly Get(field).ValueOr(Null) on the materialized Row
-  // (payload-less rows hold all-null cells, so they match too).
-  const Schema* schema = batch.schema().get();
-  std::vector<int> key_cols(key_fields_.size(), -1);
-  std::vector<int> agg_cols(aggregates_.size(), -1);
-  if (schema != nullptr) {
-    for (size_t k = 0; k < key_fields_.size(); ++k) {
-      auto idx = schema->FieldIndex(key_fields_[k]);
-      if (idx.ok()) key_cols[k] = idx.ValueOrDie();
-    }
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      if (aggregates_[a].kind == AggregateKind::kCount) continue;
-      auto idx = schema->FieldIndex(aggregates_[a].input_field);
-      if (idx.ok()) agg_cols[a] = idx.ValueOrDie();
-    }
-  }
-  std::vector<Value> key;
-  key.reserve(key_fields_.size());
-  for (size_t i = begin; i < end; ++i) {
-    NoteRunRow(port, batch.vs(i), batch.arrival_cs(i));
-    // Mirror ProcessInsert: skip empty-valid events after bookkeeping.
-    if (batch.vs(i) < batch.ve(i)) {
-      key.clear();
-      for (int kc : key_cols) {
-        key.push_back(kc >= 0 ? batch.column(static_cast<size_t>(kc))
-                                    .ValueAt(i)
-                              : Value::Null());
-      }
-      Contributor c;
-      c.lifetime = Interval{batch.vs(i), batch.ve(i)};
-      c.agg_inputs.reserve(aggregates_.size());
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        c.agg_inputs.push_back(
-            (aggregates_[a].kind == AggregateKind::kCount || agg_cols[a] < 0)
-                ? Value::Null()
-                : batch.column(static_cast<size_t>(agg_cols[a])).ValueAt(i));
-      }
-      groups_[key][batch.id(i)] = std::move(c);
-      CEDR_RETURN_NOT_OK(Recompute(key));
-    }
-    // Stateful operator: trim + state gauge after every row, exactly as
-    // the scalar path's per-message AfterBatch.
-    AfterRunRow();
-  }
-  return Status::OK();
-}
-
 Status GroupByAggregateOp::ProcessCti(Time t, int port) {
   if (conservative_) {
     // The ceiling advanced: release the newly-final output regions.

@@ -31,15 +31,10 @@ class GroupByAggregateOp : public Operator {
 
   size_t StateSize() const override;
 
-  bool OffersInsertRunKernel(int /*port*/) const override { return true; }
-
  protected:
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
   Status ProcessCti(Time t, int port) override;
-  bool HasInsertRunKernel(const EventBatch& batch, int port) const override;
-  Status ProcessInsertRun(const EventBatch& batch, size_t begin, size_t end,
-                          int port) override;
   void TrimState(Time horizon) override;
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;

@@ -76,47 +76,6 @@ Status Operator::PushAll(int port, const std::vector<Message>& msgs) {
   return PushBatch(port, msgs);
 }
 
-Status Operator::PushColumnar(int port, const EventBatch& batch) {
-  if (!first_error_.ok()) return first_error_;
-  const size_t n = batch.size();
-  const bool kernel =
-      batch.num_inserts() > 0 && HasInsertRunKernel(batch, port);
-  size_t i = 0;
-  while (i < n) {
-    if (kernel && batch.kind(i) == MessageKind::kInsert) {
-      const size_t end = monitor_.AdmitDirectInsertRun(port, batch, i);
-      if (end > i) {
-        stats_.in_inserts += end - i;
-        CEDR_RETURN_NOT_OK(ProcessInsertRun(batch, i, end, port));
-        i = end;
-        continue;
-      }
-    }
-    // Retraction, CTI, or a row the alignment buffer must hold: the
-    // batch-of-one adapter — exact scalar semantics.
-    CEDR_RETURN_NOT_OK(PushOne(port, batch.MaterializeMessage(i)));
-    ++i;
-  }
-  return Status::OK();
-}
-
-Status Operator::ProcessInsertRun(const EventBatch& /*batch*/,
-                                  size_t /*begin*/, size_t /*end*/,
-                                  int /*port*/) {
-  return Status::Internal(name_ +
-                          ": ProcessInsertRun called without a kernel");
-}
-
-void Operator::EmitBatch(const EventBatch& out) {
-  if (out.empty()) return;
-  stats_.out_inserts += out.num_inserts();
-  stats_.out_retracts += out.num_retracts();
-  if (downstream_ != nullptr) {
-    Status st = downstream_->PushColumnar(downstream_port_, out);
-    if (!st.ok() && first_error_.ok()) first_error_ = st;
-  }
-}
-
 Status Operator::Drain() {
   if (!first_error_.ok()) return first_error_;
   for (int port = 0; port < monitor_.num_ports(); ++port) {

@@ -64,24 +64,6 @@ class Operator {
   Status PushBatch(int port, std::span<const Message> msgs);
   Status PushAll(int port, const std::vector<Message>& msgs);
 
-  /// Columnar push: observationally identical to pushing the batch's
-  /// rows one Message at a time, in order. Maximal runs of insert rows
-  /// that pass the alignment buffer directly are handed to the
-  /// subclass's columnar kernel (ProcessInsertRun) when it advertises
-  /// one for this batch; every other row — retractions, CTIs, rows that
-  /// must buffer, batches no kernel claims — is materialized through the
-  /// batch-of-one adapter (PushOne), so operators without kernels keep
-  /// exact per-event semantics for free.
-  Status PushColumnar(int port, const EventBatch& batch);
-
-  /// Batch-independent advertisement of a columnar insert-run kernel on
-  /// `port`. The ingress layer packs runs into arena batches only for
-  /// entry operators that return true: for adapter-only operators the
-  /// pack + per-row materialize round-trip costs more than pushing the
-  /// original scalar messages. The per-batch HasInsertRunKernel check
-  /// still runs inside PushColumnar.
-  virtual bool OffersInsertRunKernel(int /*port*/) const { return false; }
-
   /// Releases everything still blocked in the alignment buffers (end of
   /// stream). Does not cascade; the engine drains in topological order.
   Status Drain();
@@ -138,38 +120,6 @@ class Operator {
   /// Monotonic; duplicates suppressed.
   void EmitCti(Time t);
   void CountLostCorrection() { ++stats_.lost_corrections; }
-
-  // ---- Columnar kernel hooks -------------------------------------------
-  /// True when the subclass can run ProcessInsertRun over this batch
-  /// (e.g. its predicate's fields resolve against the batch schema).
-  /// Checked once per PushColumnar call.
-  virtual bool HasInsertRunKernel(const EventBatch& batch, int port) const {
-    (void)batch;
-    (void)port;
-    return false;
-  }
-  /// Processes rows [begin, end) of `batch` — all inserts, all admitted
-  /// directly by the alignment buffer. The kernel owns the per-row
-  /// bookkeeping the scalar path performs around ProcessInsert: it must
-  /// call NoteRunRow before processing each row and AfterRunRow after it
-  /// (stateless operators whose TrimState is a no-op may instead call
-  /// AfterRunRow once after the run — provably equivalent).
-  virtual Status ProcessInsertRun(const EventBatch& batch, size_t begin,
-                                  size_t end, int port);
-  /// The scalar path's pre-dispatch bookkeeping for one admitted insert
-  /// row: advances the cs clock, the trim-dirtiness flag, and the
-  /// guarantee tracker, exactly as PushOne + Dispatch would.
-  void NoteRunRow(int port, Time sync, Time arrival_cs) {
-    now_cs_ = std::max(now_cs_, arrival_cs);
-    if (trim_on_advance_ && sync <= last_trim_horizon_) trim_dirty_ = true;
-    monitor_.NoteSyncDispatch(port, sync);
-  }
-  /// The scalar path's post-dispatch bookkeeping (trim + state gauge).
-  void AfterRunRow() { AfterBatch(); }
-  /// Emits a batch of output rows downstream (insert/retract rows only;
-  /// kernels must stamp each row's arrival timestamp with now_cs() and
-  /// skip empty-valid inserts, mirroring EmitInsert).
-  void EmitBatch(const EventBatch& out);
 
   Time now_cs() const { return now_cs_; }
   Time repair_horizon() const { return monitor_.RepairHorizon(); }

@@ -4,7 +4,7 @@ namespace cedr {
 
 namespace {
 
-/// The scalar semantics of the structured form: identical to the
+/// The semantics of the structured form: identical to the
 /// planner's OUTPUT-stage transform.
 RowTransform MakeGatherTransform(const std::vector<int>* gather,
                                  const SchemaPtr* schema) {
@@ -31,8 +31,7 @@ ProjectOp::ProjectOp(std::vector<int> gather, SchemaPtr output_schema,
                      ConsistencySpec spec, std::string name)
     : Operator(std::move(name), spec, /*num_inputs=*/1),
       gather_(std::move(gather)),
-      output_schema_(std::move(output_schema)),
-      structured_(true) {
+      output_schema_(std::move(output_schema)) {
   // Operators are pinned in memory (no copy/move), so the transform may
   // point at the members.
   transform_ = MakeGatherTransform(&gather_, &output_schema_);
@@ -51,41 +50,6 @@ Status ProjectOp::ProcessInsert(const Event& e, int /*port*/) {
 
 Status ProjectOp::ProcessRetract(const Event& e, Time new_ve, int /*port*/) {
   EmitRetract(Apply(e), new_ve);
-  return Status::OK();
-}
-
-bool ProjectOp::HasInsertRunKernel(const EventBatch& /*batch*/,
-                                   int /*port*/) const {
-  return structured_;
-}
-
-Status ProjectOp::ProcessInsertRun(const EventBatch& batch, size_t begin,
-                                   size_t end, int port) {
-  out_.Reset(output_schema_);
-  // NoteRunRow advances the operator clock row by row, so the restamp
-  // values are collected first; maximal runs of kept rows then gather
-  // column-at-a-time. Rows with empty valid intervals mirror
-  // ProcessInsert + EmitInsert's skip (the gather itself has no side
-  // effects to preserve for skipped rows) and bound the bulk ranges.
-  mcs_scratch_.clear();
-  size_t run_begin = begin;
-  for (size_t i = begin; i < end; ++i) {
-    NoteRunRow(port, batch.vs(i), batch.arrival_cs(i));
-    if (batch.vs(i) < batch.ve(i)) {
-      mcs_scratch_.push_back(now_cs());
-    } else {
-      out_.AppendProjectedRunFrom(batch, run_begin, i, gather_,
-                                  mcs_scratch_.data());
-      mcs_scratch_.clear();
-      run_begin = i + 1;
-    }
-  }
-  out_.AppendProjectedRunFrom(batch, run_begin, end, gather_,
-                              mcs_scratch_.data());
-  // Stateless operator: one trailing AfterBatch is equivalent to the
-  // scalar path's per-message calls (TrimState is a no-op, StateSize 0).
-  AfterRunRow();
-  EmitBatch(out_);
   return Status::OK();
 }
 

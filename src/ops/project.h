@@ -3,12 +3,10 @@
 // projected payload it originally emitted.
 //
 // Two construction forms:
-//  * an opaque RowTransform - evaluated per event, no columnar kernel;
+//  * an opaque RowTransform;
 //  * a structured gather (output field j takes input field gather[j],
 //    out-of-range indices yield nulls) - what the planner's OUTPUT stage
-//    compiles to. The scalar path behaves exactly like the equivalent
-//    RowTransform; batches additionally run a columnar kernel that
-//    copies cells column-to-column without materializing Rows.
+//    compiles to. It behaves exactly like the equivalent RowTransform.
 #ifndef CEDR_OPS_PROJECT_H_
 #define CEDR_OPS_PROJECT_H_
 
@@ -24,20 +22,13 @@ class ProjectOp : public Operator {
  public:
   ProjectOp(RowTransform transform, ConsistencySpec spec,
             std::string name = "project");
-  /// Structured form; enables the columnar insert-run kernel.
+  /// Structured form.
   ProjectOp(std::vector<int> gather, SchemaPtr output_schema,
             ConsistencySpec spec, std::string name = "project");
-
-  bool OffersInsertRunKernel(int /*port*/) const override {
-    return structured_;
-  }
 
  protected:
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
-  bool HasInsertRunKernel(const EventBatch& batch, int port) const override;
-  Status ProcessInsertRun(const EventBatch& batch, size_t begin, size_t end,
-                          int port) override;
   /// Stateless: the transform comes from construction; only a format
   /// marker is written.
   void SnapshotState(io::BinaryWriter* w) const override;
@@ -49,11 +40,6 @@ class ProjectOp : public Operator {
   RowTransform transform_;
   std::vector<int> gather_;
   SchemaPtr output_schema_;
-  bool structured_ = false;
-  /// Kernel scratch, reused across runs.
-  EventBatch out_;
-  /// Per-row restamp values for the current bulk-gather run.
-  std::vector<Time> mcs_scratch_;
 };
 
 }  // namespace cedr

@@ -4,25 +4,7 @@ namespace cedr {
 
 namespace {
 
-bool ApplyCompareOp(AttributeComparison::Op op, int cmp) {
-  switch (op) {
-    case AttributeComparison::Op::kEq:
-      return cmp == 0;
-    case AttributeComparison::Op::kNe:
-      return cmp != 0;
-    case AttributeComparison::Op::kLt:
-      return cmp < 0;
-    case AttributeComparison::Op::kLe:
-      return cmp <= 0;
-    case AttributeComparison::Op::kGt:
-      return cmp > 0;
-    case AttributeComparison::Op::kGe:
-      return cmp >= 0;
-  }
-  return false;
-}
-
-/// The scalar semantics of the structured form: identical to the
+/// The semantics of the structured form: identical to the
 /// planner's leaf filter (a one-event tuple fed to Evaluate).
 RowPredicate MakeComparisonPredicate(
     const std::vector<AttributeComparison>* comparisons) {
@@ -47,8 +29,7 @@ SelectOp::SelectOp(RowPredicate predicate, ConsistencySpec spec,
 SelectOp::SelectOp(std::vector<AttributeComparison> comparisons,
                    ConsistencySpec spec, std::string name)
     : Operator(std::move(name), spec, /*num_inputs=*/1),
-      comparisons_(std::move(comparisons)),
-      structured_(true) {
+      comparisons_(std::move(comparisons)) {
   // Operators are pinned in memory (no copy/move), so the predicate may
   // point at the member vector.
   predicate_ = MakeComparisonPredicate(&comparisons_);
@@ -62,161 +43,6 @@ Status SelectOp::ProcessInsert(const Event& e, int /*port*/) {
 Status SelectOp::ProcessRetract(const Event& e, Time new_ve, int /*port*/) {
   // The retraction matters downstream only if the insert passed.
   if (predicate_(e.payload)) EmitRetract(e, new_ve);
-  return Status::OK();
-}
-
-bool SelectOp::HasInsertRunKernel(const EventBatch& /*batch*/,
-                                  int /*port*/) const {
-  return structured_;
-}
-
-void SelectOp::CompileBatchTerms(const EventBatch& batch,
-                                 std::vector<BatchTerm>* out) const {
-  out->clear();
-  out->reserve(comparisons_.size());
-  const Schema* schema = batch.schema().get();
-  for (const AttributeComparison& c : comparisons_) {
-    BatchTerm t;
-    t.op = c.op;
-    // The scalar path evaluates over a one-event tuple: contributor 0 is
-    // the row, any other contributor is unbound and cannot veto.
-    if (c.left_contributor != 0 || c.right_contributor > 0) {
-      t.lane = BatchTerm::Lane::kSkip;
-      out->push_back(t);
-      continue;
-    }
-    // No interned schema means no payload-bearing rows: every field
-    // fetch fails, so any bound comparison rejects every row.
-    if (schema == nullptr) {
-      t.lane = BatchTerm::Lane::kAlwaysFalse;
-      out->push_back(t);
-      continue;
-    }
-    auto lidx = schema->FieldIndex(c.left_attribute);
-    if (!lidx.ok()) {
-      t.lane = BatchTerm::Lane::kAlwaysFalse;
-      out->push_back(t);
-      continue;
-    }
-    t.left = &batch.column(lidx.ValueOrDie());
-    if (c.right_contributor == 0) {
-      auto ridx = schema->FieldIndex(c.right_attribute);
-      if (!ridx.ok()) {
-        t.lane = BatchTerm::Lane::kAlwaysFalse;
-      } else {
-        t.lane = BatchTerm::Lane::kGeneric;
-        t.right = &batch.column(ridx.ValueOrDie());
-      }
-      out->push_back(t);
-      continue;
-    }
-    // Constant comparison: pick the monomorphic lane the column and
-    // constant types allow, mirroring Value::Compare's dispatch.
-    t.const_value = &c.constant;
-    const Column& col = *t.left;
-    const ValueType ct = c.constant.type();
-    if (!col.typed()) {
-      t.lane = BatchTerm::Lane::kGeneric;
-    } else if (ct == ValueType::kNull) {
-      // Comparing against null always errors, which rejects the row.
-      t.lane = BatchTerm::Lane::kAlwaysFalse;
-    } else if (col.type() == ValueType::kInt64 && ct == ValueType::kInt64) {
-      t.lane = BatchTerm::Lane::kConstI64;
-      t.const_i64 = c.constant.AsInt64();
-    } else if ((col.type() == ValueType::kInt64 ||
-                col.type() == ValueType::kDouble) &&
-               (ct == ValueType::kInt64 || ct == ValueType::kDouble)) {
-      t.lane = BatchTerm::Lane::kConstF64;
-      t.const_f64 = ct == ValueType::kInt64
-                        ? static_cast<double>(c.constant.AsInt64())
-                        : c.constant.AsDouble();
-    } else if (col.type() == ValueType::kString && ct == ValueType::kString) {
-      t.lane = BatchTerm::Lane::kConstStr;
-      t.const_str = &c.constant.AsString();
-    } else if (col.type() == ValueType::kBool && ct == ValueType::kBool) {
-      t.lane = BatchTerm::Lane::kConstBool;
-      t.const_bool = c.constant.AsBool();
-    } else {
-      // Statically incompatible types: Compare errors on every non-null
-      // cell, and null cells error too.
-      t.lane = BatchTerm::Lane::kAlwaysFalse;
-    }
-    out->push_back(t);
-  }
-}
-
-bool SelectOp::RowPasses(const EventBatch& /*batch*/, size_t i,
-                         const std::vector<BatchTerm>& terms) const {
-  for (const BatchTerm& t : terms) {
-    switch (t.lane) {
-      case BatchTerm::Lane::kSkip:
-        continue;
-      case BatchTerm::Lane::kAlwaysFalse:
-        return false;
-      case BatchTerm::Lane::kConstI64: {
-        const Column& c = *t.left;
-        if (c.IsNull(i)) return false;
-        const int64_t a = c.i64_data()[i];
-        const int cmp = a < t.const_i64 ? -1 : (a > t.const_i64 ? 1 : 0);
-        if (!ApplyCompareOp(t.op, cmp)) return false;
-        continue;
-      }
-      case BatchTerm::Lane::kConstF64: {
-        const Column& c = *t.left;
-        if (c.IsNull(i)) return false;
-        const double a = c.type() == ValueType::kInt64
-                             ? static_cast<double>(c.i64_data()[i])
-                             : c.f64_data()[i];
-        const int cmp = a < t.const_f64 ? -1 : (a > t.const_f64 ? 1 : 0);
-        if (!ApplyCompareOp(t.op, cmp)) return false;
-        continue;
-      }
-      case BatchTerm::Lane::kConstStr: {
-        const Column& c = *t.left;
-        if (c.IsNull(i)) return false;
-        const int raw = c.str_data()[i].compare(*t.const_str);
-        const int cmp = raw < 0 ? -1 : (raw > 0 ? 1 : 0);
-        if (!ApplyCompareOp(t.op, cmp)) return false;
-        continue;
-      }
-      case BatchTerm::Lane::kConstBool: {
-        const Column& c = *t.left;
-        if (c.IsNull(i)) return false;
-        const bool a = c.bool_data()[i] != 0;
-        const int cmp = a == t.const_bool ? 0 : (a < t.const_bool ? -1 : 1);
-        if (!ApplyCompareOp(t.op, cmp)) return false;
-        continue;
-      }
-      case BatchTerm::Lane::kGeneric: {
-        const Value lv = t.left->ValueAt(i);
-        const Value rv =
-            t.right != nullptr ? t.right->ValueAt(i) : *t.const_value;
-        auto cmp = lv.Compare(rv);
-        if (!cmp.ok()) return false;
-        if (!ApplyCompareOp(t.op, cmp.ValueOrDie())) return false;
-        continue;
-      }
-    }
-  }
-  return true;
-}
-
-Status SelectOp::ProcessInsertRun(const EventBatch& batch, size_t begin,
-                                  size_t end, int port) {
-  CompileBatchTerms(batch, &terms_scratch_);
-  out_.ResetLike(batch);
-  for (size_t i = begin; i < end; ++i) {
-    NoteRunRow(port, batch.vs(i), batch.arrival_cs(i));
-    // Mirror ProcessInsert + EmitInsert: predicate, then the empty-valid
-    // skip, stamping the output row with the current cs clock.
-    if (RowPasses(batch, i, terms_scratch_) && batch.vs(i) < batch.ve(i)) {
-      out_.AppendRowFrom(batch, i, now_cs());
-    }
-  }
-  // Stateless operator: one trailing AfterBatch is equivalent to the
-  // scalar path's per-message calls (TrimState is a no-op, StateSize 0).
-  AfterRunRow();
-  EmitBatch(out_);
   return Status::OK();
 }
 

@@ -2,13 +2,10 @@
 // compliant and well behaved at every consistency level.
 //
 // Two construction forms:
-//  * an opaque RowPredicate - evaluated per event, no columnar kernel;
+//  * an opaque RowPredicate;
 //  * a structured conjunction of AttributeComparisons (what every
-//    WHERE-clause leaf filter compiles to) - the scalar path evaluates
-//    exactly like MakeLocalFilter over a one-event tuple, and batches
-//    additionally run a columnar kernel: comparisons are compiled
-//    against the batch schema once per run, then evaluated as
-//    monomorphic loops over typed columns.
+//    WHERE-clause leaf filter compiles to), evaluated exactly like
+//    MakeLocalFilter over a one-event tuple.
 #ifndef CEDR_OPS_SELECT_H_
 #define CEDR_OPS_SELECT_H_
 
@@ -25,60 +22,21 @@ class SelectOp : public Operator {
  public:
   SelectOp(RowPredicate predicate, ConsistencySpec spec,
            std::string name = "select");
-  /// Structured form; enables the columnar insert-run kernel.
+  /// Structured form.
   SelectOp(std::vector<AttributeComparison> comparisons, ConsistencySpec spec,
            std::string name = "select");
-
-  bool OffersInsertRunKernel(int /*port*/) const override {
-    return structured_;
-  }
 
  protected:
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
-  bool HasInsertRunKernel(const EventBatch& batch, int port) const override;
-  Status ProcessInsertRun(const EventBatch& batch, size_t begin, size_t end,
-                          int port) override;
   /// Stateless: the predicate comes from construction; only a format
   /// marker is written.
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;
 
  private:
-  /// One comparison compiled against a concrete batch: resolved column
-  /// pointers plus the evaluation lane the column/constant types allow.
-  struct BatchTerm {
-    enum class Lane {
-      kSkip,         // references a contributor the one-row tuple lacks
-      kAlwaysFalse,  // unresolvable field or statically type-mismatched
-      kConstI64,     // typed int64 column vs int64 constant
-      kConstF64,     // typed numeric column vs numeric constant, as double
-      kConstStr,     // typed string column vs string constant
-      kConstBool,    // typed bool column vs bool constant
-      kGeneric,      // per-cell Value materialization (mixed/field-field)
-    };
-    Lane lane = Lane::kGeneric;
-    const Column* left = nullptr;
-    const Column* right = nullptr;  // field-field comparisons (kGeneric)
-    AttributeComparison::Op op = AttributeComparison::Op::kEq;
-    int64_t const_i64 = 0;
-    double const_f64 = 0;
-    const std::string* const_str = nullptr;
-    bool const_bool = false;
-    const Value* const_value = nullptr;
-  };
-
-  void CompileBatchTerms(const EventBatch& batch,
-                         std::vector<BatchTerm>* out) const;
-  bool RowPasses(const EventBatch& batch, size_t i,
-                 const std::vector<BatchTerm>& terms) const;
-
   RowPredicate predicate_;
   std::vector<AttributeComparison> comparisons_;
-  bool structured_ = false;
-  /// Kernel scratch, reused across runs.
-  std::vector<BatchTerm> terms_scratch_;
-  EventBatch out_;
 };
 
 }  // namespace cedr

@@ -136,8 +136,7 @@ Status Builder::WireLeafInput(int leaf_id, Operator* parent, int port) {
   Operator* entry = parent;
   int entry_port = port;
   if (!leaf.local_filter.empty()) {
-    // Structured form: same scalar semantics as MakeLocalFilter, plus
-    // the columnar insert-run kernel for batched input.
+    // Structured form: same semantics as MakeLocalFilter.
     auto select = std::make_unique<SelectOp>(
         leaf.local_filter, q_.spec, StrCat("filter:", leaf.binding));
     select->ConnectTo(parent, port);
@@ -265,8 +264,8 @@ Result<std::unique_ptr<PhysicalPlan>> Builder::Build() {
     std::vector<int> indices;
     indices.reserve(q_.output.size());
     for (const OutputColumn& col : q_.output) indices.push_back(col.field_index);
-    // Structured gather form: same scalar semantics as the equivalent
-    // RowTransform, plus the columnar insert-run kernel.
+    // Structured gather form: same semantics as the equivalent
+    // RowTransform.
     auto project = Own(std::make_unique<ProjectOp>(
         std::move(indices), q_.output_schema, q_.spec, "output"));
     head->ConnectTo(project, 0);

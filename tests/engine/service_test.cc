@@ -97,7 +97,15 @@ TEST(ServiceTest, RetractionValidation) {
   Event e = MakeEvent(1, 2, 10, Payload(7));
   ASSERT_TRUE(service.Publish("INSTALL", e).ok());
   EXPECT_FALSE(service.PublishRetraction("INSTALL", e, 12).ok());
+  // A retraction cannot end before the event starts, and a rejected one
+  // consumes no arrival stamp.
+  const Time before = service.now();
+  EXPECT_EQ(service.PublishRetraction("INSTALL", e, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.now(), before);
   EXPECT_TRUE(service.PublishRetraction("INSTALL", e, 5).ok());
+  // Shrinking to the start (a full retraction) stays legal.
+  EXPECT_TRUE(service.PublishRetraction("INSTALL", e, 2).ok());
 }
 
 TEST(ServiceTest, SyncPointsDriveBlockingQueries) {

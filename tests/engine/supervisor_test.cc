@@ -126,6 +126,31 @@ TEST(SupervisorTest, BackpressureRejectsWithoutBurningSequence) {
   EXPECT_EQ(svc.Session("src").ValueOrDie()->stats().gaps, 0u);
 }
 
+TEST(SupervisorTest, RetractionValidation) {
+  SupervisedService svc = MakeService();
+  ASSERT_TRUE(svc.AttachSource("src", {"INSTALL"}).ok());
+  Event e = MakeEvent(1, 10, 50, Payload(7));
+  ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 0}, "INSTALL", e).ok());
+
+  // Retractions only shrink lifetimes, and never below the start.
+  EXPECT_EQ(
+      svc.PublishRetraction(Ingress{"src", 0, 1}, "INSTALL", e, 60).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      svc.PublishRetraction(Ingress{"src", 0, 1}, "INSTALL", e, 5).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.queue_depth(), 1u);
+
+  // The rejected calls burned no sequence number: a valid retraction
+  // reuses it, and shrinking to the start is legal.
+  ASSERT_TRUE(
+      svc.PublishRetraction(Ingress{"src", 0, 1}, "INSTALL", e, 10).ok());
+  ASSERT_TRUE(svc.Tick().ok());
+  EXPECT_EQ(svc.Session("src").ValueOrDie()->stats().gaps, 0u);
+  EXPECT_EQ(svc.shed().dropped_invalid, 0u);
+  ASSERT_TRUE(svc.Finish().ok());
+}
+
 TEST(SupervisorTest, SheddingPrefersRetractionsAndSparesSyncPoints) {
   SupervisorConfig config;
   config.ingress.queue_capacity = 3;

@@ -245,38 +245,12 @@ TEST(SwitchingTest, RetainedInputIsTrimmedAtSyncPoints) {
   EXPECT_TRUE(denotation::StarEqual(query->Ideal(), expected));
 }
 
-TEST(LoadPolicyTest, RecommendsOverloadSpecUnderPressure) {
-  LoadPolicy policy;
-  policy.max_state = 100;
-  policy.max_buffer = 50;
-  policy.preferred = ConsistencySpec::Strong();
-  policy.overload = ConsistencySpec::Weak(10);
-
-  QueryStats calm;
-  calm.max_state_size = 10;
-  calm.max_buffer_size = 5;
-  EXPECT_TRUE(policy.Recommend(calm).IsStrong());
-
-  QueryStats loaded;
-  loaded.max_state_size = 500;
-  EXPECT_TRUE(policy.Recommend(loaded).IsWeak());
-
-  QueryStats buffered;
-  buffered.max_buffer_size = 51;
-  EXPECT_TRUE(policy.Recommend(buffered).IsWeak());
-}
-
 TEST(SwitchingTest, AdaptiveLoopWithPolicy) {
-  // Drive the adaptive loop: check the policy at every 100 messages and
-  // switch when the recommendation changes. The converged answer is
+  // Drive the adaptive loop: check the buffer at every 100 messages and
+  // switch when the wanted level changes. The converged answer is
   // unaffected when memory stays infinite.
   Feed feed = MakeFeed(9, /*disordered=*/true);
   EventList expected = PureRun(feed, ConsistencySpec::Middle());
-
-  LoadPolicy policy;
-  policy.max_buffer = 10;  // aggressive: strong will trip it
-  policy.preferred = ConsistencySpec::Strong();
-  policy.overload = ConsistencySpec::Middle();
 
   auto query = SwitchableQuery::Create(QueryText(),
                                        workload::MachineCatalog(),
@@ -284,7 +258,10 @@ TEST(SwitchingTest, AdaptiveLoopWithPolicy) {
                    .ValueOrDie();
   for (size_t i = 0; i < feed.merged.size(); ++i) {
     if (i % 100 == 99) {
-      ConsistencySpec want = policy.Recommend(query->Stats());
+      // Aggressive buffer threshold: strong will trip it.
+      ConsistencySpec want = query->Stats().max_buffer_size > 10
+                                 ? ConsistencySpec::Middle()
+                                 : ConsistencySpec::Strong();
       if (!(want == query->current_spec())) {
         ASSERT_TRUE(query->SwitchTo(want).ok());
       }
