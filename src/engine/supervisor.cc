@@ -87,17 +87,8 @@ SupervisedService::SupervisedService(SupervisorConfig config)
 Status SupervisedService::RegisterEventType(const std::string& name,
                                             SchemaPtr schema) {
   if (finished_) return Status::ExecutionError("supervisor already finished");
-  if (schema == nullptr) {
-    return Status::InvalidArgument("event type needs a schema");
-  }
-  auto it = catalog_.find(name);
-  if (it != catalog_.end()) {
-    if (it->second->Equals(*schema)) return Status::OK();
-    return Status::AlreadyExists(
-        StrCat("event type '", name, "' already registered with schema ",
-               it->second->ToString()));
-  }
-  catalog_.emplace(name, schema);
+  CEDR_ASSIGN_OR_RETURN(bool added, ingress_.RegisterType(name, schema));
+  if (!added) return Status::OK();
   io::JournalRecord rec;
   rec.op = io::JournalOp::kRegisterType;
   rec.name = name;
@@ -143,14 +134,14 @@ Result<std::string> SupervisedService::RegisterQuery(
       spec_override.value_or(ConsistencySpec::Middle());
   CEDR_ASSIGN_OR_RETURN(
       std::unique_ptr<SwitchableQuery> query,
-      SwitchableQuery::Create(text, catalog_, probe_spec));
+      SwitchableQuery::Create(text, ingress_.catalog(), probe_spec));
   if (!spec_override.has_value()) {
     // Honor the query's own CONSISTENCY clause: recreate at the bound
     // spec when it differs from the probe.
     ConsistencySpec bound = query->active().bound().spec;
     if (!(bound == probe_spec)) {
-      CEDR_ASSIGN_OR_RETURN(query,
-                            SwitchableQuery::Create(text, catalog_, bound));
+      CEDR_ASSIGN_OR_RETURN(
+          query, SwitchableQuery::Create(text, ingress_.catalog(), bound));
     }
   }
   std::string name = query->active().bound().name;
@@ -206,7 +197,7 @@ Status SupervisedService::AttachSource(
         StrCat("source '", source, "' must own at least one event type"));
   }
   for (const std::string& type : types) {
-    if (catalog_.count(type) == 0) {
+    if (ingress_.catalog().count(type) == 0) {
       return Status::NotFound(StrCat("unknown event type '", type, "'"));
     }
     auto owner = type_owner_.find(type);
@@ -248,54 +239,6 @@ Result<SourceSession::ResumePoint> SupervisedService::Reconnect(
   rec.seq = resume.epoch;
   journal_.Append(rec);
   return resume;
-}
-
-Status SupervisedService::Validate(const io::JournalRecord& record) const {
-  auto owner = type_owner_.find(record.name);
-  if (catalog_.count(record.name) == 0) {
-    return Status::NotFound(
-        StrCat("unknown event type '", record.name, "'"));
-  }
-  if (owner == type_owner_.end() || owner->second != record.source) {
-    return Status::InvalidArgument(
-        StrCat("source '", record.source, "' does not own event type '",
-               record.name, "'"));
-  }
-  switch (record.op) {
-    case io::JournalOp::kPublish: {
-      const Event& e = record.event;
-      if (e.payload.schema() != nullptr &&
-          !e.payload.schema()->Equals(*catalog_.at(record.name))) {
-        return Status::InvalidArgument(
-            StrCat("payload schema does not match event type '",
-                   record.name, "'"));
-      }
-      if (e.ve <= e.vs) {
-        return Status::InvalidArgument(
-            StrCat("event ", e.id, " has an empty lifetime [", e.vs, ", ",
-                   e.ve, ")"));
-      }
-      return Status::OK();
-    }
-    case io::JournalOp::kRetract:
-      if (record.new_ve >= record.event.ve) {
-        return Status::InvalidArgument(
-            "retractions only shrink lifetimes (new end must be smaller)");
-      }
-      if (record.new_ve < record.event.vs) {
-        return Status::InvalidArgument(
-            StrCat("retraction of event ", record.event.id, " ends at ",
-                   record.new_ve, ", before its start ", record.event.vs));
-      }
-      return Status::OK();
-    case io::JournalOp::kSyncPoint:
-      // The must-advance check runs after admission (in Offer): a stale
-      // sync point from a silenced source is late traffic to shed, not a
-      // protocol violation.
-      return Status::OK();
-    default:
-      return Status::InvalidArgument("unsupported ingress op");
-  }
 }
 
 bool SupervisedService::TryShedOne(const std::string* tenant_filter) {
@@ -351,16 +294,22 @@ Status SupervisedService::Offer(const Ingress& ingress,
   SourceSession& session = session_it->second;
   record.source = ingress.source;
   record.seq = ingress.seq;
-  CEDR_RETURN_NOT_OK(Validate(record));
+  CEDR_RETURN_NOT_OK(ingress_.Validate(record));
+  auto owner = type_owner_.find(record.name);
+  if (owner == type_owner_.end() || owner->second != record.source) {
+    return Status::InvalidArgument(
+        StrCat("source '", record.source, "' does not own event type '",
+               record.name, "'"));
+  }
 
   // Tenant admission, then global backpressure, all before session
   // admission - a rejected call burns no sequence number and the
   // provider can retry it verbatim. Every rejection grows
   // reject_backlog_, so consecutive rejections carry growing retry-after
   // hints even while the queue sits pinned at capacity.
-  auto owner = source_tenant_.find(ingress.source);
+  auto tenant_of = source_tenant_.find(ingress.source);
   const std::string tenant_id =
-      owner == source_tenant_.end() ? std::string() : owner->second;
+      tenant_of == source_tenant_.end() ? std::string() : tenant_of->second;
   TenantState& tenant_state = TenantFor(tenant_id);
   if (tenant_state.admitted_this_tick >=
       tenant_state.quota.max_calls_per_tick) {
@@ -415,14 +364,12 @@ Status SupervisedService::Offer(const Ingress& ingress,
     }
   }
 
+  // The must-advance check runs only after admission: a stale sync point
+  // from a silenced source is late traffic, shed above, not a protocol
+  // violation.
   if (record.op == io::JournalOp::kSyncPoint) {
-    auto it = last_offered_sync_.find(record.name);
-    if (it != last_offered_sync_.end() && record.time <= it->second) {
-      return Status::InvalidArgument(
-          StrCat("sync point ", record.time, " on '", record.name,
-                 "' does not advance past the previous sync point ",
-                 it->second));
-    }
+    CEDR_RETURN_NOT_OK(IngressCore::CheckSyncAdvance(
+        record.name, record.time, last_offered_sync_));
     last_offered_sync_[record.name] = record.time;
   }
   queue_.push_back(std::move(record));
@@ -435,32 +382,19 @@ Status SupervisedService::Offer(const Ingress& ingress,
 
 Status SupervisedService::Publish(const Ingress& ingress,
                                   const std::string& type, Event event) {
-  io::JournalRecord rec;
-  rec.op = io::JournalOp::kPublish;
-  rec.name = type;
-  rec.event = std::move(event);
-  return Offer(ingress, std::move(rec));
+  return Offer(ingress, io::PublishCall(type, std::move(event)));
 }
 
 Status SupervisedService::PublishRetraction(const Ingress& ingress,
                                             const std::string& type,
                                             const Event& original,
                                             Time new_end) {
-  io::JournalRecord rec;
-  rec.op = io::JournalOp::kRetract;
-  rec.name = type;
-  rec.event = original;
-  rec.new_ve = new_end;
-  return Offer(ingress, std::move(rec));
+  return Offer(ingress, io::RetractCall(type, original, new_end));
 }
 
 Status SupervisedService::PublishSyncPoint(const Ingress& ingress,
                                            const std::string& type, Time t) {
-  io::JournalRecord rec;
-  rec.op = io::JournalOp::kSyncPoint;
-  rec.name = type;
-  rec.time = t;
-  return Offer(ingress, std::move(rec));
+  return Offer(ingress, io::SyncCall(type, t));
 }
 
 Status SupervisedService::RouteMessage(const std::string& type,
@@ -476,43 +410,17 @@ Status SupervisedService::RouteMessage(const std::string& type,
 }
 
 Status SupervisedService::ApplyNow(const io::JournalRecord& record) {
-  switch (record.op) {
-    case io::JournalOp::kPublish: {
-      EventId id = record.event.id;
-      staged_batch_.emplace_back(record.name,
-                                 InsertOf(record.event, next_cs_++));
-      published_[record.name].insert(id);
-      break;
-    }
-    case io::JournalOp::kRetract: {
-      auto pub = published_.find(record.name);
-      if (pub == published_.end() ||
-          pub->second.count(record.event.id) == 0) {
-        return Status::NotFound(
-            StrCat("retraction references event ", record.event.id,
-                   " never routed on '", record.name,
-                   "' (its insert may have been shed)"));
-      }
-      staged_batch_.emplace_back(
-          record.name, RetractOf(record.event, record.new_ve, next_cs_++));
-      break;
-    }
-    case io::JournalOp::kSyncPoint: {
-      auto it = last_sync_.find(record.name);
-      if (it != last_sync_.end() && record.time <= it->second) {
-        // Overtaken by a synthesized sync point while queued: the
-        // guarantee it carried is already subsumed.
-        ++shed_.shed_late;
-        return Status::OK();
-      }
-      staged_batch_.emplace_back(record.name,
-                                 CtiOf(record.time, next_cs_++));
-      last_sync_[record.name] = record.time;
-      break;
-    }
-    default:
-      return Status::Internal("non-ingress record in the queue");
+  if (record.op == io::JournalOp::kSyncPoint &&
+      !IngressCore::CheckSyncAdvance(record.name, record.time,
+                                     ingress_.last_sync())
+           .ok()) {
+    // Overtaken by a synthesized sync point while queued: the guarantee
+    // it carried is already subsumed.
+    ++shed_.shed_late;
+    return Status::OK();
   }
+  CEDR_ASSIGN_OR_RETURN(Message msg, ingress_.Stamp(record));
+  staged_batch_.emplace_back(record.name, std::move(msg));
   staged_records_.push_back(record);
   if (staged_batch_.size() >= config_.routing.max_batch) {
     return FlushStaged();
@@ -621,7 +529,7 @@ Status SupervisedService::DrainSome(int budget) {
 
 Time SupervisedService::LiveFrontier() const {
   Time frontier = kMinTime;
-  for (const auto& [type, t] : last_sync_) {
+  for (const auto& [type, t] : ingress_.last_sync()) {
     frontier = std::max(frontier, t);
   }
   return frontier;
@@ -630,21 +538,16 @@ Time SupervisedService::LiveFrontier() const {
 Status SupervisedService::SynthesizeFor(SourceSession* session,
                                         Time target) {
   for (const std::string& type : session->types()) {
-    auto it = last_sync_.find(type);
-    if (it != last_sync_.end() && target <= it->second) continue;
-    CEDR_RETURN_NOT_OK(RouteMessage(type, CtiOf(target, next_cs_++)));
-    last_sync_[type] = target;
+    io::JournalRecord rec = io::SyncCall(type, target);
+    rec.source = kSupervisorSource;
+    Result<Message> cti = ingress_.Stamp(rec);
+    if (!cti.ok()) continue;  // the type's frontier is already past target
+    CEDR_RETURN_NOT_OK(RouteMessage(type, cti.ValueOrDie()));
     Time& offered = last_offered_sync_[type];
     offered = std::max(offered, target);
     ++shed_.synthesized_syncs;
     ++type_shed_[type].synthesized;
     ++session->mutable_stats()->synthesized_syncs;
-
-    io::JournalRecord rec;
-    rec.op = io::JournalOp::kSyncPoint;
-    rec.name = type;
-    rec.time = target;
-    rec.source = kSupervisorSource;
     journal_.Append(rec);
   }
   return Status::OK();
@@ -1156,25 +1059,12 @@ Status SupervisedService::ReviveQuery(const std::string& name) {
                         io::ReadJournal(journal_.bytes()));
   CEDR_ASSIGN_OR_RETURN(
       std::unique_ptr<SwitchableQuery> fresh,
-      SwitchableQuery::Create(g.query->active().text(), catalog_,
+      SwitchableQuery::Create(g.query->active().text(), ingress_.catalog(),
                               g.requested));
-  Time cs = 1;
+  IngressCore replay;
   for (const io::JournalRecord& record : journal.records) {
-    Message msg;
-    switch (record.op) {
-      case io::JournalOp::kPublish:
-        msg = InsertOf(record.event, cs);
-        break;
-      case io::JournalOp::kRetract:
-        msg = RetractOf(record.event, record.new_ve, cs);
-        break;
-      case io::JournalOp::kSyncPoint:
-        msg = CtiOf(record.time, cs);
-        break;
-      default:
-        continue;  // not an ingress record: no stamp was consumed
-    }
-    ++cs;
+    if (!IsIngressCall(record.op)) continue;
+    CEDR_ASSIGN_OR_RETURN(Message msg, replay.Stamp(record));
     if (g.input_types.count(record.name) == 0) continue;
     CEDR_RETURN_NOT_OK(fresh->Push(record.name, msg));
   }

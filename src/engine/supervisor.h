@@ -65,6 +65,7 @@
 
 #include "common/rng.h"
 #include "consistency/budget.h"
+#include "engine/ingress.h"
 #include "engine/session.h"
 #include "engine/switching.h"
 #include "engine/worker_pool.h"
@@ -430,13 +431,12 @@ class SupervisedService {
     uint64_t synthesized = 0;
   };
 
-  /// Shared admission path: static validation, backpressure/shedding,
-  /// session admission, then enqueue.
+  /// Shared admission path: static validation, source ownership,
+  /// backpressure/shedding, session admission, then enqueue.
   Status Offer(const Ingress& ingress, io::JournalRecord record);
-  /// Static validation of one call (schema, lifetime, sync advance).
-  Status Validate(const io::JournalRecord& record) const;
-  /// Applies one accepted call: frontier shedding, reference checks,
-  /// cs stamping, then *stages* the resulting message for routing.
+  /// Applies one accepted call: sheds a sync point overtaken while
+  /// queued, stamps through the ingress core (whose reference check
+  /// fails with kNotFound), then *stages* the message for routing.
   /// Staged messages are routed (and their records journaled) by
   /// FlushStaged, called at every drain boundary and whenever the
   /// staged batch reaches `routing.max_batch`.
@@ -481,7 +481,8 @@ class SupervisedService {
                                                 const GovernorConfig& gov);
 
   SupervisorConfig config_;
-  Catalog catalog_;
+  /// Catalog, published ids, drained sync points and the cs clock.
+  IngressCore ingress_;
   std::map<std::string, SourceSession> sessions_;
   std::map<std::string, std::string> type_owner_;  // type -> source
   std::map<std::string, Governed> queries_;
@@ -499,8 +500,6 @@ class SupervisedService {
   std::vector<std::string> route_names_;
   io::JournalWriter journal_;
   Rng shed_rng_;
-  std::map<std::string, std::set<EventId>> published_;
-  std::map<std::string, Time> last_sync_;          // drained
   std::map<std::string, Time> last_offered_sync_;  // admission-level
   std::map<std::string, TypeShed> type_shed_;
   ShedStats shed_;
@@ -515,7 +514,6 @@ class SupervisedService {
   /// capacity.
   uint64_t reject_backlog_ = 0;
   size_t max_queue_depth_ = 0;
-  Time next_cs_ = 1;
   int64_t now_ticks_ = 0;
   bool finished_ = false;
 };

@@ -6,13 +6,14 @@
 // logically equivalent output, so a query may switch levels there and
 // "produce the same subsequent stream as if CEDR had been running at
 // that consistency level all along". SwitchableQuery realizes this by
-// determinism + replay: all input is retained (up to a configurable
-// horizon we keep it simple and retain everything); on SwitchTo(spec)
-// the input is replayed through a fresh plan at the new level. Because
-// plans are deterministic - composite ids derive from contributor ids,
-// repair ids from per-operator counters - the new run reproduces the
-// old run's event identities, so the spliced output stream (old output
-// before the switch, new output after) is a well-formed CEDR stream:
+// determinism + replay: the plan state at the last common sync point is
+// kept as a barrier snapshot, and only the input since that barrier is
+// retained; on SwitchTo(spec) a fresh plan at the new level restores
+// the barrier and replays the retained input. Because plans are
+// deterministic - composite ids derive from contributor ids, repair ids
+// from per-operator counters - the new run reproduces the old run's
+// event identities, so the spliced output stream (old output before
+// the switch, new output after) is a well-formed CEDR stream:
 // retractions emitted after the switch correctly reference optimistic
 // inserts emitted before it.
 #ifndef CEDR_ENGINE_SWITCHING_H_

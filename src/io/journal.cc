@@ -10,6 +10,32 @@ constexpr size_t kMagicSize = 8;
 constexpr size_t kHeaderSize = kMagicSize + 4 + 8;
 }  // namespace
 
+JournalRecord PublishCall(const std::string& type, Event event) {
+  JournalRecord call;
+  call.op = JournalOp::kPublish;
+  call.name = type;
+  call.event = std::move(event);
+  return call;
+}
+
+JournalRecord RetractCall(const std::string& type, const Event& original,
+                          Time new_end) {
+  JournalRecord call;
+  call.op = JournalOp::kRetract;
+  call.name = type;
+  call.event = original;
+  call.new_ve = new_end;
+  return call;
+}
+
+JournalRecord SyncCall(const std::string& type, Time t) {
+  JournalRecord call;
+  call.op = JournalOp::kSyncPoint;
+  call.name = type;
+  call.time = t;
+  return call;
+}
+
 void WriteJournalRecord(BinaryWriter* w, const JournalRecord& record) {
   w->PutU8(static_cast<uint8_t>(record.op));
   w->PutString(record.name);

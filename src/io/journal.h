@@ -60,8 +60,8 @@ enum class JournalOp : uint8_t {
 ///
 /// `source` and `seq` additionally tag every supervised ingress call
 /// with the session that produced it and its per-source sequence
-/// number; both are empty/zero for unsupervised (plain DurableService)
-/// ingress and for supervisor-synthesized calls.
+/// number; both are empty/zero for unsupervised (CedrService) ingress,
+/// and supervisor-synthesized calls carry kSupervisorSource and seq 0.
 struct JournalRecord {
   JournalOp op = JournalOp::kPublish;
   std::string name;
@@ -76,8 +76,14 @@ struct JournalRecord {
   uint64_t seq = 0;
 };
 
+/// The journaled form of the three ingress calls.
+JournalRecord PublishCall(const std::string& type, Event event);
+JournalRecord RetractCall(const std::string& type, const Event& original,
+                          Time new_end);
+JournalRecord SyncCall(const std::string& type, Time t);
+
 /// Append-only writer over an in-memory byte string. The caller owns the
-/// bytes (e.g. DurableService keeps them next to its snapshot).
+/// bytes (e.g. CedrService keeps them next to its snapshot).
 class JournalWriter {
  public:
   JournalWriter() { Reset(0); }

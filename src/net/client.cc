@@ -79,29 +79,16 @@ void SourceClient::Enqueue(io::JournalRecord call) {
 }
 
 void SourceClient::Publish(const std::string& type, Event event) {
-  io::JournalRecord call;
-  call.op = io::JournalOp::kPublish;
-  call.name = type;
-  call.event = std::move(event);
-  Enqueue(std::move(call));
+  Enqueue(io::PublishCall(type, std::move(event)));
 }
 
 void SourceClient::Retract(const std::string& type, const Event& original,
                            Time new_end) {
-  io::JournalRecord call;
-  call.op = io::JournalOp::kRetract;
-  call.name = type;
-  call.event = original;
-  call.new_ve = new_end;
-  Enqueue(std::move(call));
+  Enqueue(io::RetractCall(type, original, new_end));
 }
 
 void SourceClient::SyncPoint(const std::string& type, Time t) {
-  io::JournalRecord call;
-  call.op = io::JournalOp::kSyncPoint;
-  call.name = type;
-  call.time = t;
-  Enqueue(std::move(call));
+  Enqueue(io::SyncCall(type, t));
 }
 
 void SourceClient::BeginBackoff(int64_t now, int64_t server_hint) {

@@ -32,20 +32,15 @@ std::vector<io::JournalRecord> FeedOf(const std::string& type,
   feed.reserve(stream.size());
   for (const Message& m : stream) {
     io::JournalRecord rec;
-    rec.name = type;
     switch (m.kind) {
       case MessageKind::kInsert:
-        rec.op = io::JournalOp::kPublish;
-        rec.event = m.event;
+        rec = io::PublishCall(type, m.event);
         break;
       case MessageKind::kRetract:
-        rec.op = io::JournalOp::kRetract;
-        rec.event = m.event;
-        rec.new_ve = m.new_ve;
+        rec = io::RetractCall(type, m.event, m.new_ve);
         break;
       case MessageKind::kCti:
-        rec.op = io::JournalOp::kSyncPoint;
-        rec.time = m.time;
+        rec = io::SyncCall(type, m.time);
         break;
     }
     // Keep the stream's arrival stamp for merge ordering; the service
@@ -85,36 +80,9 @@ std::vector<io::JournalRecord> MergeFeeds(
   return merged;
 }
 
-Status ApplyFeedCall(DurableService* service,
-                     const io::JournalRecord& call) {
-  switch (call.op) {
-    case io::JournalOp::kRegisterType:
-      return service->RegisterEventType(call.name, call.schema);
-    case io::JournalOp::kRegisterQuery: {
-      std::optional<ConsistencySpec> spec;
-      if (call.has_spec) spec = call.spec;
-      return service->RegisterQuery(call.text, spec).status();
-    }
-    case io::JournalOp::kUnregisterQuery:
-      return service->UnregisterQuery(call.name);
-    case io::JournalOp::kPublish:
-      return service->Publish(call.name, call.event);
-    case io::JournalOp::kRetract:
-      return service->PublishRetraction(call.name, call.event, call.new_ve);
-    case io::JournalOp::kSyncPoint:
-      return service->PublishSyncPoint(call.name, call.time);
-    case io::JournalOp::kFinish:
-      return service->Finish();
-    case io::JournalOp::kEpoch:
-      // No session layer on the plain durable service: nothing to do.
-      return Status::OK();
-  }
-  return Status::InvalidArgument("feed call has an unknown op");
-}
-
 namespace {
 
-Status Prepare(DurableService* service, const ServiceScenario& scenario) {
+Status Prepare(CedrService* service, const ServiceScenario& scenario) {
   for (const auto& [name, schema] : scenario.catalog) {
     CEDR_RETURN_NOT_OK(service->RegisterEventType(name, schema));
   }
@@ -124,11 +92,12 @@ Status Prepare(DurableService* service, const ServiceScenario& scenario) {
   return Status::OK();
 }
 
-Result<RunOutputs> Collect(const DurableService& service) {
+Result<RunOutputs> FinishAndCollect(CedrService* service) {
+  CEDR_RETURN_NOT_OK(service->Finish());
   RunOutputs outputs;
-  for (const std::string& name : service.service().QueryNames()) {
+  for (const std::string& name : service->QueryNames()) {
     CEDR_ASSIGN_OR_RETURN(const CompiledQuery* query,
-                          service.service().GetQuery(name));
+                          service->GetQuery(name));
     outputs[name] = query->sink().messages();
   }
   return outputs;
@@ -136,44 +105,35 @@ Result<RunOutputs> Collect(const DurableService& service) {
 
 }  // namespace
 
-Result<RunOutputs> RunUninterrupted(const ServiceScenario& scenario,
-                                    DurableOptions options) {
-  DurableService service(options);
+Result<RunOutputs> RunUninterrupted(const ServiceScenario& scenario) {
+  CedrService service;
   CEDR_RETURN_NOT_OK(Prepare(&service, scenario));
   for (const io::JournalRecord& call : scenario.feed) {
-    CEDR_RETURN_NOT_OK(ApplyFeedCall(&service, call));
+    CEDR_RETURN_NOT_OK(service.Apply(call));
   }
-  CEDR_RETURN_NOT_OK(service.Finish());
-  return Collect(service);
+  return FinishAndCollect(&service);
 }
 
 Result<RunOutputs> RunWithCrash(const ServiceScenario& scenario,
-                                size_t crash_after,
-                                DurableOptions options) {
+                                size_t crash_after) {
   std::string snapshot_bytes;
   std::string journal_bytes;
   {
-    DurableService service(options);
+    CedrService service;
     CEDR_RETURN_NOT_OK(Prepare(&service, scenario));
-    size_t applied = 0;
-    for (const io::JournalRecord& call : scenario.feed) {
-      if (applied == crash_after) break;
-      CEDR_RETURN_NOT_OK(ApplyFeedCall(&service, call));
-      ++applied;
+    for (size_t i = 0; i < crash_after && i < scenario.feed.size(); ++i) {
+      CEDR_RETURN_NOT_OK(service.Apply(scenario.feed[i]));
     }
     // Crash: the process dies; only the durable bytes survive.
     snapshot_bytes = service.snapshot_bytes();
     journal_bytes = service.journal_bytes();
   }
-  CEDR_ASSIGN_OR_RETURN(
-      std::unique_ptr<DurableService> recovered,
-      DurableService::Recover(snapshot_bytes, journal_bytes, options));
-  for (size_t i = std::min(crash_after, scenario.feed.size());
-       i < scenario.feed.size(); ++i) {
-    CEDR_RETURN_NOT_OK(ApplyFeedCall(recovered.get(), scenario.feed[i]));
+  CEDR_ASSIGN_OR_RETURN(std::unique_ptr<CedrService> recovered,
+                        CedrService::Recover(snapshot_bytes, journal_bytes));
+  for (size_t i = crash_after; i < scenario.feed.size(); ++i) {
+    CEDR_RETURN_NOT_OK(recovered->Apply(scenario.feed[i]));
   }
-  CEDR_RETURN_NOT_OK(recovered->Finish());
-  return Collect(*recovered);
+  return FinishAndCollect(recovered.get());
 }
 
 bool PhysicallyIdentical(const std::vector<Message>& a,

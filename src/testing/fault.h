@@ -1,4 +1,4 @@
-// Deterministic fault-injection harness for the durable service.
+// Deterministic fault-injection harness for the durable CedrService.
 //
 // A scenario is a catalog, a set of standing queries, and a feed of
 // ingress calls. The harness runs it uninterrupted or with a simulated
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/durable.h"
+#include "engine/service.h"
 #include "engine/supervisor.h"
 
 namespace cedr {
@@ -48,8 +48,8 @@ struct ScenarioQuery {
 };
 
 /// A self-contained workload for the durable service. The feed reuses
-/// io::JournalRecord as the call representation (kPublish, kRetract,
-/// kSyncPoint).
+/// io::JournalRecord as the call representation and is applied through
+/// CedrService::Apply.
 struct ServiceScenario {
   std::map<std::string, SchemaPtr> catalog;
   std::vector<ScenarioQuery> queries;
@@ -65,22 +65,17 @@ std::vector<io::JournalRecord> FeedOf(const std::string& type,
 std::vector<io::JournalRecord> MergeFeeds(
     std::vector<std::vector<io::JournalRecord>> feeds);
 
-/// Applies one feed call to the service.
-Status ApplyFeedCall(DurableService* service, const io::JournalRecord& call);
-
 /// Per-query physical output streams, keyed by query name.
 using RunOutputs = std::map<std::string, std::vector<Message>>;
 
-/// Runs the scenario start to finish on one DurableService.
-Result<RunOutputs> RunUninterrupted(const ServiceScenario& scenario,
-                                    DurableOptions options = {});
+/// Runs the scenario start to finish on one CedrService.
+Result<RunOutputs> RunUninterrupted(const ServiceScenario& scenario);
 
 /// Runs the scenario, crashes after `crash_after` accepted feed calls
 /// (keeping only the durable bytes), recovers, and finishes the feed on
 /// the recovered service.
 Result<RunOutputs> RunWithCrash(const ServiceScenario& scenario,
-                                size_t crash_after,
-                                DurableOptions options = {});
+                                size_t crash_after);
 
 /// True when the two streams are identical message-for-message (same
 /// kinds, events, ids, lifetimes, payloads, arrival stamps). Stronger

@@ -259,8 +259,48 @@ TEST(QuarantineTest, ReviveRebuildsBitIdenticalState) {
   SupervisedService faulty = MakeService();
   for (SupervisedService* svc : {&clean, &faulty}) {
     ASSERT_TRUE(svc->RegisterQuery(PairQuery()).ok());
-    ASSERT_TRUE(svc->AttachSource("src", {"INSTALL", "SHUTDOWN"}).ok());
+    ASSERT_TRUE(
+        svc->AttachSource("src", {"INSTALL", "SHUTDOWN", "RESTART"}).ok());
   }
+
+  // Every call below goes to both services with the same sequence
+  // number, so their journals stay identical.
+  uint64_t seq = 0;
+  auto offer = [&](auto&& call) {
+    for (SupervisedService* svc : {&clean, &faulty}) {
+      ASSERT_TRUE(call(svc, Ingress{"src", 0, seq}).ok());
+    }
+    ++seq;
+  };
+  auto publish = [&](const char* type, Event e) {
+    offer([&](SupervisedService* svc, const Ingress& in) {
+      return svc->Publish(in, type, e);
+    });
+  };
+  auto publish_pair = [&](int64_t machine, EventId a, EventId b, Time t) {
+    publish("INSTALL", MakeEvent(a, t, kInfinity, Payload(machine)));
+    publish("SHUTDOWN", MakeEvent(b, t + 5, kInfinity, Payload(machine)));
+  };
+  auto sync = [&](const char* type, Time t) {
+    offer([&](SupervisedService* svc, const Ingress& in) {
+      return svc->PublishSyncPoint(in, type, t);
+    });
+  };
+
+  // Before the fault the journal holds more than Pair's inputs: a
+  // provider retraction, a provider sync point, and RESTART traffic,
+  // which Pair does not read. Each consumed a cs stamp that revive must
+  // reproduce.
+  publish_pair(1, 1, 2, 10);
+  publish("RESTART", MakeEvent(5, 12, kInfinity, Payload(1)));
+  offer([&](SupervisedService* svc, const Ingress& in) {
+    return svc->PublishRetraction(
+        in, "SHUTDOWN", MakeEvent(2, 15, kInfinity, Payload(1)), 200);
+  });
+  sync("INSTALL", 20);
+  ASSERT_TRUE(clean.Tick().ok());
+  ASSERT_TRUE(faulty.Tick().ok());
+
   ASSERT_TRUE(faulty
                   .SetQueryFaultHook(
                       "Pair",
@@ -268,21 +308,7 @@ TEST(QuarantineTest, ReviveRebuildsBitIdenticalState) {
                         return Status::ExecutionError("transient");
                       })
                   .ok());
-
-  uint64_t seq = 0;
-  auto publish_pair = [&](SupervisedService* svc, int64_t machine,
-                          EventId a, EventId b, Time t) {
-    ASSERT_TRUE(svc->Publish(Ingress{"src", 0, seq}, "INSTALL",
-                             MakeEvent(a, t, kInfinity, Payload(machine)))
-                    .ok());
-    ASSERT_TRUE(svc->Publish(Ingress{"src", 0, seq + 1}, "SHUTDOWN",
-                             MakeEvent(b, t + 5, kInfinity,
-                                       Payload(machine)))
-                    .ok());
-  };
-  publish_pair(&clean, 1, 1, 2, 10);
-  publish_pair(&faulty, 1, 1, 2, 10);
-  seq += 2;
+  publish_pair(2, 3, 4, 30);
   ASSERT_TRUE(clean.Tick().ok());
   ASSERT_TRUE(faulty.Tick().ok());
   ASSERT_EQ(faulty.QuarantinedQueries().size(), 1u);
@@ -296,23 +322,17 @@ TEST(QuarantineTest, ReviveRebuildsBitIdenticalState) {
             GovernorPhase::kSteady);
 
   // Both services now see identical new traffic...
-  publish_pair(&clean, 2, 3, 4, 30);
-  publish_pair(&faulty, 2, 3, 4, 30);
-  seq += 2;
+  publish_pair(3, 6, 7, 50);
+  sync("INSTALL", 100);
+  sync("SHUTDOWN", 100);
   for (SupervisedService* svc : {&clean, &faulty}) {
-    ASSERT_TRUE(
-        svc->PublishSyncPoint(Ingress{"src", 0, seq}, "INSTALL", 100)
-            .ok());
-    ASSERT_TRUE(
-        svc->PublishSyncPoint(Ingress{"src", 0, seq + 1}, "SHUTDOWN", 100)
-            .ok());
     ASSERT_TRUE(svc->Finish().ok());
   }
   // ...and the revived query's output is bit-identical to never faulting.
   EXPECT_TRUE(testing::PhysicallyIdentical(
       clean.GetQuery("Pair").ValueOrDie()->OutputMessages(),
       faulty.GetQuery("Pair").ValueOrDie()->OutputMessages()));
-  EXPECT_EQ(faulty.GetQuery("Pair").ValueOrDie()->Ideal().size(), 2u);
+  EXPECT_EQ(faulty.GetQuery("Pair").ValueOrDie()->Ideal().size(), 3u);
 }
 
 TEST(QuarantineTest, WatchdogDegradesThenQuarantines) {

@@ -28,6 +28,11 @@ TEST(ServiceTest, TypeRegistrationIdempotentButConsistent) {
   EXPECT_EQ(service.RegisterEventType("INSTALL", other).code(),
             StatusCode::kAlreadyExists);
   EXPECT_FALSE(service.RegisterEventType("NULLSCHEMA", nullptr).ok());
+  // Type names are non-empty and space-free.
+  EXPECT_EQ(service.RegisterEventType("", MachineSchema()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.RegisterEventType("MY TYPE", MachineSchema()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceTest, QueriesNeedKnownTypes) {

@@ -151,6 +151,29 @@ TEST(SupervisorTest, RetractionValidation) {
   ASSERT_TRUE(svc.Finish().ok());
 }
 
+TEST(SupervisorTest, TypeNamesMustRoundTripTheJournal) {
+  // Attach records journal owned types space-joined, so a name that is
+  // empty or holds a space could not be split back apart on Recover.
+  SupervisedService svc = MakeService();
+  EXPECT_EQ(svc.RegisterEventType("", MachineSchema()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.RegisterEventType("MY TYPE", MachineSchema()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.AttachSource("src", {"MY TYPE"}).code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(svc.RegisterEventType("MY_TYPE", MachineSchema()).ok());
+  ASSERT_TRUE(svc.AttachSource("src", {"MY_TYPE", "INSTALL"}).ok());
+  ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 0}, "MY_TYPE",
+                          MakeEvent(1, 1, 5, Payload(1)))
+                  .ok());
+  ASSERT_TRUE(svc.Tick().ok());
+  Result<std::unique_ptr<SupervisedService>> recovered =
+      SupervisedService::Recover(svc.journal().bytes());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.ValueOrDie()->Session("src").ValueOrDie()->types(),
+            svc.Session("src").ValueOrDie()->types());
+}
+
 TEST(SupervisorTest, SheddingPrefersRetractionsAndSparesSyncPoints) {
   SupervisorConfig config;
   config.ingress.queue_capacity = 3;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "stream/equivalence.h"
 #include "workload/disorder.h"
 #include "workload/machines.h"
@@ -81,12 +83,11 @@ TEST(FaultInjectionTest, DoubleCrashStillRecovers) {
   RunOutputs baseline = RunUninterrupted(scenario).ValueOrDie();
 
   // First crash at 1/3, recover, second crash at 2/3, recover, finish.
-  DurableOptions options;
   std::string snapshot;
   std::string journal;
   size_t third = scenario.feed.size() / 3;
   {
-    DurableService service(options);
+    CedrService service;
     for (const auto& [name, schema] : scenario.catalog) {
       ASSERT_TRUE(service.RegisterEventType(name, schema).ok());
     }
@@ -94,42 +95,82 @@ TEST(FaultInjectionTest, DoubleCrashStillRecovers) {
       ASSERT_TRUE(service.RegisterQuery(q.text, q.spec).ok());
     }
     for (size_t i = 0; i < third; ++i) {
-      ASSERT_TRUE(ApplyFeedCall(&service, scenario.feed[i]).ok());
+      ASSERT_TRUE(service.Apply(scenario.feed[i]).ok());
     }
     snapshot = service.snapshot_bytes();
     journal = service.journal_bytes();
   }
-  std::unique_ptr<DurableService> second =
-      DurableService::Recover(snapshot, journal, options).ValueOrDie();
+  std::unique_ptr<CedrService> second =
+      CedrService::Recover(snapshot, journal).ValueOrDie();
   for (size_t i = third; i < 2 * third; ++i) {
-    ASSERT_TRUE(ApplyFeedCall(second.get(), scenario.feed[i]).ok());
+    ASSERT_TRUE(second->Apply(scenario.feed[i]).ok());
   }
   snapshot = second->snapshot_bytes();
   journal = second->journal_bytes();
   second.reset();
 
-  std::unique_ptr<DurableService> third_run =
-      DurableService::Recover(snapshot, journal, options).ValueOrDie();
+  std::unique_ptr<CedrService> third_run =
+      CedrService::Recover(snapshot, journal).ValueOrDie();
   for (size_t i = 2 * third; i < scenario.feed.size(); ++i) {
-    ASSERT_TRUE(ApplyFeedCall(third_run.get(), scenario.feed[i]).ok());
+    ASSERT_TRUE(third_run->Apply(scenario.feed[i]).ok());
   }
   ASSERT_TRUE(third_run->Finish().ok());
 
   RunOutputs outputs;
-  for (const std::string& name : third_run->service().QueryNames()) {
-    outputs[name] = third_run->service()
-                        .GetQuery(name)
-                        .ValueOrDie()
-                        ->sink()
-                        .messages();
+  for (const std::string& name : third_run->QueryNames()) {
+    outputs[name] =
+        third_run->GetQuery(name).ValueOrDie()->sink().messages();
   }
   EXPECT_TRUE(PhysicallyIdentical(baseline, outputs));
+}
+
+TEST(FaultInjectionTest, UnregisterQueryReplaysAcrossACrash) {
+  ServiceScenario scenario =
+      MachineScenario(9, ConsistencySpec::Middle(), /*disorder=*/0.0);
+  // Between two sync points, after some publishes, unregister the query
+  // and register it again under the same name. Both crash points below
+  // - right after the cycle, and right before the next sync point -
+  // leave kUnregisterQuery in the journal suffix that recovery replays;
+  // without it the re-registration would fail as a duplicate.
+  auto is_sync = [](const io::JournalRecord& call) {
+    return call.op == io::JournalOp::kSyncPoint;
+  };
+  auto first = std::find_if(scenario.feed.begin(), scenario.feed.end(),
+                            is_sync);
+  ASSERT_NE(first, scenario.feed.end());
+  auto next = std::find_if(first + 1, scenario.feed.end(), is_sync);
+  ASSERT_NE(next, scenario.feed.end());
+  ASSERT_GE(next - first, 2) << "need a publish between the sync points";
+  const size_t cycle_at = static_cast<size_t>(first - scenario.feed.begin()) +
+                          static_cast<size_t>(next - first) / 2;
+  const size_t next_sync = static_cast<size_t>(next - scenario.feed.begin());
+
+  io::JournalRecord unregister;
+  unregister.op = io::JournalOp::kUnregisterQuery;
+  unregister.name = "CIDR07_Example";
+  io::JournalRecord reregister;
+  reregister.op = io::JournalOp::kRegisterQuery;
+  reregister.text = scenario.queries[0].text;
+  reregister.has_spec = true;
+  reregister.spec = *scenario.queries[0].spec;
+  scenario.feed.insert(scenario.feed.begin() + cycle_at,
+                       {unregister, reregister});
+  // A short tail after the next sync point is enough to finish on.
+  scenario.feed.resize(std::min(scenario.feed.size(), next_sync + 2 + 40));
+
+  RunOutputs baseline = RunUninterrupted(scenario).ValueOrDie();
+  ASSERT_FALSE(baseline.at("CIDR07_Example").empty());
+  for (size_t crash : {cycle_at + 2, next_sync + 2}) {
+    RunOutputs crashed = RunWithCrash(scenario, crash).ValueOrDie();
+    EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
+        << "crash after " << crash << " calls";
+  }
 }
 
 // Captures the durable bytes of a partially-run scenario.
 void DurableBytesAt(const ServiceScenario& scenario, size_t calls,
                     std::string* snapshot, std::string* journal) {
-  DurableService service{DurableOptions{}};
+  CedrService service;
   for (const auto& [name, schema] : scenario.catalog) {
     ASSERT_TRUE(service.RegisterEventType(name, schema).ok());
   }
@@ -137,7 +178,7 @@ void DurableBytesAt(const ServiceScenario& scenario, size_t calls,
     ASSERT_TRUE(service.RegisterQuery(q.text, q.spec).ok());
   }
   for (size_t i = 0; i < calls && i < scenario.feed.size(); ++i) {
-    ASSERT_TRUE(ApplyFeedCall(&service, scenario.feed[i]).ok());
+    ASSERT_TRUE(service.Apply(scenario.feed[i]).ok());
   }
   *snapshot = service.snapshot_bytes();
   *journal = service.journal_bytes();
@@ -156,8 +197,8 @@ TEST(FaultInjectionTest, FlippedSnapshotBitIsCorruption) {
   size_t pos = 8 + 4 + 8 +
                injector.PickIndex(snapshot.size() - (8 + 4 + 8 + 4));
   snapshot[pos] ^= 0x20;
-  Result<std::unique_ptr<DurableService>> got =
-      DurableService::Recover(snapshot, journal);
+  Result<std::unique_ptr<CedrService>> got =
+      CedrService::Recover(snapshot, journal);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
 }
@@ -172,8 +213,8 @@ TEST(FaultInjectionTest, TruncatedSnapshotIsDataLoss) {
   FaultInjector injector(13);
   std::string damaged = snapshot;
   injector.Truncate(&damaged);
-  Result<std::unique_ptr<DurableService>> got =
-      DurableService::Recover(damaged, journal);
+  Result<std::unique_ptr<CedrService>> got =
+      CedrService::Recover(damaged, journal);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
 }
@@ -190,8 +231,8 @@ TEST(FaultInjectionTest, MismatchedJournalEpochIsDataLoss) {
 
   // Pair an old snapshot with a journal from a later epoch: records are
   // missing in between, which must be detected, not silently replayed.
-  Result<std::unique_ptr<DurableService>> got =
-      DurableService::Recover(snapshot_a, journal_b);
+  Result<std::unique_ptr<CedrService>> got =
+      CedrService::Recover(snapshot_a, journal_b);
   if (got.ok()) {
     // Only acceptable when both epochs happen to share a base index
     // (i.e. no checkpoint in between) - then nothing was lost.
@@ -234,8 +275,8 @@ TEST(FaultInjectionTest, RandomDamageSweepNeverCrashesOrLies) {
         break;
     }
 
-    Result<std::unique_ptr<DurableService>> got =
-        DurableService::Recover(snapshot, journal);
+    Result<std::unique_ptr<CedrService>> got =
+        CedrService::Recover(snapshot, journal);
     if (!got.ok()) {
       StatusCode code = got.status().code();
       EXPECT_TRUE(code == StatusCode::kCorruption ||
@@ -245,7 +286,7 @@ TEST(FaultInjectionTest, RandomDamageSweepNeverCrashesOrLies) {
     }
     // Boundary truncation of the journal is indistinguishable from "the
     // last calls never happened"; the recovered prefix must still run.
-    std::unique_ptr<DurableService> service = std::move(got).ValueOrDie();
+    std::unique_ptr<CedrService> service = std::move(got).ValueOrDie();
     EXPECT_TRUE(service->Finish().ok()) << "seed " << seed;
   }
 }

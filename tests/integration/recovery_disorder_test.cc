@@ -49,22 +49,27 @@ ServiceScenario DisorderedMachines(uint64_t seed, ConsistencySpec spec) {
   return scenario;
 }
 
-struct Level {
+struct Input {
   const char* label;
+  uint64_t seed;
   ConsistencySpec spec;
+  std::vector<double> crash_fractions;
 };
 
-std::vector<Level> Levels() {
-  return {{"strong", ConsistencySpec::Strong()},
-          {"middle", ConsistencySpec::Middle()},
-          {"weak", ConsistencySpec::Weak(20)}};
-}
-
 TEST(RecoveryDisorderTest, DisorderSpanningTheBarrierAtEveryLevel) {
-  for (const Level& level : Levels()) {
-    ServiceScenario scenario = DisorderedMachines(31, level.spec);
+  // Seed 31 at every level, plus two more disorder draws: seed 37 at
+  // strong crashing late in the feed, and seed 41 at middle.
+  const std::vector<Input> inputs = {
+      {"strong", 31, ConsistencySpec::Strong(), {0.25, 0.5, 0.75}},
+      {"middle", 31, ConsistencySpec::Middle(), {0.25, 0.5, 0.75}},
+      {"weak", 31, ConsistencySpec::Weak(20), {0.25, 0.5, 0.75}},
+      {"strong", 37, ConsistencySpec::Strong(), {0.3, 0.6, 0.95}},
+      {"middle", 41, ConsistencySpec::Middle(), {0.5}},
+  };
+  for (const Input& input : inputs) {
+    ServiceScenario scenario = DisorderedMachines(input.seed, input.spec);
     RunOutputs baseline = RunUninterrupted(scenario).ValueOrDie();
-    for (double fraction : {0.25, 0.5, 0.75}) {
+    for (double fraction : input.crash_fractions) {
       size_t crash_after =
           static_cast<size_t>(scenario.feed.size() * fraction);
       RunOutputs crashed =
@@ -73,50 +78,16 @@ TEST(RecoveryDisorderTest, DisorderSpanningTheBarrierAtEveryLevel) {
       // Middle/weak hold the same here because recovery is replay-exact,
       // which subsumes the canonical-equivalence requirement.
       EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
-          << level.label << " crash at " << crash_after;
+          << input.label << " seed " << input.seed << " crash at "
+          << crash_after;
       for (const auto& [name, stream] : baseline) {
         EXPECT_TRUE(
             LogicallyEquivalent(stream, crashed.at(name)))
-            << level.label << " not canonically equivalent, crash at "
-            << crash_after;
+            << input.label << " seed " << input.seed
+            << " not canonically equivalent, crash at " << crash_after;
       }
     }
   }
-}
-
-TEST(RecoveryDisorderTest, SparseCheckpointsReplayLongJournalSuffix) {
-  // Checkpoint only every 4th sync point: the journal suffix replayed
-  // on recovery then contains several sync points and all the disorder
-  // between them.
-  DurableOptions options;
-  options.checkpoint_every_sync_points = 4;
-  ServiceScenario scenario =
-      DisorderedMachines(37, ConsistencySpec::Strong());
-  RunOutputs baseline =
-      RunUninterrupted(scenario, options).ValueOrDie();
-  for (double fraction : {0.3, 0.6, 0.95}) {
-    size_t crash_after =
-        static_cast<size_t>(scenario.feed.size() * fraction);
-    RunOutputs crashed =
-        RunWithCrash(scenario, crash_after, options).ValueOrDie();
-    EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
-        << "crash at " << crash_after;
-  }
-}
-
-TEST(RecoveryDisorderTest, JournalOnlyModeRecoversFromFullReplay) {
-  // checkpoint_every_sync_points = 0 disables automatic checkpoints:
-  // recovery replays the entire input from the initial empty snapshot.
-  DurableOptions options;
-  options.checkpoint_every_sync_points = 0;
-  ServiceScenario scenario =
-      DisorderedMachines(41, ConsistencySpec::Middle());
-  RunOutputs baseline =
-      RunUninterrupted(scenario, options).ValueOrDie();
-  size_t crash_after = scenario.feed.size() / 2;
-  RunOutputs crashed =
-      RunWithCrash(scenario, crash_after, options).ValueOrDie();
-  EXPECT_TRUE(PhysicallyIdentical(baseline, crashed));
 }
 
 TEST(RecoveryDisorderTest, RetractionsAcrossTheBarrier) {
