@@ -1,7 +1,8 @@
 // Throughput scaling harness: serial executor vs ParallelExecutor at
 // 1/2/4/8 workers over a multi-query workload, plus supervised
-// tick-drain latency (p50/p99) with serial vs parallel routing under
-// the adversarial burst generator. Emits machine-readable JSON
+// tick-drain latency (p50/p99) with serial vs parallel routing over the
+// same events and queries, paced by the adversarial burst generator, and
+// the supervised/serial throughput ratio. Emits machine-readable JSON
 // (BENCH_throughput.json) to seed the perf trajectory.
 //
 //   throughput_scaling [--preset=small|full] [--seed=N]
@@ -45,13 +46,12 @@ struct Preset {
   const char* name;
   int num_sessions;     // machine workload size (3 msgs/session or so)
   int repeats;          // timing repeats (best-of)
-  int sup_sessions;     // supervised phase workload size
 };
 
-constexpr Preset kSmall{"small", 800, 2, 300};
-constexpr Preset kFull{"full", 6000, 3, 1500};
+constexpr Preset kSmall{"small", 800, 2};
+constexpr Preset kFull{"full", 6000, 3};
 
-std::vector<LabeledStream> BuildWorkload(const Preset& preset,
+workload::MachineConfig WorkloadMachines(const Preset& preset,
                                          uint64_t seed) {
   workload::MachineConfig config;
   config.num_machines = 12;
@@ -60,13 +60,23 @@ std::vector<LabeledStream> BuildWorkload(const Preset& preset,
   config.restart_scope = 12;
   config.session_interval = 4;
   config.seed = seed;
-  workload::MachineStreams streams =
-      workload::GenerateMachineEvents(config);
+  return config;
+}
+
+DisorderConfig WorkloadDisorder(uint64_t seed) {
   DisorderConfig disorder;
   disorder.disorder_fraction = 0.25;
   disorder.max_delay = 12;
   disorder.cti_period = 20;
   disorder.seed = seed * 17 + 3;
+  return disorder;
+}
+
+std::vector<LabeledStream> BuildWorkload(const Preset& preset,
+                                         uint64_t seed) {
+  workload::MachineStreams streams =
+      workload::GenerateMachineEvents(WorkloadMachines(preset, seed));
+  const DisorderConfig disorder = WorkloadDisorder(seed);
   return {{"INSTALL", ApplyDisorder(streams.installs, disorder)},
           {"SHUTDOWN", ApplyDisorder(streams.shutdowns, disorder)},
           {"RESTART", ApplyDisorder(streams.restarts, disorder)}};
@@ -76,30 +86,37 @@ std::vector<LabeledStream> BuildWorkload(const Preset& preset,
 /// 3.1 pattern at four consistency levels and a plain sequence at
 /// four. Scopes are in ticks, sized to the generator's session
 /// interval, so per-event matching cost stays bounded and the bench
-/// measures engine overhead rather than pattern-state explosion.
+/// measures engine overhead rather than pattern-state explosion. Both
+/// the executor and the supervised rows run these; each level gets its
+/// own EVENT name, since the supervisor keys queries by name.
+std::vector<std::pair<std::string, ConsistencySpec>> SuiteQueries() {
+  const std::vector<ConsistencySpec> levels = {
+      ConsistencySpec::Strong(), ConsistencySpec::Middle(),
+      ConsistencySpec::Weak(60), ConsistencySpec::Custom(0, 240)};
+  std::vector<std::pair<std::string, ConsistencySpec>> out;
+  for (size_t i = 0; i < levels.size(); ++i) {
+    out.emplace_back(
+        StrCat("EVENT CIDR07_Example", i, "\n",
+               "WHEN UNLESS(SEQUENCE(INSTALL AS x, SHUTDOWN AS y, 80),\n"
+               "            RESTART AS z, 12)\n"
+               "WHERE {x.Machine_Id = y.Machine_Id} AND\n"
+               "      {x.Machine_Id = z.Machine_Id}"),
+        levels[i]);
+  }
+  for (size_t i = 0; i < levels.size(); ++i) {
+    out.emplace_back(
+        StrCat("EVENT Pairs", i, " WHEN SEQUENCE(INSTALL, SHUTDOWN, 60)"),
+        levels[i]);
+  }
+  return out;
+}
+
 std::vector<std::unique_ptr<CompiledQuery>> BuildSuite() {
   std::vector<std::unique_ptr<CompiledQuery>> queries;
   const auto catalog = workload::MachineCatalog();
-  const std::string cidr07 =
-      "EVENT CIDR07_Example\n"
-      "WHEN UNLESS(SEQUENCE(INSTALL AS x, SHUTDOWN AS y, 80),\n"
-      "            RESTART AS z, 12)\n"
-      "WHERE {x.Machine_Id = y.Machine_Id} AND\n"
-      "      {x.Machine_Id = z.Machine_Id}";
-  for (ConsistencySpec spec :
-       {ConsistencySpec::Strong(), ConsistencySpec::Middle(),
-        ConsistencySpec::Weak(60), ConsistencySpec::Custom(0, 240)}) {
+  for (const auto& [text, spec] : SuiteQueries()) {
     queries.push_back(
-        CompiledQuery::Compile(cidr07, catalog, spec).ValueOrDie());
-  }
-  for (ConsistencySpec spec :
-       {ConsistencySpec::Strong(), ConsistencySpec::Middle(),
-        ConsistencySpec::Weak(60), ConsistencySpec::Custom(0, 240)}) {
-    queries.push_back(
-        CompiledQuery::Compile(
-            "EVENT Pairs WHEN SEQUENCE(INSTALL, SHUTDOWN, 60)", catalog,
-            spec)
-            .ValueOrDie());
+        CompiledQuery::Compile(text, catalog, spec).ValueOrDie());
   }
   return queries;
 }
@@ -119,6 +136,9 @@ struct SupTiming {
   double events_per_sec = 0;
   double tick_p50_ms = 0;
   double tick_p99_ms = 0;
+  /// events_per_sec over the serial executor's, on the same events and
+  /// queries.
+  double vs_serial = 0;
 };
 
 double Percentile(std::vector<double> xs, double p) {
@@ -286,17 +306,18 @@ int Main(int argc, char** argv) {
               << t.speedup_vs_serial << "x)\n";
   }
 
-  // Supervised tick-drain latency under the adversarial burst
-  // generator: serial vs parallel routing.
+  // Supervised tick-drain latency, serial vs parallel routing, over the
+  // executor rows' events and queries, paced by the adversarial burst
+  // generator.
   workload::AdversarialConfig adv;
-  adv.machines.num_machines = 8;
-  adv.machines.num_sessions = preset.sup_sessions;
-  adv.machines.max_session_length = 40;
-  adv.machines.restart_scope = 10;
-  adv.machines.session_interval = 6;
-  adv.machines.seed = 11;
+  adv.machines = WorkloadMachines(preset, seed);
+  adv.disorder = WorkloadDisorder(seed);
   testing::SupervisedScenario scenario =
       workload::BurstOverloadScenario(adv);
+  scenario.queries.clear();
+  for (const auto& [text, spec] : SuiteQueries()) {
+    scenario.queries.push_back({text, spec, std::nullopt});
+  }
 
   std::vector<SupTiming> sup_timings;
   std::string baseline_journal;
@@ -377,10 +398,13 @@ int Main(int argc, char** argv) {
       t.events_per_sec =
           static_cast<double>(offered) /
           (std::accumulate(tick_ms.begin(), tick_ms.end(), 0.0) / 1e3);
+      t.vs_serial = t.events_per_sec / timings[0].events_per_sec;
     }
     sup_timings.push_back(t);
-    std::cout << "supervised route_workers=" << route_workers << ": p50 "
-              << t.tick_p50_ms << " ms, p99 " << t.tick_p99_ms << " ms\n";
+    std::cout << "supervised route_workers=" << route_workers << ": "
+              << t.events_per_sec << " events/s (" << t.vs_serial
+              << "x serial), p50 " << t.tick_p50_ms << " ms, p99 "
+              << t.tick_p99_ms << " ms\n";
   }
 
   std::ofstream out(out_path);
@@ -407,7 +431,8 @@ int Main(int argc, char** argv) {
     out << "    {\"route_workers\": " << t.route_workers
         << ", \"events_per_sec\": " << t.events_per_sec
         << ", \"tick_p50_ms\": " << t.tick_p50_ms
-        << ", \"tick_p99_ms\": " << t.tick_p99_ms << "}"
+        << ", \"tick_p99_ms\": " << t.tick_p99_ms
+        << ", \"supervised_vs_serial\": " << t.vs_serial << "}"
         << (i + 1 < sup_timings.size() ? "," : "") << "\n";
   }
   out << "  ],\n"

@@ -108,6 +108,17 @@ QueryStats CompiledQuery::Stats() const {
 }
 
 Status CompiledQuery::Snapshot(io::BinaryWriter* w) const {
+  CEDR_RETURN_NOT_OK(SnapshotPlan(w));
+  sink_->SnapshotLog(w);
+  return Status::OK();
+}
+
+Status CompiledQuery::Restore(io::BinaryReader* r) {
+  CEDR_RETURN_NOT_OK(RestorePlan(r));
+  return sink_->RestoreLog(r);
+}
+
+Status CompiledQuery::SnapshotPlan(io::BinaryWriter* w) const {
   w->PutTime(last_cs_);
   w->PutBool(finished_);
   w->PutU64(physical_->operators.size());
@@ -116,13 +127,11 @@ Status CompiledQuery::Snapshot(io::BinaryWriter* w) const {
     op->Snapshot(&frame);
     w->PutString(frame.Take());
   }
-  io::BinaryWriter sink_frame;
-  sink_->Snapshot(&sink_frame);
-  w->PutString(sink_frame.Take());
+  sink_->SnapshotHead(w);
   return Status::OK();
 }
 
-Status CompiledQuery::Restore(io::BinaryReader* r) {
+Status CompiledQuery::RestorePlan(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(last_cs_, r->GetTime());
   CEDR_ASSIGN_OR_RETURN(finished_, r->GetBool());
   CEDR_ASSIGN_OR_RETURN(uint64_t num_ops, r->GetU64());
@@ -137,10 +146,7 @@ Status CompiledQuery::Restore(io::BinaryReader* r) {
     CEDR_RETURN_NOT_OK(op->Restore(&frame_reader));
     CEDR_RETURN_NOT_OK(frame_reader.ExpectEnd());
   }
-  CEDR_ASSIGN_OR_RETURN(std::string sink_bytes, r->GetString());
-  io::BinaryReader sink_reader(sink_bytes);
-  CEDR_RETURN_NOT_OK(sink_->Restore(&sink_reader));
-  return sink_reader.ExpectEnd();
+  return sink_->RestoreHead(r);
 }
 
 std::vector<std::string> CompiledQuery::InputTypes() const {

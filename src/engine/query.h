@@ -75,14 +75,26 @@ class CompiledQuery {
   /// Input event types this query listens to.
   std::vector<std::string> InputTypes() const;
 
-  /// Serializes the runtime state of every operator in the plan (each in
-  /// its own length-prefixed frame) plus the sink and query bookkeeping.
+  /// Serializes the runtime state of the query: the plan state (see
+  /// SnapshotPlan), then the sink's output log as a trailing section.
   /// The plan structure itself is not serialized: recompiling the query
   /// text deterministically rebuilds it, and Restore refills the state.
   Status Snapshot(io::BinaryWriter* w) const;
   /// Restores a Snapshot into a freshly recompiled query with the same
   /// text and spec. kCorruption when the plan shape does not match.
   Status Restore(io::BinaryReader* r);
+
+  /// The leading section of Snapshot: query bookkeeping, every
+  /// operator's state in its own length-prefixed frame, and the sink's
+  /// head (CollectingSink::SnapshotHead). Its size does not grow with
+  /// the output history.
+  Status SnapshotPlan(io::BinaryWriter* w) const;
+  /// Restores a SnapshotPlan, leaving the sink's log empty for
+  /// SeedOutput to fill.
+  Status RestorePlan(io::BinaryReader* r);
+  /// Fills the sink's log after RestorePlan with the output the
+  /// snapshotted plan had emitted.
+  void SeedOutput(std::span<const Message> log) { sink_->SeedLog(log); }
 
  private:
   CompiledQuery() = default;

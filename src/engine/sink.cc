@@ -54,14 +54,31 @@ void CollectingSink::Clear() {
 }
 
 void CollectingSink::SnapshotState(io::BinaryWriter* w) const {
-  w->PutU64(messages_.size());
-  for (const Message& m : messages_) io::WriteMessage(w, m);
-  w->PutU64(inserts_);
-  w->PutU64(retracts_);
-  w->PutU64(ctis_);
+  SnapshotCounters(w);
+  SnapshotLog(w);
 }
 
 Status CollectingSink::RestoreState(io::BinaryReader* r) {
+  CEDR_RETURN_NOT_OK(RestoreCounters(r));
+  return RestoreLog(r);
+}
+
+void CollectingSink::SnapshotHead(io::BinaryWriter* w) const {
+  SnapshotBase(w);
+  SnapshotCounters(w);
+}
+
+Status CollectingSink::RestoreHead(io::BinaryReader* r) {
+  CEDR_RETURN_NOT_OK(RestoreBase(r));
+  return RestoreCounters(r);
+}
+
+void CollectingSink::SnapshotLog(io::BinaryWriter* w) const {
+  w->PutU64(messages_.size());
+  for (const Message& m : messages_) io::WriteMessage(w, m);
+}
+
+Status CollectingSink::RestoreLog(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
   messages_.clear();
   messages_.reserve(n);
@@ -69,6 +86,20 @@ Status CollectingSink::RestoreState(io::BinaryReader* r) {
     CEDR_ASSIGN_OR_RETURN(Message m, io::ReadMessage(r));
     messages_.push_back(std::move(m));
   }
+  return Status::OK();
+}
+
+void CollectingSink::SeedLog(std::span<const Message> log) {
+  messages_.assign(log.begin(), log.end());
+}
+
+void CollectingSink::SnapshotCounters(io::BinaryWriter* w) const {
+  w->PutU64(inserts_);
+  w->PutU64(retracts_);
+  w->PutU64(ctis_);
+}
+
+Status CollectingSink::RestoreCounters(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(inserts_, r->GetU64());
   CEDR_ASSIGN_OR_RETURN(retracts_, r->GetU64());
   CEDR_ASSIGN_OR_RETURN(ctis_, r->GetU64());

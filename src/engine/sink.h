@@ -3,6 +3,8 @@
 #ifndef CEDR_ENGINE_SINK_H_
 #define CEDR_ENGINE_SINK_H_
 
+#include <span>
+
 #include "denotation/ideal.h"
 #include "ops/operator.h"
 
@@ -41,16 +43,32 @@ class CollectingSink : public Operator {
 
   void Clear();
 
+  /// Checkpoint sections. Operator::Snapshot writes the head (operator
+  /// bookkeeping and counters, fixed-size) and then the log, which grows
+  /// with the output. A snapshot of plan state alone
+  /// (CompiledQuery::SnapshotPlan) stops after the head, and its
+  /// restoring side refills the log with SeedLog.
+  void SnapshotHead(io::BinaryWriter* w) const;
+  Status RestoreHead(io::BinaryReader* r);
+  void SnapshotLog(io::BinaryWriter* w) const;
+  Status RestoreLog(io::BinaryReader* r);
+  /// Replaces the log with a copy of `log`, leaving the counters as
+  /// RestoreHead set them: `log` must be the output they count.
+  void SeedLog(std::span<const Message> log);
+
  protected:
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
   Status ProcessCti(Time t, int port) override;
-  /// Serializes the recorded output stream, so a recovered service
-  /// resumes with the pre-crash output intact.
+  /// Serializes the counters and the recorded output stream, so a
+  /// recovered service resumes with the pre-crash output intact.
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;
 
  private:
+  void SnapshotCounters(io::BinaryWriter* w) const;
+  Status RestoreCounters(io::BinaryReader* r);
+
   std::vector<Message> messages_;
   uint64_t inserts_ = 0;
   uint64_t retracts_ = 0;

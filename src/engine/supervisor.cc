@@ -827,6 +827,11 @@ SupervisorSnapshot SupervisedService::StatsSnapshot() const {
     // TenantOf cannot fail for a name taken from the map itself.
     snap.tenants.push_back(TenantOf(tenant).ValueOrDie());
   }
+  for (const auto& [name, g] : queries_) {
+    snap.queries.push_back({name, g.query->switches(), g.query->barriers(),
+                            g.query->barrier_bytes(),
+                            g.query->retained_input_size()});
+  }
   return snap;
 }
 
@@ -858,6 +863,11 @@ std::string FormatSupervisorStats(const SupervisorSnapshot& snap) {
                   " queued, ", t.admitted, " admitted; rejected: ",
                   t.rejected_queue_share, " queue-share, ", t.rejected_rate,
                   " rate, ", t.rejected_registration, " registration\n");
+  }
+  for (const QuerySwitchingSnapshot& q : snap.queries) {
+    out += StrCat("  query '", q.query, "': ", q.switches, " switches, ",
+                  q.barriers, " barriers, barrier ", q.barrier_bytes,
+                  " bytes, ", q.retained_input, " retained inputs\n");
   }
   return out;
 }

@@ -239,12 +239,24 @@ struct SessionSnapshot {
   SessionStats stats;
 };
 
+/// One query's consistency-switching state inside a SupervisorSnapshot:
+/// what its level switches have cost and what a next one would replay.
+struct QuerySwitchingSnapshot {
+  std::string query;
+  int switches = 0;
+  /// SwitchableQuery::barriers(), barrier_bytes() and
+  /// retained_input_size().
+  uint64_t barriers = 0;
+  size_t barrier_bytes = 0;
+  size_t retained_input = 0;
+};
+
 /// Point-in-time observable state of the whole supervisor: per-session
 /// delivery counters (duplicates, gaps, out-of-order and stale-epoch
 /// rejects), per-tenant rejection accounting, shed totals, ingress
-/// queue occupancy, and the retry-after hint the next rejection would
-/// carry. The operational dashboard behind the netchaos bench and the
-/// README runbook.
+/// queue occupancy, the retry-after hint the next rejection would
+/// carry, and per-query switching cost. The operational dashboard
+/// behind the netchaos bench and the README runbook.
 struct SupervisorSnapshot {
   int64_t now_ticks = 0;
   size_t queue_depth = 0;
@@ -254,6 +266,7 @@ struct SupervisorSnapshot {
   ShedStats shed;
   std::vector<SessionSnapshot> sessions;  ///< ascending source name
   std::vector<TenantStatus> tenants;      ///< ascending tenant id
+  std::vector<QuerySwitchingSnapshot> queries;  ///< ascending query name
 };
 
 /// Human-readable dump of a snapshot (QueryStats::ToString's sibling).

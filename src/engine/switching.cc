@@ -5,6 +5,16 @@
 
 namespace cedr {
 
+namespace {
+
+/// The refresh rule: a barrier costs about its own size to take, and a
+/// refresh waits until the retained input's footprint is this multiple
+/// of it, so snapshots cost O(1) amortized per message while a switch
+/// replays at most this multiple of the barrier plus one sync interval.
+constexpr size_t kBarrierRefreshRatio = 2;
+
+}  // namespace
+
 void SwitchableQuery::SpliceState::Append(const std::vector<Message>& more) {
   for (const Message& m : more) {
     switch (m.kind) {
@@ -70,17 +80,52 @@ void SwitchableQuery::MaybeAdvanceBarrier() {
   // barriers, and the plan snapshot there makes the input before it
   // redundant.
   Time frontier = kInfinity;
-  for (const std::string& type : active_->InputTypes()) {
+  for (const std::string& type : input_types_) {
     auto it = input_ctis_.find(type);
     if (it == input_ctis_.end()) return;  // a type has no sync point yet
     frontier = std::min(frontier, it->second);
   }
-  if (frontier <= barrier_cti_) return;
+  if (frontier <= sync_frontier_) return;
+  sync_frontier_ = frontier;
+  sync_pos_ = input_.size();
+  if (input_.size() * sizeof(TypedMessage) <
+      kBarrierRefreshRatio * barrier_state_.size()) {
+    return;  // SwitchTo rolls the barrier forward to here if it must
+  }
   io::BinaryWriter w;
-  if (!active_->Snapshot(&w).ok()) return;  // keep replaying from input_
-  barrier_state_ = w.Take();
-  barrier_cti_ = frontier;
-  input_.clear();
+  if (!active_->SnapshotPlan(&w).ok()) return;  // keep replaying input_
+  SetBarrier(w.Take(), active_->sink().messages().size());
+}
+
+void SwitchableQuery::SetBarrier(std::string plan_state, size_t log_size) {
+  barrier_state_ = std::move(plan_state);
+  barrier_log_size_ = log_size;
+  input_.erase(input_.begin(),
+               input_.begin() + static_cast<std::ptrdiff_t>(sync_pos_));
+  sync_pos_ = 0;
+  ++barriers_;
+}
+
+Result<std::unique_ptr<CompiledQuery>> SwitchableQuery::RestoreBarrier(
+    ConsistencySpec spec, size_t replay_end) const {
+  CEDR_ASSIGN_OR_RETURN(auto plan,
+                        CompiledQuery::Compile(text_, catalog_, spec));
+  if (!barrier_state_.empty()) {
+    io::BinaryReader reader(barrier_state_);
+    CEDR_RETURN_NOT_OK(plan->RestorePlan(&reader));
+    CEDR_RETURN_NOT_OK(reader.ExpectEnd());
+    // Every plan since the barrier began its log with the barrier's.
+    std::span<const Message> log = active_->sink().messages();
+    if (log.size() < barrier_log_size_) {
+      return Status::Internal("switch: the active log is shorter than the "
+                              "barrier's");
+    }
+    plan->SeedOutput(log.first(barrier_log_size_));
+  }
+  for (size_t i = 0; i < replay_end; ++i) {
+    CEDR_RETURN_NOT_OK(plan->Push(input_[i].first, input_[i].second));
+  }
+  return plan;
 }
 
 Result<Time> SwitchableQuery::SwitchTo(ConsistencySpec spec) {
@@ -92,21 +137,19 @@ Result<Time> SwitchableQuery::SwitchTo(ConsistencySpec spec) {
   // replayed predecessor already produced).
   spliced_.Append(active_->sink().messages());
 
-  // Start the new level and bring it up to date: restore the barrier
-  // snapshot (the state at the last common sync point), then replay the
-  // retained suffix; determinism lines its identities up with the
-  // retired plan's.
-  CEDR_ASSIGN_OR_RETURN(auto fresh,
-                        CompiledQuery::Compile(text_, catalog_, spec));
-  if (!barrier_state_.empty()) {
-    io::BinaryReader reader(barrier_state_);
-    CEDR_RETURN_NOT_OK(fresh->Restore(&reader));
-    CEDR_RETURN_NOT_OK(reader.ExpectEnd());
+  // The new level starts from the state at the last common sync point.
+  // If no barrier was taken there, roll the barrier forward to it: by
+  // determinism, replaying the input up to it at the retiring level
+  // reproduces the retiring plan's state there.
+  if (sync_pos_ > 0) {
+    CEDR_ASSIGN_OR_RETURN(auto at_sync, RestoreBarrier(spec_, sync_pos_));
+    io::BinaryWriter w;
+    CEDR_RETURN_NOT_OK(at_sync->SnapshotPlan(&w));
+    SetBarrier(w.Take(), at_sync->sink().messages().size());
   }
-  for (const auto& [type, msg] : input_) {
-    CEDR_RETURN_NOT_OK(fresh->Push(type, msg));
-  }
-  active_ = std::move(fresh);
+  // Restore the barrier into the new level and replay the retained
+  // suffix; determinism lines its identities up with the retired plan's.
+  CEDR_ASSIGN_OR_RETURN(active_, RestoreBarrier(spec, input_.size()));
   spec_ = spec;
   ++switches_;
   return last_cs_ + 1;

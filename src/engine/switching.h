@@ -6,10 +6,22 @@
 // logically equivalent output, so a query may switch levels there and
 // "produce the same subsequent stream as if CEDR had been running at
 // that consistency level all along". SwitchableQuery realizes this by
-// determinism + replay: the plan state at the last common sync point is
-// kept as a barrier snapshot, and only the input since that barrier is
+// determinism + replay: the plan state at a common sync point is kept
+// as a barrier snapshot, and only the input since that barrier is
 // retained; on SwitchTo(spec) a fresh plan at the new level restores
-// the barrier and replays the retained input. Because plans are
+// the barrier and replays the retained input.
+//
+// The barrier holds the plan's operator state but not the sink's output
+// log, which grows with the stream: it records the log's length N
+// instead, and a switch seeds the fresh plan's sink with the first N
+// messages of the retiring plan's log (every plan since the barrier
+// starts its log with them). The barrier is refreshed only at common
+// sync points where the input retained since the last refresh has
+// outgrown it (kBarrierRefreshRatio), so snapshotting costs O(1)
+// amortized per message. A switch still restores the state at the
+// latest common sync point, as if a barrier had been taken at each: it
+// first rolls the barrier forward to that point by replaying the
+// retained input up to it at the retiring level. Because plans are
 // deterministic - composite ids derive from contributor ids, repair ids
 // from per-operator counters - the new run reproduces the old run's
 // event identities, so the spliced output stream (old output before
@@ -78,10 +90,18 @@ class SwitchableQuery {
   }
 
   /// Messages currently retained for replay: only the suffix since the
-  /// last common sync point (the input before it is folded into the
-  /// barrier snapshot), so retention is bounded by the provider's sync
-  /// cadence instead of growing with the stream.
+  /// barrier (the input before it is folded into the barrier snapshot).
+  /// Retention is bounded by the larger of the provider's sync cadence
+  /// and the refresh rule's kBarrierRefreshRatio * barrier_bytes() /
+  /// sizeof(TypedMessage) messages, instead of growing with the stream.
   size_t retained_input_size() const { return input_.size(); }
+
+  /// Size of the barrier snapshot: the plan state at the barrier,
+  /// without the output log. 0 before the first common sync point.
+  size_t barrier_bytes() const { return barrier_state_.size(); }
+  /// Barrier snapshots taken so far (refreshes plus the roll-forwards a
+  /// switch makes).
+  uint64_t barriers() const { return barriers_; }
 
  private:
   SwitchableQuery() = default;
@@ -98,9 +118,18 @@ class SwitchableQuery {
     void Append(const std::vector<Message>& more);
   };
 
-  /// Folds the input prefix into a barrier snapshot when every input
-  /// type has advanced its sync point past the last barrier.
+  /// At a common sync point (every input type has advanced its sync
+  /// point past the last one), folds the retained input into a fresh
+  /// barrier snapshot when the refresh rule says so.
   void MaybeAdvanceBarrier();
+  /// Installs `plan_state` (a SnapshotPlan whose sink log held
+  /// `log_size` messages) as the barrier at the last common sync point,
+  /// and drops the input it folds in.
+  void SetBarrier(std::string plan_state, size_t log_size);
+  /// A fresh plan at `spec` holding the barrier state with the
+  /// retained input up to `replay_end` replayed into it.
+  Result<std::unique_ptr<CompiledQuery>> RestoreBarrier(
+      ConsistencySpec spec, size_t replay_end) const;
 
   std::string text_;
   Catalog catalog_;
@@ -110,16 +139,22 @@ class SwitchableQuery {
   std::unique_ptr<CompiledQuery> active_;
   CompiledQuery::FaultHook fault_hook_;
   /// Retained input for replay, in arrival order: only the suffix since
-  /// the last barrier snapshot.
-  std::vector<std::pair<std::string, Message>> input_;
-  /// Serialized CompiledQuery::Snapshot of the active plan at the last
-  /// common sync point; empty until the first barrier. SwitchTo restores
-  /// it into the fresh plan and replays only `input_`.
+  /// the barrier snapshot.
+  std::vector<TypedMessage> input_;
+  /// CompiledQuery::SnapshotPlan of the active plan at a common sync
+  /// point; empty until the first one. SwitchTo restores it into the
+  /// fresh plan, seeds the sink with the first `barrier_log_size_`
+  /// messages of the retiring plan's log, and replays only `input_`.
   std::string barrier_state_;
+  size_t barrier_log_size_ = 0;
+  uint64_t barriers_ = 0;
   /// Last sync point seen per input type, and the frontier (minimum over
-  /// all input types) at which the current barrier was taken.
+  /// all input types) at the last common sync point.
   std::map<std::string, Time> input_ctis_;
-  Time barrier_cti_ = kMinTime;
+  Time sync_frontier_ = kMinTime;
+  /// Length of the prefix of `input_` that ends at the last common sync
+  /// point when no barrier was taken there; 0 when the barrier is at it.
+  size_t sync_pos_ = 0;
   /// Output of all retired plans, identity-deduplicated.
   SpliceState spliced_;
   Time last_cs_ = 0;

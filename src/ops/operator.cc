@@ -168,6 +168,16 @@ Status Operator::RestoreState(io::BinaryReader* /*r*/) {
 }
 
 void Operator::Snapshot(io::BinaryWriter* w) const {
+  SnapshotBase(w);
+  SnapshotState(w);
+}
+
+Status Operator::Restore(io::BinaryReader* r) {
+  CEDR_RETURN_NOT_OK(RestoreBase(r));
+  return RestoreState(r);
+}
+
+void Operator::SnapshotBase(io::BinaryWriter* w) const {
   w->PutString(name_);
   w->PutTime(now_cs_);
   w->PutTime(last_emitted_cti_);
@@ -181,10 +191,9 @@ void Operator::Snapshot(io::BinaryWriter* w) const {
   w->PutU64(stats_.max_state_size);
   io::WriteStatus(w, first_error_);
   monitor_.Snapshot(w);
-  SnapshotState(w);
 }
 
-Status Operator::Restore(io::BinaryReader* r) {
+Status Operator::RestoreBase(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(std::string name, r->GetString());
   if (name != name_) {
     return Status::Corruption("operator snapshot is for '" + name +
@@ -202,8 +211,7 @@ Status Operator::Restore(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(uint64_t max_state, r->GetU64());
   stats_.max_state_size = static_cast<size_t>(max_state);
   CEDR_RETURN_NOT_OK(io::ReadStatus(r, &first_error_));
-  CEDR_RETURN_NOT_OK(monitor_.Restore(r));
-  return RestoreState(r);
+  return monitor_.Restore(r);
 }
 
 OperatorStats Operator::stats() const {

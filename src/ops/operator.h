@@ -113,6 +113,10 @@ class Operator {
   /// stateful operators must override both.
   virtual void SnapshotState(io::BinaryWriter* w) const;
   virtual Status RestoreState(io::BinaryReader* r);
+  /// Snapshot/Restore without the subclass state, for a subclass that
+  /// also serializes its state in sections (CollectingSink).
+  void SnapshotBase(io::BinaryWriter* w) const;
+  Status RestoreBase(io::BinaryReader* r);
 
   void EmitInsert(Event e);
   /// No-op when new_ve >= the event's current ve; clamps at vs.

@@ -235,5 +235,38 @@ TEST(SupervisorSnapshotTest, ExposesSessionsTenantsAndQueue) {
   EXPECT_NE(dump.find("retry-after hint"), std::string::npos);
 }
 
+TEST(SupervisorSnapshotTest, ReportsSwitchingCostPerQuery) {
+  SupervisorConfig config;
+  config.session.heartbeat_timeout = 0;
+  SupervisedService svc = MakeService(config);
+  auto name = svc.RegisterQuery(
+      "EVENT Pairs WHEN SEQUENCE(INSTALL, SHUTDOWN, 60)");
+  ASSERT_TRUE(name.ok());
+  ASSERT_TRUE(svc.AttachSource("alpha", {"INSTALL", "SHUTDOWN"}).ok());
+  ASSERT_TRUE(svc.Publish(Ingress{"alpha", 0, 0}, "INSTALL",
+                          MakeEvent(1, 1, 5, Payload(1)))
+                  .ok());
+  // A common sync point over both input types takes the first barrier
+  // and folds the retained input into it.
+  ASSERT_TRUE(svc.PublishSyncPoint(Ingress{"alpha", 0, 1}, "INSTALL", 9)
+                  .ok());
+  ASSERT_TRUE(svc.PublishSyncPoint(Ingress{"alpha", 0, 2}, "SHUTDOWN", 9)
+                  .ok());
+  ASSERT_TRUE(svc.Tick().ok());
+
+  SupervisorSnapshot snap = svc.StatsSnapshot();
+  ASSERT_EQ(snap.queries.size(), 1u);
+  const QuerySwitchingSnapshot& q = snap.queries[0];
+  EXPECT_EQ(q.query, name.ValueOrDie());
+  EXPECT_EQ(q.switches, 0);
+  EXPECT_EQ(q.barriers, 1u);
+  EXPECT_GT(q.barrier_bytes, 0u);
+  EXPECT_EQ(q.retained_input, 0u);
+
+  std::string dump = FormatSupervisorStats(snap);
+  EXPECT_NE(dump.find("query '" + q.query + "': 0 switches, 1 barriers"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace cedr

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "denotation/patterns.h"
+#include "testing/fault.h"
 #include "workload/disorder.h"
 #include "workload/machines.h"
 
@@ -25,10 +27,10 @@ struct Feed {
   workload::MachineStreams streams;
 };
 
-Feed MakeFeed(uint64_t seed, bool disordered) {
+Feed MakeFeed(uint64_t seed, bool disordered, int num_sessions = 150) {
   workload::MachineConfig config;
   config.num_machines = 6;
-  config.num_sessions = 150;
+  config.num_sessions = num_sessions;
   config.max_session_length = 40;
   config.restart_scope = 10;
   config.session_interval = 6;
@@ -57,6 +59,30 @@ EventList PureRun(const Feed& feed, ConsistencySpec spec) {
   }
   EXPECT_TRUE(query->Finish().ok());
   return query->sink().Ideal();
+}
+
+/// Retractions that reference no earlier insert, plus inserts of an
+/// identity already inserted, plus CTIs that do not advance: 0 for a
+/// well-formed stream.
+size_t MalformedMessages(const std::vector<Message>& stream) {
+  std::set<EventId> inserted;
+  Time last_cti = kMinTime;
+  size_t bad = 0;
+  for (const Message& m : stream) {
+    switch (m.kind) {
+      case MessageKind::kInsert:
+        if (!inserted.insert(m.event.id).second) ++bad;
+        break;
+      case MessageKind::kRetract:
+        if (inserted.count(m.event.id) == 0) ++bad;
+        break;
+      case MessageKind::kCti:
+        if (m.time <= last_cti) ++bad;
+        last_cti = m.time;
+        break;
+    }
+  }
+  return bad;
 }
 
 TEST(SwitchingTest, MidStreamSwitchConvergesToPureRuns) {
@@ -243,6 +269,132 @@ TEST(SwitchingTest, RetainedInputIsTrimmedAtSyncPoints) {
   EXPECT_LT(max_retained, feed.merged.size() / 2)
       << "retained input grew with the stream instead of trimming";
   EXPECT_TRUE(denotation::StarEqual(query->Ideal(), expected));
+}
+
+TEST(SwitchingTest, BarrierSizeDoesNotGrowWithOutput) {
+  // The barrier holds the plan state, not the output log: on a long
+  // feed the log grows many times over while the barrier stays flat.
+  // The plan state itself rises and falls with the pattern instances in
+  // flight, so the reference is the largest barrier over the feed's
+  // first tenth rather than the first one.
+  Feed feed = MakeFeed(13, /*disordered=*/true, /*num_sessions=*/1500);
+  auto query = SwitchableQuery::Create(QueryText(),
+                                       workload::MachineCatalog(),
+                                       ConsistencySpec::Middle())
+                   .ValueOrDie();
+  const size_t tenth = feed.merged.size() / 10;
+  size_t early_barrier = 0;
+  size_t early_log = 0;
+  size_t max_barrier = 0;
+  for (size_t i = 0; i < feed.merged.size(); ++i) {
+    ASSERT_TRUE(query->Push(feed.merged[i].first, feed.merged[i].second)
+                    .ok());
+    max_barrier = std::max(max_barrier, query->barrier_bytes());
+    if (i + 1 == tenth) {
+      early_barrier = max_barrier;
+      early_log = query->active().sink().messages().size();
+    }
+  }
+  ASSERT_GT(early_barrier, 0u);
+  EXPECT_GT(query->active().sink().messages().size(), 10 * early_log);
+  EXPECT_LE(max_barrier, 2 * early_barrier)
+      << "the barrier grew with the output history";
+  EXPECT_GT(query->barriers(), 10u);
+}
+
+TEST(SwitchingTest, SwitchStartsFromTheLatestCommonSyncPoint) {
+  // However many barrier refreshes were skipped, the new level starts
+  // from the retiring plan's state at the latest common sync point: the
+  // switched query matches, message for message, a plan restored from a
+  // snapshot taken exactly there.
+  Feed feed = MakeFeed(29, /*disordered=*/true);
+  const Catalog catalog = workload::MachineCatalog();
+  auto query = SwitchableQuery::Create(QueryText(), catalog,
+                                       ConsistencySpec::Strong())
+                   .ValueOrDie();
+  auto reference = CompiledQuery::Compile(QueryText(), catalog,
+                                          ConsistencySpec::Strong())
+                       .ValueOrDie();
+  std::map<std::string, Time> ctis;
+  Time frontier = kMinTime;
+  std::string at_sync;
+  size_t log_at_sync = 0;
+  size_t sync_end = 0;  // feed index just past the latest sync point
+  size_t i = 0;
+  for (; i < feed.merged.size(); ++i) {
+    // Switch once the barrier lags the latest common sync point.
+    if (i >= feed.merged.size() / 2 &&
+        query->retained_input_size() > i - sync_end) {
+      break;
+    }
+    const auto& [type, msg] = feed.merged[i];
+    ASSERT_TRUE(query->Push(type, msg).ok());
+    ASSERT_TRUE(reference->Push(type, msg).ok());
+    if (msg.kind != MessageKind::kCti) continue;
+    Time& known = ctis[type];
+    known = std::max(known, msg.time);
+    if (ctis.size() < 3) continue;
+    Time common = kInfinity;
+    for (const auto& [t, cti] : ctis) common = std::min(common, cti);
+    if (common <= frontier) continue;
+    frontier = common;
+    io::BinaryWriter w;
+    ASSERT_TRUE(reference->SnapshotPlan(&w).ok());
+    at_sync = w.Take();
+    log_at_sync = reference->sink().messages().size();
+    sync_end = i + 1;
+  }
+  ASSERT_LT(i, feed.merged.size()) << "every refresh was taken";
+  ASSERT_TRUE(query->SwitchTo(ConsistencySpec::Middle()).ok());
+
+  auto expected = CompiledQuery::Compile(QueryText(), catalog,
+                                         ConsistencySpec::Middle())
+                      .ValueOrDie();
+  io::BinaryReader r(at_sync);
+  ASSERT_TRUE(expected->RestorePlan(&r).ok());
+  expected->SeedOutput(std::span<const Message>(reference->sink().messages())
+                           .first(log_at_sync));
+  for (size_t j = sync_end; j < feed.merged.size(); ++j) {
+    const auto& [type, msg] = feed.merged[j];
+    ASSERT_TRUE(expected->Push(type, msg).ok());
+    if (j >= i) ASSERT_TRUE(query->Push(type, msg).ok());
+  }
+  EXPECT_TRUE(testing::PhysicallyIdentical(expected->sink().messages(),
+                                           query->active().sink().messages()));
+}
+
+TEST(SwitchingTest, SwitchEverySeventhMessageAcrossLevelPairs) {
+  // Switches at every phase relative to the sync points - between
+  // skipped barrier refreshes, right after one, and after earlier
+  // switches - for every ordered pair of levels. Each spliced stream is
+  // well-formed and converges to the pure run at the final level.
+  Feed feed = MakeFeed(23, /*disordered=*/true);
+  const std::vector<ConsistencySpec> levels = {ConsistencySpec::Strong(),
+                                               ConsistencySpec::Middle(),
+                                               ConsistencySpec::Weak(30)};
+  for (const ConsistencySpec& from : levels) {
+    for (const ConsistencySpec& to : levels) {
+      if (from == to) continue;
+      SCOPED_TRACE(from.ToString() + " <-> " + to.ToString());
+      auto query = SwitchableQuery::Create(QueryText(),
+                                           workload::MachineCatalog(), from)
+                       .ValueOrDie();
+      for (size_t i = 0; i < feed.merged.size(); ++i) {
+        if (i % 7 == 6) {
+          ASSERT_TRUE(
+              query->SwitchTo(query->current_spec() == from ? to : from)
+                  .ok());
+        }
+        ASSERT_TRUE(
+            query->Push(feed.merged[i].first, feed.merged[i].second).ok());
+      }
+      ASSERT_TRUE(query->Finish().ok());
+      EXPECT_EQ(query->switches(), static_cast<int>(feed.merged.size() / 7));
+      EXPECT_EQ(MalformedMessages(query->OutputMessages()), 0u);
+      EXPECT_TRUE(denotation::StarEqual(
+          query->Ideal(), PureRun(feed, query->current_spec())));
+    }
+  }
 }
 
 TEST(SwitchingTest, AdaptiveLoopWithPolicy) {
