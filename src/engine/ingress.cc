@@ -4,11 +4,6 @@
 
 namespace cedr {
 
-bool IsIngressCall(io::JournalOp op) {
-  return op == io::JournalOp::kPublish || op == io::JournalOp::kRetract ||
-         op == io::JournalOp::kSyncPoint;
-}
-
 Result<bool> IngressCore::RegisterType(const std::string& name,
                                        SchemaPtr schema) {
   if (name.empty() || name.find(' ') != std::string::npos) {

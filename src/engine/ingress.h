@@ -22,9 +22,6 @@
 
 namespace cedr {
 
-/// True for the ops that carry an ingress call (and consume a cs stamp).
-bool IsIngressCall(io::JournalOp op);
-
 class IngressCore {
  public:
   /// Declares an event type: true when added, false when the identical

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <utility>
 
 #include "common/format.h"
 #include "io/serde.h"
@@ -10,6 +11,11 @@
 namespace cedr {
 
 namespace {
+
+/// Staged routes are flushed at least this often within one drain.
+constexpr size_t kMaxRouteBatch = 512;
+/// Seed of the shedding policy's victim selection.
+constexpr uint64_t kShedSeed = 0xCED5;
 
 /// Sync time of a queued ingress call (vs for inserts, new_ve for
 /// retractions, t for sync points).
@@ -65,6 +71,36 @@ const char* DisplayTenant(const std::string& tenant) {
   return tenant.empty() ? "<default>" : tenant.c_str();
 }
 
+/// The keys of a name-keyed map, ascending.
+template <typename Map>
+std::vector<std::string> KeysOf(const Map& map) {
+  std::vector<std::string> keys;
+  keys.reserve(map.size());
+  for (const auto& entry : map) keys.push_back(entry.first);
+  return keys;
+}
+
+/// Degradation ladder of a query requested at `spec`, strongest first.
+std::vector<ConsistencySpec> LadderFor(const ConsistencySpec& spec) {
+  std::vector<ConsistencySpec> ladder = {spec};
+  ConsistencySpec effective = spec.Effective();
+  if (effective.max_blocking > 0) {
+    // Non-blocking rung at the same memory: optimistic emission with
+    // full repair of whatever the requested level remembered.
+    ladder.push_back(ConsistencySpec::Custom(0, effective.max_memory));
+  }
+  if (effective.max_memory == kInfinity) {
+    ladder.push_back(ConsistencySpec::Weak(0));
+  }
+  // Drop rungs equal to their predecessor (e.g. a weak request has a
+  // one-rung ladder and is never degraded).
+  std::vector<ConsistencySpec> out;
+  for (const ConsistencySpec& s : ladder) {
+    if (out.empty() || !(out.back() == s)) out.push_back(s);
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* GovernorPhaseToString(GovernorPhase phase) {
@@ -82,7 +118,9 @@ const char* GovernorPhaseToString(GovernorPhase phase) {
 }
 
 SupervisedService::SupervisedService(SupervisorConfig config)
-    : config_(config), shed_rng_(config.ingress.shed_seed) {}
+    : config_(config),
+      route_pool_(std::make_unique<WorkerPool>(config.routing.route_workers)),
+      shed_rng_(kShedSeed) {}
 
 Status SupervisedService::RegisterEventType(const std::string& name,
                                             SchemaPtr schema) {
@@ -97,34 +135,16 @@ Status SupervisedService::RegisterEventType(const std::string& name,
   return Status::OK();
 }
 
-std::vector<ConsistencySpec> SupervisedService::LadderFor(
-    const ConsistencySpec& spec, const GovernorConfig& gov) {
-  std::vector<ConsistencySpec> ladder = {spec};
-  ConsistencySpec effective = spec.Effective();
-  if (effective.max_blocking > 0) {
-    // Non-blocking rung at the same memory: optimistic emission with
-    // full repair of whatever the requested level remembered.
-    ladder.push_back(ConsistencySpec::Custom(0, effective.max_memory));
-  }
-  if (effective.max_memory == kInfinity) {
-    ladder.push_back(ConsistencySpec::Weak(gov.weak_memory));
-  }
-  // Drop rungs equal to their predecessor (e.g. a weak request has a
-  // one-rung ladder and is never degraded).
-  std::vector<ConsistencySpec> out;
-  for (const ConsistencySpec& s : ladder) {
-    if (out.empty() || !(out.back() == s)) out.push_back(s);
-  }
-  return out;
-}
-
 Result<std::string> SupervisedService::RegisterQuery(
     const std::string& text, std::optional<ConsistencySpec> spec_override,
     std::optional<QueryBudget> budget, const std::string& tenant) {
   if (finished_) return Status::ExecutionError("supervisor already finished");
+  // Calls staged before the registration must not reach the new query
+  // (only a journal replay ever stages outside a drain).
+  CEDR_RETURN_NOT_OK(FlushStaged());
   TenantState& tenant_state = TenantFor(tenant);
-  if (tenant_state.queries.size() >= tenant_state.quota.max_queries) {
-    ++tenant_state.rejected_registration;
+  if (tenant_state.status.queries >= tenant_state.quota.max_queries) {
+    ++tenant_state.status.rejected_registration;
     return Status::ResourceExhausted(
         StrCat("tenant '", DisplayTenant(tenant), "' is at its query quota (",
                tenant_state.quota.max_queries, "); retry after ",
@@ -150,15 +170,13 @@ Result<std::string> SupervisedService::RegisterQuery(
         StrCat("a query named '", name, "' is already registered"));
   }
   Governed governed;
-  governed.requested = query->current_spec();
-  governed.budget = budget.value_or(config_.governor.default_budget);
+  governed.status.requested = query->current_spec();
+  governed.budget = budget.value_or(QueryBudget());
   governed.tenant = tenant;
-  governed.ladder = LadderFor(governed.requested, config_.governor);
-  std::vector<std::string> inputs = query->active().InputTypes();
-  governed.input_types.insert(inputs.begin(), inputs.end());
+  governed.ladder = LadderFor(governed.status.requested);
   governed.query = std::move(query);
   queries_.emplace(name, std::move(governed));
-  tenant_state.queries.insert(name);
+  ++tenant_state.status.queries;
 
   io::JournalRecord rec;
   rec.op = io::JournalOp::kRegisterQuery;
@@ -181,8 +199,8 @@ Status SupervisedService::AttachSource(
     return Status::InvalidArgument("invalid source name");
   }
   TenantState& tenant_state = TenantFor(tenant);
-  if (tenant_state.sources.size() >= tenant_state.quota.max_sources) {
-    ++tenant_state.rejected_registration;
+  if (tenant_state.status.sources >= tenant_state.quota.max_sources) {
+    ++tenant_state.status.rejected_registration;
     return Status::ResourceExhausted(
         StrCat("tenant '", DisplayTenant(tenant),
                "' is at its source quota (", tenant_state.quota.max_sources,
@@ -211,7 +229,7 @@ Status SupervisedService::AttachSource(
   sessions_.emplace(source,
                     SourceSession(source, config_.session, types));
   source_tenant_[source] = tenant;
-  tenant_state.sources.insert(source);
+  ++tenant_state.status.sources;
 
   io::JournalRecord rec;
   rec.op = io::JournalOp::kEpoch;
@@ -253,17 +271,15 @@ bool SupervisedService::TryShedOne(const std::string* tenant_filter) {
     std::vector<size_t> candidates;
     for (size_t i = 0; i < queue_.size(); ++i) {
       if (queue_[i].op != victim_op) continue;
-      if (tenant_filter != nullptr) {
-        auto owner = source_tenant_.find(queue_[i].source);
-        const std::string owner_tenant =
-            owner == source_tenant_.end() ? std::string() : owner->second;
-        if (owner_tenant != *tenant_filter) continue;
+      if (tenant_filter != nullptr &&
+          source_tenant_.at(queue_[i].source) != *tenant_filter) {
+        continue;
       }
       candidates.push_back(i);
     }
     if (candidates.empty()) continue;
-    size_t pick = candidates[shed_rng_.NextBounded(candidates.size())];
-    const io::JournalRecord& victim = queue_[pick];
+    const io::JournalRecord victim =
+        Dequeue(candidates[shed_rng_.NextBounded(candidates.size())]);
     TypeShed& per_type = type_shed_[victim.name];
     if (victim_op == io::JournalOp::kRetract) {
       ++shed_.shed_retractions;
@@ -272,15 +288,28 @@ bool SupervisedService::TryShedOne(const std::string* tenant_filter) {
       ++shed_.shed_inserts;
       ++per_type.inserts;
     }
-    auto owner = source_tenant_.find(victim.source);
-    if (owner != source_tenant_.end()) {
-      TenantState& ts = TenantFor(owner->second);
-      if (ts.queued > 0) --ts.queued;
-    }
-    queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(pick));
     return true;
   }
   return false;
+}
+
+io::JournalRecord SupervisedService::Dequeue(size_t index) {
+  io::JournalRecord record = std::move(queue_[index]);
+  queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(index));
+  size_t& queued = TenantFor(source_tenant_.at(record.source)).status.queued;
+  if (queued > 0) --queued;
+  return record;
+}
+
+Status SupervisedService::RejectCall(const std::string& type,
+                                     const std::string& reason,
+                                     std::optional<size_t> depth) {
+  ++shed_.backpressure_rejections;
+  ++type_shed_[type].rejected;
+  ++reject_backlog_;
+  const int64_t hint = depth.has_value() ? RetryAfterHint(*depth) : 1;
+  return Status::ResourceExhausted(
+      StrCat(reason, "; retry after ", hint, " ticks"));
 }
 
 Status SupervisedService::Offer(const Ingress& ingress,
@@ -307,41 +336,34 @@ Status SupervisedService::Offer(const Ingress& ingress,
   // provider can retry it verbatim. Every rejection grows
   // reject_backlog_, so consecutive rejections carry growing retry-after
   // hints even while the queue sits pinned at capacity.
-  auto tenant_of = source_tenant_.find(ingress.source);
-  const std::string tenant_id =
-      tenant_of == source_tenant_.end() ? std::string() : tenant_of->second;
+  const std::string& tenant_id = source_tenant_.at(ingress.source);
   TenantState& tenant_state = TenantFor(tenant_id);
+  TenantStatus& tenant_status = tenant_state.status;
   if (tenant_state.admitted_this_tick >=
       tenant_state.quota.max_calls_per_tick) {
-    ++tenant_state.rejected_rate;
-    ++shed_.backpressure_rejections;
-    ++type_shed_[record.name].rejected;
-    ++reject_backlog_;
-    return Status::ResourceExhausted(
-        StrCat("tenant '", DisplayTenant(tenant_id), "' is over its ",
-               tenant_state.quota.max_calls_per_tick,
-               " calls/tick quota; retry after 1 ticks"));
+    ++tenant_status.rejected_rate;
+    return RejectCall(record.name,
+                      StrCat("tenant '", DisplayTenant(tenant_id),
+                             "' is over its ",
+                             tenant_state.quota.max_calls_per_tick,
+                             " calls/tick quota"),
+                      std::nullopt);
   }
-  if (tenant_state.queued >= tenant_state.quota.max_queue_share &&
+  if (tenant_status.queued >= tenant_state.quota.max_queue_share &&
       !TryShedOne(&tenant_id)) {
-    ++tenant_state.rejected_queue_share;
-    ++shed_.backpressure_rejections;
-    ++type_shed_[record.name].rejected;
-    ++reject_backlog_;
-    return Status::ResourceExhausted(
+    ++tenant_status.rejected_queue_share;
+    return RejectCall(
+        record.name,
         StrCat("tenant '", DisplayTenant(tenant_id),
-               "' is over its queue share (", tenant_state.queued, "/",
-               tenant_state.quota.max_queue_share, " calls); retry after ",
-               RetryAfterHint(tenant_state.queued), " ticks"));
+               "' is over its queue share (", tenant_status.queued, "/",
+               tenant_state.quota.max_queue_share, " calls)"),
+        tenant_status.queued);
   }
   if (queue_.size() >= config_.ingress.queue_capacity && !TryShedOne()) {
-    ++shed_.backpressure_rejections;
-    ++type_shed_[record.name].rejected;
-    ++reject_backlog_;
-    return Status::ResourceExhausted(
-        StrCat("ingress queue full (", queue_.size(), "/",
-               config_.ingress.queue_capacity, " calls); retry after ",
-               RetryAfterHint(queue_.size()), " ticks"));
+    return RejectCall(record.name,
+                      StrCat("ingress queue full (", queue_.size(), "/",
+                             config_.ingress.queue_capacity, " calls)"),
+                      queue_.size());
   }
 
   CEDR_ASSIGN_OR_RETURN(bool fresh, session.Admit(ingress.epoch,
@@ -375,8 +397,8 @@ Status SupervisedService::Offer(const Ingress& ingress,
   queue_.push_back(std::move(record));
   max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   ++tenant_state.admitted_this_tick;
-  ++tenant_state.admitted;
-  ++tenant_state.queued;
+  ++tenant_status.admitted;
+  ++tenant_status.queued;
   return Status::OK();
 }
 
@@ -397,18 +419,6 @@ Status SupervisedService::PublishSyncPoint(const Ingress& ingress,
   return Offer(ingress, io::SyncCall(type, t));
 }
 
-Status SupervisedService::RouteMessage(const std::string& type,
-                                       const Message& msg) {
-  for (auto& [name, governed] : queries_) {
-    if (governed.phase == GovernorPhase::kQuarantined) continue;
-    if (governed.input_types.count(type) == 0) continue;
-    Status pushed =
-        GuardQuery([&] { return governed.query->Push(type, msg); });
-    if (!pushed.ok()) QuarantineQuery(name, pushed, "push");
-  }
-  return Status::OK();
-}
-
 Status SupervisedService::ApplyNow(const io::JournalRecord& record) {
   if (record.op == io::JournalOp::kSyncPoint &&
       !IngressCore::CheckSyncAdvance(record.name, record.time,
@@ -422,7 +432,7 @@ Status SupervisedService::ApplyNow(const io::JournalRecord& record) {
   CEDR_ASSIGN_OR_RETURN(Message msg, ingress_.Stamp(record));
   staged_batch_.emplace_back(record.name, std::move(msg));
   staged_records_.push_back(record);
-  if (staged_batch_.size() >= config_.routing.max_batch) {
+  if (staged_batch_.size() >= kMaxRouteBatch) {
     return FlushStaged();
   }
   return Status::OK();
@@ -447,60 +457,43 @@ Status SupervisedService::RouteBatch(std::span<const TypedMessage> batch) {
   // verbatim. Parallelism is across queries: one task per query, each
   // plan single-threaded, no shared mutable state between tasks.
   //
-  // Each query runs inside a fault domain: a Status failure or a throw
-  // quarantines that query after the batch barrier, while its siblings
-  // and the process are unaffected (the batch itself always routes OK).
-  route_targets_.clear();
-  route_names_.clear();
-  for (auto& [name, governed] : queries_) {
-    if (governed.phase == GovernorPhase::kQuarantined) continue;
-    route_targets_.push_back(governed.query.get());
-    route_names_.push_back(name);
+  // Each task runs inside its query's fault domain: a Status failure or
+  // a throw quarantines that query after the batch barrier, while its
+  // siblings and the process are unaffected (the batch itself always
+  // routes OK).
+  std::vector<std::pair<const std::string, Governed>*> targets;
+  for (auto& entry : queries_) {
+    if (entry.second.status.phase == GovernorPhase::kQuarantined) continue;
+    targets.push_back(&entry);
   }
-  if (route_targets_.empty()) return Status::OK();
+  if (targets.empty()) return Status::OK();
   const bool timed = config_.watchdog.enabled;
-  auto push_one = [&](size_t i) -> Status {
-    if (!timed) return route_targets_[i]->PushBatch(batch);
-    const auto start = std::chrono::steady_clock::now();
-    Status pushed = route_targets_[i]->PushBatch(batch);
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start);
-    // Each task writes only its own query's counter and the map is not
-    // mutated during the fan-out, so this is race-free on pool workers.
-    queries_.find(route_names_[i])->second.tick_cost_us += elapsed.count();
-    return pushed;
-  };
-  std::vector<Status> statuses;
-  if (config_.routing.route_workers > 1 && route_targets_.size() > 1) {
-    if (route_pool_ == nullptr) {
-      route_pool_ = std::make_unique<WorkerPool>(config_.routing.route_workers);
-    }
-    statuses = route_pool_->ParallelForGuarded(route_targets_.size(),
-                                               push_one);
-  } else {
-    statuses.reserve(route_targets_.size());
-    for (size_t i = 0; i < route_targets_.size(); ++i) {
-      statuses.push_back(GuardQuery([&] { return push_one(i); }));
-    }
-  }
+  std::vector<Status> statuses =
+      route_pool_->ParallelForGuarded(targets.size(), [&](size_t i) {
+        Governed& g = targets[i]->second;
+        return GuardQuery([&] {
+          if (!timed) return g.query->PushBatch(batch);
+          const auto start = std::chrono::steady_clock::now();
+          Status pushed = g.query->PushBatch(batch);
+          // Each task writes only its own query's counter, so this is
+          // race-free on pool workers.
+          g.tick_cost_us +=
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+          return pushed;
+        });
+      });
   for (size_t i = 0; i < statuses.size(); ++i) {
-    if (!statuses[i].ok()) {
-      QuarantineQuery(route_names_[i], statuses[i], "push");
-    }
+    auto& [name, g] = *targets[i];
+    if (!statuses[i].ok()) QuarantineQuery(name, &g, statuses[i], "push");
   }
   return Status::OK();
 }
 
 Status SupervisedService::DrainSome(int budget) {
   for (int i = 0; i < budget && !queue_.empty(); ++i) {
-    io::JournalRecord record = std::move(queue_.front());
-    queue_.pop_front();
-    auto owner = source_tenant_.find(record.source);
-    if (owner != source_tenant_.end()) {
-      TenantState& ts = TenantFor(owner->second);
-      if (ts.queued > 0) --ts.queued;
-    }
+    io::JournalRecord record = Dequeue(0);
     // A message can become stale while queued (its source was silenced
     // and the supervisor synthesized past it).
     auto session_it = sessions_.find(record.source);
@@ -521,18 +514,9 @@ Status SupervisedService::DrainSome(int budget) {
     }
     CEDR_RETURN_NOT_OK(applied);
   }
-  // Drain boundary: route everything staged (parallel across queries
-  // when configured) and journal it, so liveness and the governor see
-  // fully up-to-date queries.
+  // Drain boundary: route everything staged and journal it, so liveness
+  // and the governor see fully up-to-date queries.
   return FlushStaged();
-}
-
-Time SupervisedService::LiveFrontier() const {
-  Time frontier = kMinTime;
-  for (const auto& [type, t] : ingress_.last_sync()) {
-    frontier = std::max(frontier, t);
-  }
-  return frontier;
 }
 
 Status SupervisedService::SynthesizeFor(SourceSession* session,
@@ -542,40 +526,41 @@ Status SupervisedService::SynthesizeFor(SourceSession* session,
     rec.source = kSupervisorSource;
     Result<Message> cti = ingress_.Stamp(rec);
     if (!cti.ok()) continue;  // the type's frontier is already past target
-    CEDR_RETURN_NOT_OK(RouteMessage(type, cti.ValueOrDie()));
+    staged_batch_.emplace_back(type, std::move(cti).ValueOrDie());
+    staged_records_.push_back(std::move(rec));
     Time& offered = last_offered_sync_[type];
     offered = std::max(offered, target);
     ++shed_.synthesized_syncs;
     ++type_shed_[type].synthesized;
     ++session->mutable_stats()->synthesized_syncs;
-    journal_.Append(rec);
   }
-  return Status::OK();
+  // Routed and journaled like a drain's batch.
+  return FlushStaged();
 }
 
 Status SupervisedService::CheckLiveness() {
-  Time frontier = LiveFrontier();
+  // The live frontier: the latest sync point drained on any type
+  // (kMinTime before the first).
+  Time frontier = kMinTime;
+  for (const auto& [type, t] : ingress_.last_sync()) {
+    frontier = std::max(frontier, t);
+  }
   for (auto& [name, session] : sessions_) {
     const LivenessPolicy policy = session.config().on_silence;
     if (session.DeadlineMissed(now_ticks_)) {
-      switch (policy) {
-        case LivenessPolicy::kHold:
-          // Strong semantics: wait as long as it takes. The transition
-          // is still recorded so operators can see the stall.
-          session.MarkSilent(kMinTime);
-          break;
-        case LivenessPolicy::kSynthesize:
-          session.MarkSilent(frontier);
-          if (frontier != kMinTime) {
-            CEDR_RETURN_NOT_OK(SynthesizeFor(&session, frontier));
-          }
-          break;
-        case LivenessPolicy::kQuarantine:
-          session.MarkQuarantined(frontier);
-          if (frontier != kMinTime) {
-            CEDR_RETURN_NOT_OK(SynthesizeFor(&session, frontier));
-          }
-          break;
+      if (policy == LivenessPolicy::kHold) {
+        // Strong semantics: wait as long as it takes. The transition is
+        // still recorded so operators can see the stall.
+        session.MarkSilent(kMinTime);
+        continue;
+      }
+      if (policy == LivenessPolicy::kQuarantine) {
+        session.MarkQuarantined(frontier);
+      } else {
+        session.MarkSilent(frontier);
+      }
+      if (frontier != kMinTime) {
+        CEDR_RETURN_NOT_OK(SynthesizeFor(&session, frontier));
       }
       continue;
     }
@@ -592,43 +577,38 @@ Status SupervisedService::CheckLiveness() {
   return Status::OK();
 }
 
+bool SupervisedService::BudgetStreak::Check(const QueryBudget& budget,
+                                            size_t footprint, size_t buffer,
+                                            Time total_blocking) {
+  const Duration blocking_delta =
+      std::max<Time>(0, total_blocking - last_total_blocking);
+  last_total_blocking = total_blocking;
+  const bool violated = budget.Violated(footprint, buffer, blocking_delta);
+  over = violated ? over + 1 : 0;
+  calm = violated ? 0 : calm + 1;
+  return violated;
+}
+
 Status SupervisedService::RunGovernor() {
-  if (!config_.governor.enabled) return Status::OK();
-  if (config_.governor.check_every_ticks > 1 &&
-      now_ticks_ % config_.governor.check_every_ticks != 0) {
-    return Status::OK();
-  }
+  const GovernorConfig& gov = config_.governor;
   for (auto& [name, g] : queries_) {
-    if (g.phase == GovernorPhase::kQuarantined) continue;
+    if (g.status.phase == GovernorPhase::kQuarantined) continue;
     if (g.budget.Unlimited() || g.ladder.size() < 2) continue;
     QueryStats stats = g.query->Stats();
-    Duration blocking_delta =
-        std::max<Time>(0, stats.total_blocking - g.last_total_blocking);
-    g.last_total_blocking = stats.total_blocking;
-    const bool over = g.budget.Violated(stats.CurFootprint(),
-                                        stats.cur_buffer_size,
-                                        blocking_delta);
-    if (over) {
-      g.calm_streak = 0;
-      if (++g.over_streak >= config_.governor.degrade_after &&
-          g.rung + 1 < g.ladder.size()) {
-        if (!SwitchRung(name, &g, g.rung + 1)) continue;
-        g.over_streak = 0;
-        g.phase = GovernorPhase::kDegraded;
-        ++g.degrades;
+    const size_t rung = g.status.rung;
+    if (g.streak.Check(g.budget, stats.CurFootprint(), stats.cur_buffer_size,
+                       stats.total_blocking)) {
+      if (g.streak.over >= gov.degrade_after && rung + 1 < g.ladder.size() &&
+          SwitchRung(name, &g, rung + 1)) {
+        g.streak.over = 0;
       }
-    } else {
-      g.over_streak = 0;
-      // Per-query restores are suppressed while the query's tenant is
-      // degraded: the tenant governor restores its queries together.
-      if (++g.calm_streak >= config_.governor.restore_after && g.rung > 0 &&
-          !TenantFor(g.tenant).degraded) {
-        if (!SwitchRung(name, &g, g.rung - 1)) continue;
-        g.calm_streak = 0;
-        ++g.restores;
-        g.phase = g.rung == 0 ? GovernorPhase::kSteady
-                              : GovernorPhase::kRestoring;
-      }
+    } else if (g.streak.calm >= gov.restore_after && rung > 0 &&
+               // Per-query restores are suppressed while the query's
+               // tenant is degraded: the tenant governor restores its
+               // queries together.
+               !TenantFor(g.tenant).status.degraded &&
+               SwitchRung(name, &g, rung - 1)) {
+      g.streak.calm = 0;
     }
   }
 
@@ -637,85 +617,58 @@ Status SupervisedService::RunGovernor() {
   // degrades every query of the tenant one rung - independently of
   // other tenants - and sustained calm restores them together.
   for (auto& [tenant_id, ts] : tenants_) {
-    if (ts.quota.aggregate.Unlimited() || ts.queries.empty()) continue;
+    if (ts.quota.aggregate.Unlimited() || ts.status.queries == 0) continue;
+    std::vector<std::pair<const std::string*, Governed*>> live;
     size_t footprint = 0;
     size_t buffer = 0;
     Time blocking = 0;
-    size_t live = 0;
-    for (const std::string& qname : ts.queries) {
-      auto qit = queries_.find(qname);
-      if (qit == queries_.end()) continue;
-      if (qit->second.phase == GovernorPhase::kQuarantined) continue;
-      QueryStats stats = qit->second.query->Stats();
+    for (auto& [qname, g] : queries_) {
+      if (g.tenant != tenant_id) continue;
+      if (g.status.phase == GovernorPhase::kQuarantined) continue;
+      QueryStats stats = g.query->Stats();
       footprint += stats.CurFootprint();
       buffer += stats.cur_buffer_size;
       blocking += stats.total_blocking;
-      ++live;
+      live.emplace_back(&qname, &g);
     }
-    if (live == 0) continue;
-    Duration blocking_delta =
-        std::max<Time>(0, blocking - ts.last_total_blocking);
-    ts.last_total_blocking = blocking;
-    const bool over =
-        ts.quota.aggregate.Violated(footprint, buffer, blocking_delta);
-    if (over) {
-      ts.calm_streak = 0;
-      if (++ts.over_streak < config_.governor.degrade_after) continue;
-      ts.over_streak = 0;
-      bool moved = false;
-      for (const std::string& qname : ts.queries) {
-        auto qit = queries_.find(qname);
-        if (qit == queries_.end()) continue;
-        Governed& g = qit->second;
-        if (g.phase == GovernorPhase::kQuarantined) continue;
-        if (g.rung + 1 >= g.ladder.size()) continue;
-        if (!SwitchRung(qname, &g, g.rung + 1)) continue;
-        g.phase = GovernorPhase::kDegraded;
-        ++g.degrades;
-        moved = true;
+    if (live.empty()) continue;
+    bool moved = false;
+    if (ts.streak.Check(ts.quota.aggregate, footprint, buffer, blocking)) {
+      if (ts.streak.over < gov.degrade_after) continue;
+      ts.streak.over = 0;
+      for (auto [qname, g] : live) {
+        if (g->status.rung + 1 >= g->ladder.size()) continue;
+        moved |= SwitchRung(*qname, g, g->status.rung + 1);
       }
       if (moved) {
-        if (!ts.degraded) ++ts.degrades;
-        ts.degraded = true;
+        if (!ts.status.degraded) ++ts.status.degrades;
+        ts.status.degraded = true;
       }
     } else {
-      ts.over_streak = 0;
-      if (!ts.degraded) {
-        ts.calm_streak = 0;
+      if (!ts.status.degraded) {
+        ts.streak.calm = 0;
         continue;
       }
-      if (++ts.calm_streak < config_.governor.restore_after) continue;
-      ts.calm_streak = 0;
-      bool moved = false;
+      if (ts.streak.calm < gov.restore_after) continue;
+      ts.streak.calm = 0;
       bool fully_restored = true;
-      for (const std::string& qname : ts.queries) {
-        auto qit = queries_.find(qname);
-        if (qit == queries_.end()) continue;
-        Governed& g = qit->second;
-        if (g.phase == GovernorPhase::kQuarantined) continue;
-        if (g.rung > 0) {
-          if (!SwitchRung(qname, &g, g.rung - 1)) continue;
-          ++g.restores;
-          moved = true;
-        }
-        g.phase = g.rung == 0 ? GovernorPhase::kSteady
-                              : GovernorPhase::kRestoring;
-        if (g.rung > 0) fully_restored = false;
+      for (auto [qname, g] : live) {
+        if (g->status.rung == 0) continue;
+        if (!SwitchRung(*qname, g, g->status.rung - 1)) continue;
+        moved = true;
+        if (g->status.rung > 0) fully_restored = false;
       }
-      if (moved) ++ts.restores;
-      if (fully_restored) ts.degraded = false;
+      if (moved) ++ts.status.restores;
+      if (fully_restored) ts.status.degraded = false;
     }
   }
   return Status::OK();
 }
 
 void SupervisedService::QuarantineQuery(const std::string& name,
-                                        const Status& fault,
+                                        Governed* g, const Status& fault,
                                         const char* origin) {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) return;
-  Governed& g = it->second;
-  if (g.phase == GovernorPhase::kQuarantined) return;
+  if (g->status.phase == GovernorPhase::kQuarantined) return;
   QuarantineReport report;
   report.query = name;
   report.fault = fault;
@@ -724,43 +677,49 @@ void SupervisedService::QuarantineQuery(const std::string& name,
   // Best-effort post-mortem: the faulted plan may be too broken to
   // snapshot; the report is filed either way.
   io::BinaryWriter w;
-  Status snap = GuardQuery([&] { return g.query->active().Snapshot(&w); });
+  Status snap = GuardQuery([&] { return g->query->active().Snapshot(&w); });
   if (snap.ok()) report.post_mortem = w.Take();
-  g.query->CloseWithError(fault);
-  g.phase = GovernorPhase::kQuarantined;
+  g->query->CloseWithError(fault);
+  g->status.phase = GovernorPhase::kQuarantined;
   quarantine_.insert_or_assign(name, std::move(report));
 }
 
 bool SupervisedService::SwitchRung(const std::string& name, Governed* g,
                                    size_t rung) {
-  g->rung = rung;
+  GovernorStatus& status = g->status;
+  const bool degrade = rung > status.rung;
+  status.rung = rung;
   Status switched = GuardQuery(
       [&] { return g->query->SwitchTo(g->ladder[rung]).status(); });
   if (!switched.ok()) {
-    QuarantineQuery(name, switched, "switch");
+    QuarantineQuery(name, g, switched, "switch");
     return false;
   }
-  g->last_total_blocking = g->query->Stats().total_blocking;
+  g->streak.last_total_blocking = g->query->Stats().total_blocking;
+  if (degrade) {
+    ++status.degrades;
+    status.phase = GovernorPhase::kDegraded;
+  } else {
+    ++status.restores;
+    status.phase =
+        rung == 0 ? GovernorPhase::kSteady : GovernorPhase::kRestoring;
+  }
   return true;
 }
 
 Status SupervisedService::RunWatchdog() {
   if (!config_.watchdog.enabled) return Status::OK();
   for (auto& [name, g] : queries_) {
-    if (g.phase == GovernorPhase::kQuarantined) {
-      g.tick_cost_us = 0;
-      continue;
-    }
-    const bool over = g.tick_cost_us > config_.watchdog.tick_deadline_us;
-    g.tick_cost_us = 0;
-    if (!over) {
+    const int64_t cost = std::exchange(g.tick_cost_us, 0);
+    if (g.status.phase == GovernorPhase::kQuarantined) continue;
+    if (cost <= config_.watchdog.tick_deadline_us) {
       g.slow_streak = 0;
       continue;
     }
     ++g.slow_streak;
     if (g.slow_streak >= config_.watchdog.quarantine_after) {
       QuarantineQuery(
-          name,
+          name, &g,
           Status::ResourceExhausted(StrCat(
               "watchdog: query '", name, "' exceeded its ",
               config_.watchdog.tick_deadline_us, "us tick deadline for ",
@@ -772,12 +731,10 @@ Status SupervisedService::RunWatchdog() {
     // a query that stays slow walks the whole ladder down before the
     // quarantine threshold ends it.
     if (g.slow_streak >= config_.watchdog.degrade_after &&
-        g.rung + 1 < g.ladder.size()) {
-      if (!SwitchRung(name, &g, g.rung + 1)) continue;
-      g.over_streak = 0;
-      g.calm_streak = 0;
-      g.phase = GovernorPhase::kDegraded;
-      ++g.degrades;
+        g.status.rung + 1 < g.ladder.size() &&
+        SwitchRung(name, &g, g.status.rung + 1)) {
+      g.streak.over = 0;
+      g.streak.calm = 0;
     }
   }
   return Status::OK();
@@ -785,14 +742,15 @@ Status SupervisedService::RunWatchdog() {
 
 SupervisedService::TenantState& SupervisedService::TenantFor(
     const std::string& tenant) {
-  auto it = tenants_.find(tenant);
-  if (it != tenants_.end()) return it->second;
-  TenantState state;
-  auto quota = config_.tenants.quotas.find(tenant);
-  state.quota = quota != config_.tenants.quotas.end()
-                    ? quota->second
-                    : config_.tenants.default_quota;
-  return tenants_.emplace(tenant, std::move(state)).first->second;
+  auto [it, added] = tenants_.try_emplace(tenant);
+  if (added) {
+    auto quota = config_.tenants.quotas.find(tenant);
+    it->second.quota = quota != config_.tenants.quotas.end()
+                           ? quota->second
+                           : config_.tenants.default_quota;
+    it->second.status.tenant = tenant;
+  }
+  return it->second;
 }
 
 int64_t SupervisedService::RetryAfterHint(size_t depth) const {
@@ -815,17 +773,11 @@ SupervisorSnapshot SupervisedService::StatsSnapshot() const {
   snap.retry_after_hint = SuggestedRetryAfterTicks();
   snap.shed = shed_;
   for (const auto& [source, session] : sessions_) {
-    SessionSnapshot s;
-    s.source = source;
-    s.state = session.state();
-    s.epoch = session.epoch();
-    s.next_seq = session.next_seq();
-    s.stats = session.stats();
-    snap.sessions.push_back(std::move(s));
+    snap.sessions.push_back({source, session.state(), session.epoch(),
+                             session.next_seq(), session.stats()});
   }
   for (const auto& [tenant, state] : tenants_) {
-    // TenantOf cannot fail for a name taken from the map itself.
-    snap.tenants.push_back(TenantOf(tenant).ValueOrDie());
+    snap.tenants.push_back(state.status);
   }
   for (const auto& [name, g] : queries_) {
     snap.queries.push_back({name, g.query->switches(), g.query->barriers(),
@@ -901,19 +853,12 @@ Status SupervisedService::Finish() {
   // shed.
   // Quarantined queries are skipped throughout: their streams died with
   // their terminal error, they do not converge or end.
-  for (auto& [name, g] : queries_) {
-    if (g.phase == GovernorPhase::kQuarantined) continue;
-    if (g.rung != 0) {
-      if (!SwitchRung(name, &g, 0)) continue;
-      ++g.restores;
-      g.phase = GovernorPhase::kSteady;
-    }
-  }
   finished_ = true;
   for (auto& [name, g] : queries_) {
-    if (g.phase == GovernorPhase::kQuarantined) continue;
+    if (g.status.phase == GovernorPhase::kQuarantined) continue;
+    if (g.status.rung != 0 && !SwitchRung(name, &g, 0)) continue;
     Status ended = GuardQuery([&] { return g.query->Finish(); });
-    if (!ended.ok()) QuarantineQuery(name, ended, "finish");
+    if (!ended.ok()) QuarantineQuery(name, &g, ended, "finish");
   }
   io::JournalRecord rec;
   rec.op = io::JournalOp::kFinish;
@@ -922,35 +867,36 @@ Status SupervisedService::Finish() {
 }
 
 std::vector<std::string> SupervisedService::QueryNames() const {
-  std::vector<std::string> names;
-  names.reserve(queries_.size());
-  for (const auto& [name, g] : queries_) names.push_back(name);
-  return names;
+  return KeysOf(queries_);
+}
+
+Result<const SupervisedService::Governed*> SupervisedService::FindQuery(
+    const std::string& name) const {
+  auto it = queries_.find(name);
+  if (it == queries_.end()) {
+    return Status::NotFound(StrCat("no query named '", name, "'"));
+  }
+  return &it->second;
+}
+
+Result<SupervisedService::Governed*> SupervisedService::FindQuery(
+    const std::string& name) {
+  CEDR_ASSIGN_OR_RETURN(const Governed* g,
+                        std::as_const(*this).FindQuery(name));
+  return const_cast<Governed*>(g);
 }
 
 Result<const SwitchableQuery*> SupervisedService::GetQuery(
     const std::string& name) const {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("no query named '", name, "'"));
-  }
-  return static_cast<const SwitchableQuery*>(it->second.query.get());
+  CEDR_ASSIGN_OR_RETURN(const Governed* g, FindQuery(name));
+  return static_cast<const SwitchableQuery*>(g->query.get());
 }
 
 Result<GovernorStatus> SupervisedService::GovernorOf(
     const std::string& name) const {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("no query named '", name, "'"));
-  }
-  const Governed& g = it->second;
-  GovernorStatus status;
-  status.requested = g.requested;
-  status.current = g.query->current_spec();
-  status.phase = g.phase;
-  status.rung = g.rung;
-  status.degrades = g.degrades;
-  status.restores = g.restores;
+  CEDR_ASSIGN_OR_RETURN(const Governed* g, FindQuery(name));
+  GovernorStatus status = g->status;
+  status.current = g->query->current_spec();
   return status;
 }
 
@@ -965,12 +911,9 @@ Result<const SourceSession*> SupervisedService::Session(
 
 Result<QueryStats> SupervisedService::StatsFor(
     const std::string& name) const {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("no query named '", name, "'"));
-  }
-  QueryStats stats = it->second.query->Stats();
-  for (const std::string& type : it->second.input_types) {
+  CEDR_ASSIGN_OR_RETURN(const Governed* g, FindQuery(name));
+  QueryStats stats = g->query->Stats();
+  for (const std::string& type : g->query->active().InputTypes()) {
     auto shed = type_shed_.find(type);
     if (shed == type_shed_.end()) continue;
     stats.shed_inserts += shed->second.inserts;
@@ -992,37 +935,25 @@ Result<QuarantineReport> SupervisedService::QuarantineOf(
 }
 
 std::vector<std::string> SupervisedService::QuarantinedQueries() const {
-  std::vector<std::string> names;
-  names.reserve(quarantine_.size());
-  for (const auto& [name, report] : quarantine_) names.push_back(name);
-  return names;
+  return KeysOf(quarantine_);
 }
 
 Status SupervisedService::SetQueryFaultHook(const std::string& name,
                                             CompiledQuery::FaultHook hook) {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("no query named '", name, "'"));
-  }
-  it->second.query->set_fault_hook(std::move(hook));
+  CEDR_ASSIGN_OR_RETURN(Governed* g, FindQuery(name));
+  g->query->set_fault_hook(std::move(hook));
   return Status::OK();
 }
 
 Status SupervisedService::ChargeWatchdogCost(const std::string& name,
                                              int64_t us) {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("no query named '", name, "'"));
-  }
-  it->second.tick_cost_us += std::max<int64_t>(0, us);
+  CEDR_ASSIGN_OR_RETURN(Governed* g, FindQuery(name));
+  g->tick_cost_us += std::max<int64_t>(0, us);
   return Status::OK();
 }
 
 std::vector<std::string> SupervisedService::TenantNames() const {
-  std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& [tenant, state] : tenants_) names.push_back(tenant);
-  return names;
+  return KeysOf(tenants_);
 }
 
 Result<TenantStatus> SupervisedService::TenantOf(
@@ -1032,60 +963,34 @@ Result<TenantStatus> SupervisedService::TenantOf(
     return Status::NotFound(
         StrCat("no tenant named '", DisplayTenant(tenant), "'"));
   }
-  const TenantState& ts = it->second;
-  TenantStatus status;
-  status.tenant = tenant;
-  status.queries = ts.queries.size();
-  status.sources = ts.sources.size();
-  status.queued = ts.queued;
-  status.admitted = ts.admitted;
-  status.rejected_queue_share = ts.rejected_queue_share;
-  status.rejected_rate = ts.rejected_rate;
-  status.rejected_registration = ts.rejected_registration;
-  status.degraded = ts.degraded;
-  status.degrades = ts.degrades;
-  status.restores = ts.restores;
-  return status;
+  return it->second.status;
 }
 
 Status SupervisedService::ReviveQuery(const std::string& name) {
   if (finished_) return Status::ExecutionError("supervisor already finished");
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("no query named '", name, "'"));
-  }
-  Governed& g = it->second;
-  if (g.phase != GovernorPhase::kQuarantined) {
+  CEDR_ASSIGN_OR_RETURN(Governed* g, FindQuery(name));
+  if (g->status.phase != GovernorPhase::kQuarantined) {
     return Status::InvalidArgument(
         StrCat("query '", name, "' is not quarantined"));
   }
-  // Rebuild a clean plan at the requested level and bring it up to date
-  // by replaying the journaled ingress history. Journal order is
-  // arrival-stamp order (each journaled publish/retract/sync consumed
-  // exactly one cs when first routed), so the replay reproduces the
-  // exact stamps of the live run and the revived query - state and all
-  // future output - is bit-identical to one that never faulted.
-  CEDR_ASSIGN_OR_RETURN(io::JournalContents journal,
-                        io::ReadJournal(journal_.bytes()));
-  CEDR_ASSIGN_OR_RETURN(
-      std::unique_ptr<SwitchableQuery> fresh,
-      SwitchableQuery::Create(g.query->active().text(), ingress_.catalog(),
-                              g.requested));
-  IngressCore replay;
-  for (const io::JournalRecord& record : journal.records) {
-    if (!IsIngressCall(record.op)) continue;
-    CEDR_ASSIGN_OR_RETURN(Message msg, replay.Stamp(record));
-    if (g.input_types.count(record.name) == 0) continue;
-    CEDR_RETURN_NOT_OK(fresh->Push(record.name, msg));
+  // Rebuild through the one replay there is: a Recover replica of the
+  // journal, whose clean copy of the query (at its requested level: a
+  // replay never governs) the query adopts. Journal order is
+  // arrival-stamp order, so the replica reproduces the exact stamps of
+  // the live run and the revived query - state and all future output -
+  // is bit-identical to one that never faulted.
+  CEDR_ASSIGN_OR_RETURN(std::unique_ptr<SupervisedService> replica,
+                        Recover(journal_.bytes(), config_));
+  CEDR_ASSIGN_OR_RETURN(Governed* fresh, replica->FindQuery(name));
+  if (fresh->status.phase == GovernorPhase::kQuarantined) {
+    return replica->quarantine_.at(name).fault;
   }
-  g.query = std::move(fresh);
-  g.phase = GovernorPhase::kSteady;
-  g.rung = 0;
-  g.over_streak = 0;
-  g.calm_streak = 0;
-  g.slow_streak = 0;
-  g.tick_cost_us = 0;
-  g.last_total_blocking = g.query->Stats().total_blocking;
+  g->query = std::move(fresh->query);
+  g->status.phase = GovernorPhase::kSteady;
+  g->status.rung = 0;
+  g->streak = BudgetStreak{0, 0, g->query->Stats().total_blocking};
+  g->slow_streak = 0;
+  g->tick_cost_us = 0;
   quarantine_.erase(name);
   return Status::OK();
 }

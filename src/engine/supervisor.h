@@ -34,8 +34,9 @@
 //     snapshotted for post-mortem, its sink closed with the terminal
 //     error, and it is excluded from routing; the process and every
 //     other query are unaffected. ReviveQuery rebuilds a quarantined
-//     query from the journal (journal order is arrival-stamp order, so
-//     the replayed state is bit-identical to a never-faulted run);
+//     query from a Recover replica of the journal (journal order is
+//     arrival-stamp order, so the replayed state is bit-identical to a
+//     never-faulted run);
 //   * a watchdog gives each query a per-tick routing deadline: a query
 //     over its deadline for N consecutive ticks is force-degraded down
 //     the governor ladder, and past a second threshold quarantined
@@ -59,7 +60,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,24 +81,18 @@ struct IngressConfig {
   size_t queue_capacity = 256;
   /// Queued calls applied per Tick. Overload = offered rate above this.
   int drain_per_tick = 32;
-  /// Seed of the shedding policy's victim selection.
-  uint64_t shed_seed = 0xCED5;
 };
 
+/// Hysteresis of the governor, which checks every budgeted query (and
+/// every tenant aggregate budget) once per tick. A query registered
+/// without a budget - and every query re-registered by Recover, since
+/// budgets are configuration, not journaled history - is unlimited and
+/// never governed. The ladder bottoms out at Weak(0).
 struct GovernorConfig {
-  bool enabled = true;
-  /// Budget check cadence in ticks.
-  int64_t check_every_ticks = 1;
   /// Consecutive over-budget checks before stepping down one rung.
   int degrade_after = 2;
   /// Consecutive in-budget checks before stepping back up one rung.
   int restore_after = 4;
-  /// Memory bound M of the weak rung at the bottom of the ladder.
-  Duration weak_memory = 0;
-  /// Budget applied to queries registered without an explicit one (and
-  /// to every query re-registered during Recover, since budgets are
-  /// configuration, not journaled history).
-  QueryBudget default_budget;
 };
 
 struct WatchdogConfig {
@@ -151,12 +145,10 @@ struct RoutingConfig {
   /// the draining thread. Parallelism is across queries - each query's
   /// plan stays single-threaded and receives the identical
   /// arrival-ordered batch, so output is bit-identical for every worker
-  /// count (see DESIGN.md, "Parallel execution & batching").
+  /// count (see DESIGN.md, "Parallel execution & batching"). Staged
+  /// routes are flushed at least every 512 calls within one drain (a cap
+  /// on route-batch memory, not a semantic boundary).
   int route_workers = 1;
-  /// Staged routes are flushed across the queries at least this often
-  /// within one drain (a cap on route-batch memory, not a semantic
-  /// boundary).
-  size_t max_batch = 512;
 };
 
 struct SupervisorConfig {
@@ -288,9 +280,9 @@ class SupervisedService {
   Status RegisterEventType(const std::string& name, SchemaPtr schema);
 
   /// Registers a governed standing query under `tenant` ("" = the
-  /// anonymous default tenant). Without an explicit budget the governor
-  /// applies `config.governor.default_budget`. Rejected with
-  /// kResourceExhausted when the tenant is at its query quota.
+  /// anonymous default tenant). Without a budget the query is never
+  /// governed. Rejected with kResourceExhausted when the tenant is at its
+  /// query quota.
   Result<std::string> RegisterQuery(
       const std::string& text,
       std::optional<ConsistencySpec> spec_override = std::nullopt,
@@ -352,11 +344,14 @@ class SupervisedService {
   Result<QuarantineReport> QuarantineOf(const std::string& name) const;
   /// Names of currently quarantined queries, ascending.
   std::vector<std::string> QuarantinedQueries() const;
-  /// Rebuilds a quarantined query at its requested level by replaying
-  /// the journaled ingress history (journal order is arrival-stamp
-  /// order, so the revived state — and all future output — is
-  /// bit-identical to a never-faulted run) and returns it to routing at
-  /// phase kSteady. kInvalidArgument when the query is not quarantined.
+  /// Rebuilds a quarantined query at its requested level: Recover builds
+  /// a replica from the journal and the query adopts the replica's plan
+  /// (journal order is arrival-stamp order, so the revived state — and
+  /// all future output — is bit-identical to a never-faulted run), then
+  /// returns to routing at phase kSteady. The replay costs a Recover of
+  /// every query. kInvalidArgument when the query is not quarantined; the
+  /// replica's fault when the query faults again during the replay (it
+  /// stays quarantined).
   Status ReviveQuery(const std::string& name);
   /// Testing/chaos seam: installs a hook invoked on every message pushed
   /// into the query, before the plan sees it. A non-OK return or a throw
@@ -395,21 +390,30 @@ class SupervisedService {
       const std::string& journal_bytes, SupervisorConfig config = {});
 
  private:
+  /// Hysteresis state of one budget (a query's own, or a tenant's
+  /// aggregate): consecutive over- and in-budget checks, and the total
+  /// blocking the next check's delta is measured from.
+  struct BudgetStreak {
+    int over = 0;
+    int calm = 0;
+    Time last_total_blocking = 0;
+    /// Checks `budget` against the current footprint and buffer and the
+    /// blocking accrued since the last check; extends the matching streak
+    /// and resets the other. True when the budget is violated.
+    bool Check(const QueryBudget& budget, size_t footprint, size_t buffer,
+               Time total_blocking);
+  };
+
   struct Governed {
     std::unique_ptr<SwitchableQuery> query;
-    std::set<std::string> input_types;
-    ConsistencySpec requested;
     QueryBudget budget;
     std::string tenant;
     /// Degradation ladder, strongest first; ladder[0] == requested.
     std::vector<ConsistencySpec> ladder;
-    size_t rung = 0;
-    int over_streak = 0;
-    int calm_streak = 0;
-    GovernorPhase phase = GovernorPhase::kSteady;
-    uint64_t degrades = 0;
-    uint64_t restores = 0;
-    Time last_total_blocking = 0;
+    /// Everything GovernorOf reports except `current`, which is read off
+    /// the query.
+    GovernorStatus status;
+    BudgetStreak streak;
     /// Watchdog: consecutive over-deadline ticks.
     int slow_streak = 0;
     /// Watchdog: routing cost charged this tick, microseconds (wall time
@@ -420,20 +424,10 @@ class SupervisedService {
   /// Per-tenant admission and governor state.
   struct TenantState {
     TenantQuota quota;
-    std::set<std::string> queries;
-    std::set<std::string> sources;
-    size_t queued = 0;
     uint64_t admitted_this_tick = 0;
-    uint64_t admitted = 0;
-    uint64_t rejected_queue_share = 0;
-    uint64_t rejected_rate = 0;
-    uint64_t rejected_registration = 0;
-    int over_streak = 0;
-    int calm_streak = 0;
-    bool degraded = false;
-    uint64_t degrades = 0;
-    uint64_t restores = 0;
-    Time last_total_blocking = 0;
+    BudgetStreak streak;
+    /// What TenantOf reports.
+    TenantStatus status;
   };
 
   /// Per-event-type ingress accounting (for StatsFor attribution).
@@ -444,23 +438,35 @@ class SupervisedService {
     uint64_t synthesized = 0;
   };
 
+  /// The query named `name`; kNotFound when there is none.
+  Result<const Governed*> FindQuery(const std::string& name) const;
+  Result<Governed*> FindQuery(const std::string& name);
   /// Shared admission path: static validation, source ownership,
   /// backpressure/shedding, session admission, then enqueue.
   Status Offer(const Ingress& ingress, io::JournalRecord record);
+  /// Counts one backpressure rejection of a call of `type` and returns
+  /// kResourceExhausted: `reason`, then a retry-after hint for a backlog
+  /// of `depth` calls (1 tick without a depth), taken after the count.
+  Status RejectCall(const std::string& type, const std::string& reason,
+                    std::optional<size_t> depth);
+  /// Removes queued call `index` and returns it, releasing its tenant's
+  /// queue share.
+  io::JournalRecord Dequeue(size_t index);
   /// Applies one accepted call: sheds a sync point overtaken while
   /// queued, stamps through the ingress core (whose reference check
   /// fails with kNotFound), then *stages* the message for routing.
   /// Staged messages are routed (and their records journaled) by
-  /// FlushStaged, called at every drain boundary and whenever the
-  /// staged batch reaches `routing.max_batch`.
+  /// FlushStaged, called at every drain boundary, after synthesized sync
+  /// points, before a query registers, and whenever 512 are staged.
   Status ApplyNow(const io::JournalRecord& record);
-  Status RouteMessage(const std::string& type, const Message& msg);
-  /// Routes the staged batch across every query (parallel when
-  /// `routing.route_workers` > 1), then journals the staged records.
+  /// Routes the staged batch across every query, then journals the
+  /// staged records.
   Status FlushStaged();
+  /// Fans the batch out over the routing pool, one guarded task per live
+  /// query; a task that fails or throws quarantines its query.
   Status RouteBatch(std::span<const TypedMessage> batch);
-  /// Sheds one queued message (retractions first, then inserts; seeded
-  /// choice among candidates). With `tenant_filter` only that tenant's
+  /// Sheds one queued message (retractions first, then inserts; choice
+  /// among candidates seeded with a fixed seed, so runs reproduce). With `tenant_filter` only that tenant's
   /// queued calls are candidates (a tenant over its queue share sheds
   /// its own repairable traffic, never a neighbor's). False when nothing
   /// is sheddable.
@@ -470,11 +476,13 @@ class SupervisedService {
   /// Seals a faulting query: snapshots its state into a
   /// QuarantineReport, closes its sink with the fault, and excludes it
   /// from routing and governing (phase kQuarantined). Idempotent.
-  void QuarantineQuery(const std::string& name, const Status& fault,
-                       const char* origin);
+  void QuarantineQuery(const std::string& name, Governed* g,
+                       const Status& fault, const char* origin);
   /// Moves a governed query to ladder rung `rung` through a guarded
-  /// SwitchTo, then restarts its blocking baseline from the new plan. A
-  /// failed switch quarantines the query and returns false.
+  /// SwitchTo, restarts its blocking baseline from the new plan, and
+  /// records the step: down counts a degrade (phase kDegraded), up
+  /// counts a restore (phase kRestoring, or kSteady at rung 0). A failed
+  /// switch quarantines the query and returns false.
   bool SwitchRung(const std::string& name, Governed* g, size_t rung);
   /// Per-tick deadline enforcement (no-op unless watchdog.enabled).
   Status RunWatchdog();
@@ -487,11 +495,6 @@ class SupervisedService {
   /// owns, journaled under kSupervisorSource.
   Status SynthesizeFor(SourceSession* session, Time target);
   Status RunGovernor();
-  /// max over all types of the last drained sync point (kMinTime when
-  /// no sync point has been seen anywhere).
-  Time LiveFrontier() const;
-  static std::vector<ConsistencySpec> LadderFor(const ConsistencySpec& spec,
-                                                const GovernorConfig& gov);
 
   SupervisorConfig config_;
   /// Catalog, published ids, drained sync points and the cs clock.
@@ -504,13 +507,8 @@ class SupervisedService {
   /// (index-aligned); nonempty only inside a drain.
   std::vector<TypedMessage> staged_batch_;
   std::vector<io::JournalRecord> staged_records_;
-  /// Pool for parallel routing; created lazily on the first flush when
-  /// `routing.route_workers` > 1.
+  /// Routing pool of `routing.route_workers` (size 1 runs inline).
   std::unique_ptr<WorkerPool> route_pool_;
-  /// Scratch: non-quarantined routing targets (and their names) for the
-  /// in-flight fan-out.
-  std::vector<SwitchableQuery*> route_targets_;
-  std::vector<std::string> route_names_;
   io::JournalWriter journal_;
   Rng shed_rng_;
   std::map<std::string, Time> last_offered_sync_;  // admission-level
@@ -520,7 +518,8 @@ class SupervisedService {
   /// ReviveQuery.
   std::map<std::string, QuarantineReport> quarantine_;
   std::map<std::string, TenantState> tenants_;
-  std::map<std::string, std::string> source_tenant_;  // source -> tenant
+  /// source -> tenant, for every attached source.
+  std::map<std::string, std::string> source_tenant_;
   /// Overload estimate behind the retry-after hint: bumped per
   /// rejection, decayed by the drain rate every tick. Makes consecutive
   /// rejections carry growing hints even while the queue sits pinned at

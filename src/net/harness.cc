@@ -34,17 +34,11 @@ Result<NetRun> RunOverTransport(const testing::SupervisedScenario& scenario,
   // and is silently dropped as a duplicate - data loss.
   config.session.gap_policy = GapPolicy::kReject;
   SupervisedService svc(config);
-  for (const auto& [name, schema] : scenario.catalog) {
-    CEDR_RETURN_NOT_OK(svc.RegisterEventType(name, schema));
-  }
-  for (const testing::SupervisedQuery& q : scenario.queries) {
-    CEDR_RETURN_NOT_OK(svc.RegisterQuery(q.text, q.spec, q.budget).status());
-  }
+  CEDR_RETURN_NOT_OK(testing::RegisterScenario(&svc, scenario));
 
   SimulatedTransport transport(&svc, options.seed);
   std::map<std::string, std::unique_ptr<SourceClient>> clients;
   for (const auto& [source, types] : scenario.sources) {
-    CEDR_RETURN_NOT_OK(svc.AttachSource(source, types));
     auto faults_it = options.faults_per_source.find(source);
     transport.SetLinkFaults(source,
                             faults_it != options.faults_per_source.end()
@@ -83,13 +77,7 @@ Result<NetRun> RunOverTransport(const testing::SupervisedScenario& scenario,
     while (next < scenario.feed.size() &&
            scenario.feed[next].at_tick <= tick) {
       const testing::SupervisedCall& action = scenario.feed[next];
-      auto it = clients.find(action.source);
-      if (it == clients.end()) {
-        return Status::InvalidArgument(
-            StrCat("feed references unattached source '", action.source,
-                   "'"));
-      }
-      SourceClient& client = *it->second;
+      SourceClient& client = *clients.at(action.source);
       if (action.action == testing::SupervisedCall::Action::kReconnect) {
         CEDR_RETURN_NOT_OK(client.Connect());
       } else {
@@ -124,29 +112,11 @@ Result<NetRun> RunOverTransport(const testing::SupervisedScenario& scenario,
     CEDR_RETURN_NOT_OK(svc.Tick());
     ++tick;
   }
-  CEDR_RETURN_NOT_OK(svc.Finish());
-
-  testing::SupervisedRun& run = net.run;
-  for (const std::string& name : svc.QueryNames()) {
-    CEDR_ASSIGN_OR_RETURN(const SwitchableQuery* query, svc.GetQuery(name));
-    run.outputs[name] = query->OutputMessages();
-    run.ideals[name] = query->Ideal();
-    CEDR_ASSIGN_OR_RETURN(run.stats[name], svc.StatsFor(name));
-    CEDR_ASSIGN_OR_RETURN(run.governors[name], svc.GovernorOf(name));
-  }
+  CEDR_RETURN_NOT_OK(testing::FinishSupervisedRun(&svc, scenario, &net.run));
   for (const auto& [source, client] : clients) {
-    CEDR_ASSIGN_OR_RETURN(const SourceSession* session, svc.Session(source));
-    run.sessions[source] = session->stats();
     net.clients[source] = client->stats();
     net.links[source] = transport.stats(source);
   }
-  for (const std::string& name : svc.QuarantinedQueries()) {
-    CEDR_ASSIGN_OR_RETURN(run.quarantines[name], svc.QuarantineOf(name));
-  }
-  run.shed = svc.shed();
-  run.journal_bytes = svc.journal().bytes();
-  run.ticks = svc.now_ticks();
-  run.max_queue_depth = svc.max_queue_depth();
   net.wire = transport.TotalStats();
   return net;
 }

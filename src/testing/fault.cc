@@ -236,21 +236,58 @@ Status OfferTo(SupervisedService* svc, const std::string& source,
 
 }  // namespace
 
+Status RegisterScenario(SupervisedService* svc,
+                        const SupervisedScenario& scenario) {
+  for (const auto& [name, schema] : scenario.catalog) {
+    CEDR_RETURN_NOT_OK(svc->RegisterEventType(name, schema));
+  }
+  for (const SupervisedQuery& q : scenario.queries) {
+    CEDR_RETURN_NOT_OK(svc->RegisterQuery(q.text, q.spec, q.budget).status());
+  }
+  for (const auto& [source, types] : scenario.sources) {
+    CEDR_RETURN_NOT_OK(svc->AttachSource(source, types));
+  }
+  for (const SupervisedCall& action : scenario.feed) {
+    if (scenario.sources.count(action.source) == 0) {
+      return Status::InvalidArgument(StrCat(
+          "feed references unattached source '", action.source, "'"));
+    }
+  }
+  return Status::OK();
+}
+
+Status FinishSupervisedRun(SupervisedService* svc,
+                           const SupervisedScenario& scenario,
+                           SupervisedRun* run) {
+  CEDR_RETURN_NOT_OK(svc->Finish());
+  for (const std::string& name : svc->QueryNames()) {
+    CEDR_ASSIGN_OR_RETURN(const SwitchableQuery* query, svc->GetQuery(name));
+    run->outputs[name] = query->OutputMessages();
+    run->ideals[name] = query->Ideal();
+    CEDR_ASSIGN_OR_RETURN(run->stats[name], svc->StatsFor(name));
+    CEDR_ASSIGN_OR_RETURN(run->governors[name], svc->GovernorOf(name));
+  }
+  for (const auto& [source, types] : scenario.sources) {
+    CEDR_ASSIGN_OR_RETURN(const SourceSession* session, svc->Session(source));
+    run->sessions[source] = session->stats();
+  }
+  for (const std::string& name : svc->QuarantinedQueries()) {
+    CEDR_ASSIGN_OR_RETURN(run->quarantines[name], svc->QuarantineOf(name));
+  }
+  run->shed = svc->shed();
+  run->journal_bytes = svc->journal().bytes();
+  run->ticks = svc->now_ticks();
+  run->max_queue_depth = svc->max_queue_depth();
+  return Status::OK();
+}
+
 Result<SupervisedRun> RunSupervised(const SupervisedScenario& scenario,
                                     SupervisorConfig config,
                                     const TickHook& on_tick) {
   SupervisedService svc(config);
-  for (const auto& [name, schema] : scenario.catalog) {
-    CEDR_RETURN_NOT_OK(svc.RegisterEventType(name, schema));
-  }
-  for (const SupervisedQuery& q : scenario.queries) {
-    CEDR_RETURN_NOT_OK(svc.RegisterQuery(q.text, q.spec, q.budget).status());
-  }
+  CEDR_RETURN_NOT_OK(RegisterScenario(&svc, scenario));
   std::map<std::string, Provider> providers;
-  for (const auto& [source, types] : scenario.sources) {
-    CEDR_RETURN_NOT_OK(svc.AttachSource(source, types));
-    providers.emplace(source, Provider());
-  }
+  for (const auto& entry : scenario.sources) providers.try_emplace(entry.first);
 
   SupervisedRun run;
   int64_t last_tick = scenario.feed.empty() ? 0 : scenario.feed.back().at_tick;
@@ -289,13 +326,7 @@ Result<SupervisedRun> RunSupervised(const SupervisedScenario& scenario,
     while (next < scenario.feed.size() &&
            scenario.feed[next].at_tick <= tick) {
       const SupervisedCall& action = scenario.feed[next];
-      auto it = providers.find(action.source);
-      if (it == providers.end()) {
-        return Status::InvalidArgument(
-            StrCat("feed references unattached source '", action.source,
-                   "'"));
-      }
-      Provider& p = it->second;
+      Provider& p = providers.at(action.source);
       if (action.action == SupervisedCall::Action::kReconnect) {
         CEDR_ASSIGN_OR_RETURN(SourceSession::ResumePoint resume,
                               svc.Reconnect(action.source));
@@ -332,26 +363,7 @@ Result<SupervisedRun> RunSupervised(const SupervisedScenario& scenario,
     CEDR_RETURN_NOT_OK(svc.Tick());
     ++tick;
   }
-  CEDR_RETURN_NOT_OK(svc.Finish());
-
-  for (const std::string& name : svc.QueryNames()) {
-    CEDR_ASSIGN_OR_RETURN(const SwitchableQuery* query, svc.GetQuery(name));
-    run.outputs[name] = query->OutputMessages();
-    run.ideals[name] = query->Ideal();
-    CEDR_ASSIGN_OR_RETURN(run.stats[name], svc.StatsFor(name));
-    CEDR_ASSIGN_OR_RETURN(run.governors[name], svc.GovernorOf(name));
-  }
-  for (const auto& [source, p] : providers) {
-    CEDR_ASSIGN_OR_RETURN(const SourceSession* session, svc.Session(source));
-    run.sessions[source] = session->stats();
-  }
-  for (const std::string& name : svc.QuarantinedQueries()) {
-    CEDR_ASSIGN_OR_RETURN(run.quarantines[name], svc.QuarantineOf(name));
-  }
-  run.shed = svc.shed();
-  run.journal_bytes = svc.journal().bytes();
-  run.ticks = svc.now_ticks();
-  run.max_queue_depth = svc.max_queue_depth();
+  CEDR_RETURN_NOT_OK(FinishSupervisedRun(&svc, scenario, &run));
   return run;
 }
 

@@ -149,6 +149,19 @@ struct SupervisedRun {
   uint64_t backpressure_retries = 0;
 };
 
+/// The supervised harnesses' shared setup: registers the scenario's
+/// catalog and queries, then attaches its sources. kInvalidArgument when
+/// the feed names a source the scenario does not attach.
+Status RegisterScenario(SupervisedService* svc,
+                        const SupervisedScenario& scenario);
+
+/// The supervised harnesses' shared teardown: finishes `svc` and fills
+/// every SupervisedRun field except `backpressure_retries` (the
+/// providers' business) from it.
+Status FinishSupervisedRun(SupervisedService* svc,
+                           const SupervisedScenario& scenario,
+                           SupervisedRun* run);
+
 /// Optional per-tick hook for RunSupervised: called with the service and
 /// the upcoming tick number immediately before every Tick() (including
 /// the trailing ticks). The chaos harness's injection point.

@@ -335,6 +335,74 @@ TEST(QuarantineTest, ReviveRebuildsBitIdenticalState) {
   EXPECT_EQ(faulty.GetQuery("Pair").ValueOrDie()->Ideal().size(), 3u);
 }
 
+TEST(QuarantineTest, ReviveHonorsALateRegistration) {
+  // Pair is registered after the first pair of machine events was
+  // routed: neither its never-faulted twin nor its revived self may see
+  // that pair.
+  SupervisedService clean = MakeService();
+  SupervisedService faulty = MakeService();
+  uint64_t seq = 0;
+  auto offer = [&](auto&& call) {
+    for (SupervisedService* svc : {&clean, &faulty}) {
+      ASSERT_TRUE(call(svc, Ingress{"src", 0, seq}).ok());
+    }
+    ++seq;
+  };
+  auto publish_pair = [&](int64_t machine, EventId a, Time t) {
+    offer([&](SupervisedService* svc, const Ingress& in) {
+      return svc->Publish(in, "INSTALL",
+                          MakeEvent(a, t, kInfinity, Payload(machine)));
+    });
+    offer([&](SupervisedService* svc, const Ingress& in) {
+      return svc->Publish(in, "SHUTDOWN",
+                          MakeEvent(a + 1, t + 5, kInfinity,
+                                    Payload(machine)));
+    });
+  };
+  auto tick = [&] {
+    ASSERT_TRUE(clean.Tick().ok());
+    ASSERT_TRUE(faulty.Tick().ok());
+  };
+  for (SupervisedService* svc : {&clean, &faulty}) {
+    ASSERT_TRUE(svc->AttachSource("src", {"INSTALL", "SHUTDOWN"}).ok());
+  }
+  publish_pair(1, 1, 10);
+  tick();
+  for (SupervisedService* svc : {&clean, &faulty}) {
+    ASSERT_TRUE(svc->RegisterQuery(PairQuery()).ok());
+  }
+  publish_pair(2, 3, 30);
+  tick();
+
+  ASSERT_TRUE(faulty
+                  .SetQueryFaultHook(
+                      "Pair",
+                      [](const std::string&, const Message&) {
+                        return Status::ExecutionError("poison");
+                      })
+                  .ok());
+  publish_pair(3, 5, 50);
+  tick();
+  ASSERT_EQ(faulty.QuarantinedQueries(), std::vector<std::string>{"Pair"});
+  ASSERT_TRUE(faulty.ReviveQuery("Pair").ok());
+
+  publish_pair(4, 7, 70);
+  for (const char* type : {"INSTALL", "SHUTDOWN"}) {
+    offer([&](SupervisedService* svc, const Ingress& in) {
+      return svc->PublishSyncPoint(in, type, 200);
+    });
+  }
+  for (SupervisedService* svc : {&clean, &faulty}) {
+    ASSERT_TRUE(svc->Finish().ok());
+  }
+  const SwitchableQuery* twin = clean.GetQuery("Pair").ValueOrDie();
+  const SwitchableQuery* revived = faulty.GetQuery("Pair").ValueOrDie();
+  EXPECT_EQ(twin->Ideal().size(), 3u);
+  EXPECT_EQ(revived->Ideal().size(), twin->Ideal().size());
+  EXPECT_TRUE(testing::PhysicallyIdentical(twin->OutputMessages(),
+                                           revived->OutputMessages()));
+}
+
 TEST(QuarantineTest, WatchdogDegradesThenQuarantines) {
   SupervisorConfig config;
   config.watchdog.enabled = true;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/fault.h"
 #include "workload/machines.h"
 
 namespace cedr {
@@ -442,6 +443,46 @@ TEST(SupervisorTest, RecoverReplaysSynthesizedSyncPoints) {
   // The synthesized guarantee is durable: it replays from the journal
   // without re-running liveness.
   ASSERT_TRUE(recovered->Finish().ok());
+}
+
+TEST(SupervisorTest, RecoverHonorsALateRegistration) {
+  // A query registered after traffic never sees the calls routed before
+  // it, so replaying the journal must not hand them to it either.
+  std::string journal_bytes;
+  std::vector<Message> live;
+  {
+    SupervisedService svc = MakeService();
+    ASSERT_TRUE(svc.AttachSource("src", {"INSTALL", "SHUTDOWN"}).ok());
+    ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 0}, "INSTALL",
+                            MakeEvent(1, 2, kInfinity, Payload(7)))
+                    .ok());
+    ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 1}, "SHUTDOWN",
+                            MakeEvent(2, 20, kInfinity, Payload(7)))
+                    .ok());
+    ASSERT_TRUE(svc.Tick().ok());
+    ASSERT_TRUE(svc.RegisterQuery(PairQuery()).ok());
+    ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 2}, "INSTALL",
+                            MakeEvent(3, 30, kInfinity, Payload(8)))
+                    .ok());
+    ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 3}, "SHUTDOWN",
+                            MakeEvent(4, 40, kInfinity, Payload(8)))
+                    .ok());
+    ASSERT_TRUE(svc.PublishSyncPoint(Ingress{"src", 0, 4}, "INSTALL", 100)
+                    .ok());
+    ASSERT_TRUE(svc.PublishSyncPoint(Ingress{"src", 0, 5}, "SHUTDOWN", 100)
+                    .ok());
+    ASSERT_TRUE(svc.Tick().ok());
+    ASSERT_TRUE(svc.Finish().ok());
+    const SwitchableQuery* pair = svc.GetQuery("Pair").ValueOrDie();
+    ASSERT_EQ(pair->Ideal().size(), 1u);
+    live = pair->OutputMessages();
+    journal_bytes = svc.journal().bytes();
+  }
+  std::unique_ptr<SupervisedService> recovered =
+      SupervisedService::Recover(journal_bytes).ValueOrDie();
+  const SwitchableQuery* pair = recovered->GetQuery("Pair").ValueOrDie();
+  EXPECT_EQ(pair->Ideal().size(), 1u);
+  EXPECT_TRUE(testing::PhysicallyIdentical(live, pair->OutputMessages()));
 }
 
 }  // namespace

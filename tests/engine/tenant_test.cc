@@ -185,6 +185,67 @@ TEST(TenantTest, AggregateBudgetGovernsTenantsIndependently) {
   ASSERT_TRUE(svc.Finish().ok());
 }
 
+TEST(TenantTest, DegradedTenantSuppressesPerQueryRestore) {
+  SupervisorConfig config;
+  config.ingress.queue_capacity = 4096;
+  config.ingress.drain_per_tick = 64;
+  config.governor.degrade_after = 2;
+  config.governor.restore_after = 4;
+  config.session.heartbeat_timeout = 0;
+  config.tenants.quotas["noisy"].aggregate.max_buffer = 8;
+  SupervisedService svc = MakeService(config);
+
+  // The query meets its own budget on every check, so its calm streak
+  // passes restore_after long before its tenant calms down.
+  QueryBudget own;
+  own.max_buffer = 1000;
+  ASSERT_TRUE(svc.RegisterQuery(NamedPair("Noisy"), ConsistencySpec::Strong(),
+                                own, "noisy")
+                  .ok());
+  ASSERT_TRUE(svc.AttachSource("src", {"INSTALL", "SHUTDOWN"}, "noisy").ok());
+  uint64_t seq = 0;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(svc.Publish(Ingress{"src", 0, seq++}, "INSTALL",
+                            MakeEvent(EventId(1 + 2 * i), 1 + i, kInfinity,
+                                      Payload(i % 5)))
+                    .ok());
+    ASSERT_TRUE(svc.Publish(Ingress{"src", 0, seq++}, "SHUTDOWN",
+                            MakeEvent(EventId(2 + 2 * i), 50 + i, kInfinity,
+                                      Payload(i % 5)))
+                    .ok());
+  }
+
+  // While the tenant is degraded only the tenant governor may restore
+  // the query, and it restores the tenant in the same step. Sync points
+  // release the buffers after the sixth tick.
+  int degraded_ticks = 0;
+  for (int t = 0; t < 24; ++t) {
+    if (t == 6) {
+      ASSERT_TRUE(
+          svc.PublishSyncPoint(Ingress{"src", 0, seq++}, "INSTALL", 1000)
+              .ok());
+      ASSERT_TRUE(
+          svc.PublishSyncPoint(Ingress{"src", 0, seq++}, "SHUTDOWN", 1000)
+              .ok());
+    }
+    ASSERT_TRUE(svc.Tick().ok());
+    GovernorStatus query = svc.GovernorOf("Noisy").ValueOrDie();
+    TenantStatus tenant = svc.TenantOf("noisy").ValueOrDie();
+    if (!tenant.degraded) continue;
+    ++degraded_ticks;
+    EXPECT_EQ(query.restores, 0u) << "tick " << t;
+    EXPECT_GT(query.rung, 0u) << "tick " << t;
+  }
+  EXPECT_GT(degraded_ticks, config.governor.restore_after - 2)
+      << "the query's own restore threshold was never reached while its "
+         "tenant was degraded";
+  TenantStatus tenant = svc.TenantOf("noisy").ValueOrDie();
+  EXPECT_FALSE(tenant.degraded);
+  EXPECT_GE(tenant.restores, 1u);
+  EXPECT_EQ(svc.GovernorOf("Noisy").ValueOrDie().rung, 0u);
+  ASSERT_TRUE(svc.Finish().ok());
+}
+
 TEST(TenantTest, TenantNamesAndDefaultTenantAccounting) {
   SupervisedService svc = MakeService();
   ASSERT_TRUE(svc.RegisterQuery(NamedPair("A")).ok());  // default tenant

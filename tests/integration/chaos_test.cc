@@ -128,6 +128,28 @@ TEST(ChaosIntegrationTest, ThrowOnParallelPathIsAbsorbed) {
   ExpectHealthyBitIdentical(baseline, chaos, {"Chaos_B"});
 }
 
+TEST(ChaosIntegrationTest, ThrowFaultTextIsTheSameAtEveryWorkerCount) {
+  // The quarantine report names the fault the query raised; how the
+  // batch was fanned out must not leak into it.
+  SupervisedScenario scenario = SmallScenario(23);
+  ChaosSchedule schedule;
+  schedule.seed = 23;
+  schedule.faults.push_back(
+      {ChaosFault::Kind::kThrow, /*query_index=*/1,
+       /*at_tick=*/3, /*duration_ticks=*/8, /*revive_after_ticks=*/0});
+  ChaosRun serial = RunChaos(scenario, schedule, ChaosConfig(1)).ValueOrDie();
+  ChaosRun parallel =
+      RunChaos(scenario, schedule, ChaosConfig(4)).ValueOrDie();
+  ASSERT_GE(serial.incidents.at(0).quarantined_at, 0);
+  ASSERT_GE(parallel.incidents.at(0).quarantined_at, 0);
+  const Status& a = serial.incidents[0].report.fault;
+  const Status& b = parallel.incidents[0].report.fault;
+  EXPECT_EQ(a.code(), b.code());
+  EXPECT_EQ(a.message(), b.message());
+  EXPECT_NE(a.message().find("chaos: injected exception"), std::string::npos)
+      << a.message();
+}
+
 TEST(ChaosIntegrationTest, SlowQueryTripsTheWatchdog) {
   SupervisedScenario scenario = SmallScenario(31);
   SupervisorConfig config = ChaosConfig(2);
