@@ -6,6 +6,7 @@
 
 #include <functional>
 
+#include "denotation/patterns.h"
 #include "engine/service.h"
 #include "ops/alter_lifetime.h"
 #include "ops/difference.h"
@@ -13,6 +14,8 @@
 #include "ops/join.h"
 #include "ops/select.h"
 #include "ops/union_op.h"
+#include "pattern/cancel_when.h"
+#include "pattern/negation.h"
 #include "testing/fault.h"
 #include "testing/helpers.h"
 #include "workload/disorder.h"
@@ -204,6 +207,80 @@ TEST(OperatorCheckpointTest, StrongAlignmentBufferRoundtrip) {
                                           ConsistencySpec::Strong());
       },
       UnaryFeed());
+}
+
+// Negation feed: SEQUENCE(A, B, 10) composites (with lineage) and one
+// primitive on port 0, keyed blockers on port 1, with a blocker removal,
+// a positive full retraction, late blockers and CTIs on both ports.
+Feed NegationFeed() {
+  auto ev = [](EventId id, Time vs, int64_t key) {
+    return MakeEvent(id, vs, TimeAdd(vs, 1), KV(key, static_cast<int64_t>(id)));
+  };
+  EventList composites = denotation::Sequence(
+      {{ev(1, 2, 0), ev(2, 11, 1)}, {ev(3, 9, 0), ev(4, 14, 1), ev(5, 19, 0)}},
+      10);
+  EXPECT_EQ(composites.size(), 3u);  // vs 9, 14 and 19
+  std::sort(composites.begin(), composites.end(),
+            [](const Event& x, const Event& y) { return x.vs < y.vs; });
+  Event removed_blocker = ev(102, 13, 1);
+  Feed feed;
+  Time cs = 1;
+  feed.push_back({1, InsertOf(ev(101, 5, 0), cs++)});
+  feed.push_back({0, InsertOf(composites[0], cs++)});
+  feed.push_back({1, InsertOf(removed_blocker, cs++)});
+  feed.push_back({0, CtiOf(10, cs++)});
+  feed.push_back({1, CtiOf(10, cs++)});
+  feed.push_back({0, InsertOf(composites[1], cs++)});
+  feed.push_back({1, RetractOf(removed_blocker, removed_blocker.vs, cs++)});
+  feed.push_back({0, InsertOf(composites[2], cs++)});
+  feed.push_back({1, InsertOf(ev(103, 16, 1), cs++)});
+  feed.push_back({0, RetractOf(composites[1], composites[1].vs, cs++)});
+  feed.push_back({0, InsertOf(ev(6, 25, 0), cs++)});
+  feed.push_back({1, InsertOf(ev(104, 27, 0), cs++)});
+  feed.push_back({0, CtiOf(20, cs++)});
+  feed.push_back({1, CtiOf(20, cs++)});
+  feed.push_back({1, InsertOf(ev(105, 23, 1), cs++)});
+  feed.push_back({0, CtiOf(30, cs++)});
+  feed.push_back({1, CtiOf(30, cs++)});
+  return feed;
+}
+
+bool SameKey(const std::vector<const Event*>& tuple, const Event& z) {
+  return tuple[0]->payload.at(0) == z.payload.at(0);
+}
+
+// Runs the negation feed through `make(spec)` at strong and middle.
+void ExpectNegationRoundtrip(
+    const std::function<std::unique_ptr<Operator>(ConsistencySpec)>& make) {
+  for (ConsistencySpec spec :
+       {ConsistencySpec::Strong(), ConsistencySpec::Middle()}) {
+    SCOPED_TRACE(spec.ToString());
+    ExpectRoundtripAtEverySplit([&] { return make(spec); }, NegationFeed());
+  }
+}
+
+TEST(OperatorCheckpointTest, UnlessRoundtrip) {
+  ExpectNegationRoundtrip([](ConsistencySpec spec) {
+    return std::make_unique<UnlessOp>(10, SameKey, spec);
+  });
+}
+
+TEST(OperatorCheckpointTest, UnlessPrimeRoundtrip) {
+  ExpectNegationRoundtrip([](ConsistencySpec spec) {
+    return std::make_unique<UnlessPrimeOp>(1, 10, SameKey, spec);
+  });
+}
+
+TEST(OperatorCheckpointTest, NotRoundtrip) {
+  ExpectNegationRoundtrip([](ConsistencySpec spec) {
+    return std::make_unique<NotSequenceOp>(10, SameKey, spec);
+  });
+}
+
+TEST(OperatorCheckpointTest, CancelWhenRoundtrip) {
+  ExpectNegationRoundtrip([](ConsistencySpec spec) {
+    return std::make_unique<CancelWhenOp>(SameKey, spec);
+  });
 }
 
 TEST(OperatorCheckpointTest, RestoreIntoWrongOperatorIsCorruption) {
