@@ -235,7 +235,8 @@ void BM_UnlessDetect(benchmark::State& state) {
   auto positives = MakeStream(2048, 8, 0.3, 23);
   auto blockers = MakeStream(512, 8, 0.3, 29);
   for (auto _ : state) {
-    UnlessOp op(10, nullptr, SpecFor(static_cast<int>(state.range(0))));
+    NegationOp op(NegationWindow::Unless(10), nullptr,
+                  SpecFor(static_cast<int>(state.range(0))));
     CollectingSink sink;
     op.ConnectTo(&sink, 0);
     size_t li = 0, ri = 0;

@@ -4,240 +4,14 @@
 
 namespace cedr {
 
-NegationCore::NegationCore(Duration blocking, Duration blocker_retention,
-                           NegationPredicate predicate, Callbacks callbacks)
-    : blocking_(blocking),
-      blocker_retention_(blocker_retention),
-      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()),
-      callbacks_(std::move(callbacks)) {}
+namespace {
 
-std::vector<const Event*> NegationCore::TuplePtrs(const Candidate& c) const {
+std::vector<const Event*> TuplePtrs(const std::vector<Event>& tuple) {
   std::vector<const Event*> ptrs;
-  ptrs.reserve(c.tuple.size());
-  for (const Event& e : c.tuple) ptrs.push_back(&e);
+  ptrs.reserve(tuple.size());
+  for (const Event& e : tuple) ptrs.push_back(&e);
   return ptrs;
 }
-
-bool NegationCore::IsBlocked(const Candidate& c) const {
-  if (c.block_lo >= c.block_hi) return false;
-  auto begin = blockers_.lower_bound(
-      std::make_pair(TimeAdd(c.block_lo, 1), EventId{0}));
-  std::vector<const Event*> tuple = TuplePtrs(c);
-  for (auto it = begin; it != blockers_.end(); ++it) {
-    if (it->first.first >= c.block_hi) break;
-    if (predicate_(tuple, it->second)) return true;
-  }
-  return false;
-}
-
-void NegationCore::AddCandidate(EventId key, Event output,
-                                std::vector<Event> tuple, Time block_lo,
-                                Time block_hi, Time certain_at,
-                                Time resolve_at) {
-  Candidate c;
-  c.key = key;
-  c.output = std::move(output);
-  c.tuple = std::move(tuple);
-  c.block_lo = block_lo;
-  c.block_hi = block_hi;
-  c.certain_at = certain_at;
-  c.resolve_at = resolve_at;
-
-  Duration window = block_hi == kInfinity || block_lo == kMinTime
-                        ? kInfinity
-                        : block_hi - block_lo;
-  max_window_ = max_window_ == kInfinity ? kInfinity
-                                         : std::max(max_window_, window);
-
-  auto [it, inserted] = candidates_.emplace(key, std::move(c));
-  if (!inserted) return;  // duplicate key: first wins
-  by_block_lo_.emplace(it->second.block_lo, key);
-  by_resolve_at_.emplace(it->second.resolve_at, key);
-  by_certain_at_.emplace(it->second.certain_at, key);
-  // It may already be due.
-  Advance(last_watermark_, last_guarantee_);
-}
-
-void NegationCore::Resolve(Candidate* c) {
-  if (c->state != State::kPending) return;
-  if (IsBlocked(*c)) {
-    c->state = State::kSuppressed;
-    return;
-  }
-  EmitCandidate(c);
-}
-
-void NegationCore::EmitCandidate(Candidate* c) {
-  Event out = c->output;
-  if (c->generation > 0) {
-    // Re-emission after a full retraction: fresh identity (Section 4's
-    // remove-and-reinsert protocol).
-    out.id = IdGen({c->output.id, c->generation});
-    out.k = out.id;
-  }
-  ++c->generation;
-  c->state = State::kEmitted;
-  c->output = out;  // remember the identity actually emitted
-  callbacks_.emit_insert(std::move(out));
-}
-
-void NegationCore::AddBlocker(const Event& e) {
-  if (e.vs < trim_frontier_) {
-    // The region this blocker falls in is frozen: any output it should
-    // have suppressed is beyond repair (weak consistency).
-    callbacks_.lost_correction();
-    return;
-  }
-  blockers_.emplace(std::make_pair(e.vs, e.id), e);
-  ForEachAffected(e.vs, [&](Candidate* c) {
-    if (c->state != State::kEmitted) return;
-    if (!predicate_(TuplePtrs(*c), e)) return;
-    callbacks_.emit_retract(c->output, c->output.vs);
-    c->state = State::kRetracted;
-  });
-}
-
-void NegationCore::RemoveBlocker(const Event& e) {
-  auto it = blockers_.find(std::make_pair(e.vs, e.id));
-  if (it == blockers_.end()) {
-    // Possibly already trimmed: the blocker (and any suppression it
-    // caused) is beyond repair.
-    if (e.vs <= trim_frontier_) callbacks_.lost_correction();
-    return;
-  }
-  blockers_.erase(it);
-  ForEachAffected(e.vs, [&](Candidate* c) {
-    if (c->state != State::kSuppressed && c->state != State::kRetracted) {
-      return;
-    }
-    if (IsBlocked(*c)) return;  // another blocker still applies
-    // Resurrect: emit now if due, otherwise go back to pending.
-    bool due = last_guarantee_ >= c->certain_at ||
-               (blocking_ != kInfinity && last_watermark_ >= c->resolve_at);
-    if (due) {
-      EmitCandidate(c);
-    } else {
-      // Back to pending; its resolution index entries may already have
-      // been consumed, so re-register.
-      c->state = State::kPending;
-      by_resolve_at_.emplace(c->resolve_at, c->key);
-      by_certain_at_.emplace(c->certain_at, c->key);
-    }
-  });
-}
-
-void NegationCore::CancelCandidate(EventId key) {
-  auto it = candidates_.find(key);
-  if (it == candidates_.end()) {
-    callbacks_.lost_correction();
-    return;
-  }
-  if (it->second.state == State::kEmitted) {
-    callbacks_.emit_retract(it->second.output, it->second.output.vs);
-  }
-  // Erase all index entries lazily: indices may hold stale keys; they are
-  // skipped when the candidate no longer exists.
-  candidates_.erase(it);
-}
-
-template <typename Fn>
-void NegationCore::ForEachAffected(Time vs, Fn fn) {
-  // Candidates whose (block_lo, block_hi) contains vs have
-  // block_lo < vs and block_hi > vs. block_lo ranges over
-  // [vs - max_window, vs).
-  auto begin = max_window_ == kInfinity
-                   ? by_block_lo_.begin()
-                   : by_block_lo_.lower_bound(TimeSub(vs, max_window_));
-  for (auto it = begin; it != by_block_lo_.end();) {
-    if (it->first >= vs) break;
-    auto cit = candidates_.find(it->second);
-    if (cit == candidates_.end()) {
-      it = by_block_lo_.erase(it);  // stale index entry
-      continue;
-    }
-    Candidate& c = cit->second;
-    if (c.block_lo < vs && vs < c.block_hi) fn(&c);
-    ++it;
-  }
-}
-
-void NegationCore::Advance(Time watermark, Time guarantee) {
-  last_watermark_ = std::max(last_watermark_, watermark);
-  last_guarantee_ = std::max(last_guarantee_, guarantee);
-
-  // Certainty-based resolution (the only path when B = inf).
-  while (!by_certain_at_.empty() &&
-         by_certain_at_.begin()->first <= last_guarantee_) {
-    EventId key = by_certain_at_.begin()->second;
-    by_certain_at_.erase(by_certain_at_.begin());
-    auto it = candidates_.find(key);
-    if (it != candidates_.end()) Resolve(&it->second);
-  }
-  if (blocking_ == kInfinity) return;
-
-  // Optimistic resolution after at most B application-time units.
-  while (!by_resolve_at_.empty() &&
-         by_resolve_at_.begin()->first <= last_watermark_) {
-    EventId key = by_resolve_at_.begin()->second;
-    by_resolve_at_.erase(by_resolve_at_.begin());
-    auto it = candidates_.find(key);
-    if (it != candidates_.end()) Resolve(&it->second);
-  }
-}
-
-void NegationCore::Trim(Time horizon, Time guarantee) {
-  Advance(last_watermark_, guarantee);
-  trim_frontier_ = std::max(trim_frontier_, horizon);
-
-  for (auto it = candidates_.begin(); it != candidates_.end();) {
-    Candidate& c = it->second;
-    bool final_by_guarantee =
-        c.state != State::kPending && c.certain_at <= last_guarantee_;
-    bool frozen = c.block_hi <= horizon && c.output.ve <= horizon;
-    if (frozen && c.state == State::kPending) {
-      Resolve(&c);  // freeze: decide from what is known
-    }
-    if (final_by_guarantee || (frozen && c.state != State::kPending)) {
-      it = candidates_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // Blockers can affect future candidates whose windows reach back at
-  // most blocker_retention behind the guarantee.
-  while (!blockers_.empty()) {
-    Time vs = blockers_.begin()->first.first;
-    if (TimeAdd(vs, blocker_retention_) > horizon) break;
-    blockers_.erase(blockers_.begin());
-  }
-
-  // Compact stale index entries.
-  auto compact = [this](std::multimap<Time, EventId>* index) {
-    for (auto it = index->begin(); it != index->end();) {
-      if (candidates_.count(it->second) == 0) {
-        it = index->erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  if (by_block_lo_.size() > 2 * candidates_.size() + 16) {
-    compact(&by_block_lo_);
-  }
-  if (by_resolve_at_.size() > 2 * candidates_.size() + 16) {
-    compact(&by_resolve_at_);
-  }
-  if (by_certain_at_.size() > 2 * candidates_.size() + 16) {
-    compact(&by_certain_at_);
-  }
-}
-
-size_t NegationCore::StateSize() const {
-  return candidates_.size() + blockers_.size();
-}
-
-namespace {
 
 void WriteIndex(io::BinaryWriter* w,
                 const std::multimap<Time, EventId>& index) {
@@ -262,7 +36,352 @@ Status ReadIndex(io::BinaryReader* r, std::multimap<Time, EventId>* index) {
 
 }  // namespace
 
-void NegationCore::Snapshot(io::BinaryWriter* w) const {
+const char* NegationWindow::name() const {
+  switch (kind) {
+    case Kind::kUnless:
+      return "unless";
+    case Kind::kUnlessPrime:
+      return "unless_prime";
+    case Kind::kNot:
+      return "not";
+    case Kind::kCancelWhen:
+      return "cancel_when";
+  }
+  return "negation";
+}
+
+Duration NegationWindow::BlockerRetention() const {
+  switch (kind) {
+    case Kind::kUnless:
+    case Kind::kUnlessPrime:
+      // Pending candidates wait until the guarantee reaches the end of
+      // their window, which starts up to w behind it.
+      return w;
+    case Kind::kNot:
+    case Kind::kCancelWhen:
+      // A composite's window reaches back to its first contributor (the
+      // inner scope; unbounded for CANCEL-WHEN's detection start).
+      return lookback;
+  }
+  return kInfinity;
+}
+
+NegationOp::NegationOp(NegationWindow window, NegationPredicate predicate,
+                       ConsistencySpec spec)
+    : Operator(window.name(), spec, /*num_inputs=*/2),
+      window_(window),
+      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()) {}
+
+bool NegationOp::Draw(const Event& e, Candidate* c) const {
+  const Duration w = window_.w;
+  const Duration blocking = spec().max_blocking;
+  c->key = e.id;
+  c->output = e;
+  switch (window_.kind) {
+    case NegationWindow::Kind::kUnless:
+      // The UNLESS output row of the operator table: e's identity and
+      // payload with lifetime [e.Vs, e.Vs + w).
+      c->output.ve = TimeAdd(e.vs, w);
+      if (c->output.cbt.empty()) {
+        c->output.cbt = {std::make_shared<const Event>(e)};
+      }
+      c->block_lo = e.vs;
+      c->block_hi = TimeAdd(e.vs, w);
+      c->certain_at = c->block_hi;
+      c->resolve_at = TimeAdd(e.vs, std::min(w, blocking));
+      break;
+    case NegationWindow::Kind::kUnlessPrime: {
+      const Event* anchor = nullptr;
+      if (e.cbt.empty()) {
+        if (window_.n == 1) anchor = &e;
+      } else if (window_.n >= 1 && window_.n <= e.cbt.size()) {
+        anchor = e.cbt[window_.n - 1].get();
+      }
+      if (anchor == nullptr) return false;  // lineage too short
+      c->output.vs = std::max(e.vs, TimeAdd(anchor->vs, w));
+      c->output.ve = TimeAdd(e.vs, w);
+      if (c->output.valid().empty()) return false;
+      c->block_lo = anchor->vs;
+      c->block_hi = TimeAdd(anchor->vs, w);
+      c->certain_at = c->block_hi;
+      c->resolve_at = TimeAdd(e.vs, std::min(w, blocking));
+      break;
+    }
+    case NegationWindow::Kind::kNot:
+      // Strictly between the first and last contributor.
+      c->block_lo = e.cbt.empty() ? e.vs : e.cbt.front()->vs;
+      c->block_hi = e.cbt.empty() ? e.vs : e.cbt.back()->vs;
+      c->certain_at = e.vs;
+      c->resolve_at = TimeAdd(e.vs, blocking);
+      break;
+    case NegationWindow::Kind::kCancelWhen:
+      // Between the start of the partial detection and its completion.
+      c->block_lo = e.rt;
+      c->block_hi = e.vs;
+      c->certain_at = e.vs;
+      c->resolve_at = TimeAdd(e.vs, blocking);
+      break;
+  }
+  // The predicate tuple exposes e's contributors so injected WHERE
+  // predicates can correlate them with the negated event.
+  if (e.cbt.empty()) {
+    c->tuple.push_back(e);
+  } else {
+    c->tuple.reserve(e.cbt.size());
+    for (const EventRef& contributor : e.cbt) c->tuple.push_back(*contributor);
+  }
+  return true;
+}
+
+Status NegationOp::ProcessInsert(const Event& e, int port) {
+  if (port == 1) {
+    AddBlocker(e);
+    return Status::OK();
+  }
+  Candidate c;
+  if (!Draw(e, &c)) return Status::OK();
+  AddCandidate(std::move(c));
+  Advance(max_watermark(), input_guarantee());
+  return Status::OK();
+}
+
+Status NegationOp::ProcessRetract(const Event& e, Time new_ve, int port) {
+  if (new_ve > e.vs) return Status::OK();  // partial shrink: Vs intact
+  if (port == 1) {
+    RemoveBlocker(e);
+  } else {
+    CancelCandidate(e.id);
+  }
+  return Status::OK();
+}
+
+Status NegationOp::ProcessCti(Time t, int port) {
+  Advance(max_watermark(), input_guarantee());
+  return Operator::ProcessCti(t, port);
+}
+
+void NegationOp::TrimState(Time horizon) {
+  Advance(max_watermark(), input_guarantee());
+  Trim(horizon, input_guarantee());
+}
+
+Time NegationOp::OutputGuarantee(Time input_guarantee) const {
+  // UNLESS output corrections can reach back w behind the guarantee.
+  bool lags = window_.kind == NegationWindow::Kind::kUnless ||
+              window_.kind == NegationWindow::Kind::kUnlessPrime;
+  return lags ? TimeSub(input_guarantee, window_.w) : input_guarantee;
+}
+
+bool NegationOp::IsBlocked(const Candidate& c) const {
+  if (c.block_lo >= c.block_hi) return false;
+  auto begin = blockers_.lower_bound(
+      std::make_pair(TimeAdd(c.block_lo, 1), EventId{0}));
+  std::vector<const Event*> tuple = TuplePtrs(c.tuple);
+  for (auto it = begin; it != blockers_.end(); ++it) {
+    if (it->first.first >= c.block_hi) break;
+    if (predicate_(tuple, it->second)) return true;
+  }
+  return false;
+}
+
+void NegationOp::AddCandidate(Candidate c) {
+  Duration window = c.block_hi == kInfinity || c.block_lo == kMinTime
+                        ? kInfinity
+                        : c.block_hi - c.block_lo;
+  max_window_ = max_window_ == kInfinity ? kInfinity
+                                         : std::max(max_window_, window);
+
+  EventId key = c.key;
+  auto [it, inserted] = candidates_.emplace(key, std::move(c));
+  if (!inserted) return;  // duplicate key: first wins
+  by_block_lo_.emplace(it->second.block_lo, key);
+  by_resolve_at_.emplace(it->second.resolve_at, key);
+  by_certain_at_.emplace(it->second.certain_at, key);
+  // It may already be due.
+  Advance(last_watermark_, last_guarantee_);
+}
+
+void NegationOp::Resolve(Candidate* c) {
+  if (c->state != State::kPending) return;
+  if (IsBlocked(*c)) {
+    c->state = State::kSuppressed;
+    return;
+  }
+  EmitCandidate(c);
+}
+
+void NegationOp::EmitCandidate(Candidate* c) {
+  Event out = c->output;
+  if (c->generation > 0) {
+    // Re-emission after a full retraction: fresh identity (Section 4's
+    // remove-and-reinsert protocol).
+    out.id = IdGen({c->output.id, c->generation});
+    out.k = out.id;
+  }
+  ++c->generation;
+  c->state = State::kEmitted;
+  c->output = out;  // remember the identity actually emitted
+  EmitInsert(std::move(out));
+}
+
+void NegationOp::AddBlocker(const Event& e) {
+  if (e.vs < trim_frontier_) {
+    // The region this blocker falls in is frozen: any output it should
+    // have suppressed is beyond repair (weak consistency).
+    CountLostCorrection();
+    return;
+  }
+  blockers_.emplace(std::make_pair(e.vs, e.id), e);
+  ForEachAffected(e.vs, [&](Candidate* c) {
+    if (c->state != State::kEmitted) return;
+    if (!predicate_(TuplePtrs(c->tuple), e)) return;
+    EmitRetract(c->output, c->output.vs);
+    c->state = State::kRetracted;
+  });
+}
+
+void NegationOp::RemoveBlocker(const Event& e) {
+  auto it = blockers_.find(std::make_pair(e.vs, e.id));
+  if (it == blockers_.end()) {
+    // Possibly already trimmed: the blocker (and any suppression it
+    // caused) is beyond repair.
+    if (e.vs <= trim_frontier_) CountLostCorrection();
+    return;
+  }
+  blockers_.erase(it);
+  ForEachAffected(e.vs, [&](Candidate* c) {
+    if (c->state != State::kSuppressed && c->state != State::kRetracted) {
+      return;
+    }
+    if (IsBlocked(*c)) return;  // another blocker still applies
+    // Resurrect: emit now if due, otherwise go back to pending.
+    bool due = last_guarantee_ >= c->certain_at ||
+               (spec().max_blocking != kInfinity &&
+                last_watermark_ >= c->resolve_at);
+    if (due) {
+      EmitCandidate(c);
+    } else {
+      // Back to pending; its resolution index entries may already have
+      // been consumed, so re-register.
+      c->state = State::kPending;
+      by_resolve_at_.emplace(c->resolve_at, c->key);
+      by_certain_at_.emplace(c->certain_at, c->key);
+    }
+  });
+}
+
+void NegationOp::CancelCandidate(EventId key) {
+  auto it = candidates_.find(key);
+  if (it == candidates_.end()) {
+    CountLostCorrection();
+    return;
+  }
+  if (it->second.state == State::kEmitted) {
+    EmitRetract(it->second.output, it->second.output.vs);
+  }
+  // Erase all index entries lazily: indices may hold stale keys; they are
+  // skipped when the candidate no longer exists.
+  candidates_.erase(it);
+}
+
+template <typename Fn>
+void NegationOp::ForEachAffected(Time vs, Fn fn) {
+  // Candidates whose (block_lo, block_hi) contains vs have
+  // block_lo < vs and block_hi > vs. block_lo ranges over
+  // [vs - max_window, vs).
+  auto begin = max_window_ == kInfinity
+                   ? by_block_lo_.begin()
+                   : by_block_lo_.lower_bound(TimeSub(vs, max_window_));
+  for (auto it = begin; it != by_block_lo_.end();) {
+    if (it->first >= vs) break;
+    auto cit = candidates_.find(it->second);
+    if (cit == candidates_.end()) {
+      it = by_block_lo_.erase(it);  // stale index entry
+      continue;
+    }
+    Candidate& c = cit->second;
+    if (c.block_lo < vs && vs < c.block_hi) fn(&c);
+    ++it;
+  }
+}
+
+void NegationOp::Advance(Time watermark, Time guarantee) {
+  last_watermark_ = std::max(last_watermark_, watermark);
+  last_guarantee_ = std::max(last_guarantee_, guarantee);
+
+  // Certainty-based resolution (the only path when B = inf).
+  while (!by_certain_at_.empty() &&
+         by_certain_at_.begin()->first <= last_guarantee_) {
+    EventId key = by_certain_at_.begin()->second;
+    by_certain_at_.erase(by_certain_at_.begin());
+    auto it = candidates_.find(key);
+    if (it != candidates_.end()) Resolve(&it->second);
+  }
+  if (spec().max_blocking == kInfinity) return;
+
+  // Optimistic resolution after at most B application-time units.
+  while (!by_resolve_at_.empty() &&
+         by_resolve_at_.begin()->first <= last_watermark_) {
+    EventId key = by_resolve_at_.begin()->second;
+    by_resolve_at_.erase(by_resolve_at_.begin());
+    auto it = candidates_.find(key);
+    if (it != candidates_.end()) Resolve(&it->second);
+  }
+}
+
+void NegationOp::Trim(Time horizon, Time guarantee) {
+  Advance(last_watermark_, guarantee);
+  trim_frontier_ = std::max(trim_frontier_, horizon);
+
+  for (auto it = candidates_.begin(); it != candidates_.end();) {
+    Candidate& c = it->second;
+    bool final_by_guarantee =
+        c.state != State::kPending && c.certain_at <= last_guarantee_;
+    bool frozen = c.block_hi <= horizon && c.output.ve <= horizon;
+    if (frozen && c.state == State::kPending) {
+      Resolve(&c);  // freeze: decide from what is known
+    }
+    if (final_by_guarantee || (frozen && c.state != State::kPending)) {
+      it = candidates_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+
+  // Blockers can affect candidates whose windows reach back at most the
+  // window's blocker retention behind the horizon.
+  while (!blockers_.empty()) {
+    Time vs = blockers_.begin()->first.first;
+    if (TimeAdd(vs, window_.BlockerRetention()) > horizon) break;
+    blockers_.erase(blockers_.begin());
+  }
+
+  // Compact stale index entries.
+  auto compact = [this](std::multimap<Time, EventId>* index) {
+    for (auto it = index->begin(); it != index->end();) {
+      if (candidates_.count(it->second) == 0) {
+        it = index->erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
+  if (by_block_lo_.size() > 2 * candidates_.size() + 16) {
+    compact(&by_block_lo_);
+  }
+  if (by_resolve_at_.size() > 2 * candidates_.size() + 16) {
+    compact(&by_resolve_at_);
+  }
+  if (by_certain_at_.size() > 2 * candidates_.size() + 16) {
+    compact(&by_certain_at_);
+  }
+}
+
+size_t NegationOp::StateSize() const {
+  return candidates_.size() + blockers_.size();
+}
+
+void NegationOp::SnapshotState(io::BinaryWriter* w) const {
   // Candidates sorted by key for deterministic snapshot bytes (lookups
   // go through the indexes, which are serialized verbatim below).
   std::map<EventId, const Candidate*> sorted;
@@ -290,7 +409,7 @@ void NegationCore::Snapshot(io::BinaryWriter* w) const {
   w->PutTime(trim_frontier_);
 }
 
-Status NegationCore::Restore(io::BinaryReader* r) {
+Status NegationOp::RestoreState(io::BinaryReader* r) {
   candidates_.clear();
   CEDR_ASSIGN_OR_RETURN(uint64_t num_candidates, r->GetU64());
   for (uint64_t i = 0; i < num_candidates; ++i) {
@@ -326,237 +445,6 @@ Status NegationCore::Restore(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(last_guarantee_, r->GetTime());
   CEDR_ASSIGN_OR_RETURN(trim_frontier_, r->GetTime());
   return Status::OK();
-}
-
-UnlessOp::UnlessOp(Duration scope, NegationPredicate predicate,
-                   ConsistencySpec spec, std::string name)
-    : Operator(std::move(name), spec, /*num_inputs=*/2), scope_(scope) {
-  NegationCore::Callbacks callbacks;
-  callbacks.emit_insert = [this](Event e) { EmitInsert(std::move(e)); };
-  callbacks.emit_retract = [this](const Event& e, Time t) {
-    EmitRetract(e, t);
-  };
-  callbacks.lost_correction = [this]() { CountLostCorrection(); };
-  // Pending candidates wait until the guarantee reaches vs + w, so their
-  // windows reach back up to `scope` behind the guarantee: blockers must
-  // be retained that long.
-  core_ = std::make_unique<NegationCore>(
-      this->spec().max_blocking, /*blocker_retention=*/scope,
-      std::move(predicate), std::move(callbacks));
-}
-
-Status UnlessOp::ProcessInsert(const Event& e, int port) {
-  if (port == 1) {
-    core_->AddBlocker(e);
-    return Status::OK();
-  }
-  // The UNLESS output row of the operator table: e1's identity and
-  // payload with lifetime [e1.Vs, e1.Vs + w).
-  Event output = e;
-  output.ve = TimeAdd(e.vs, scope_);
-  if (output.cbt.empty()) {
-    output.cbt = {std::make_shared<const Event>(e)};
-  }
-  // The predicate tuple exposes e's contributors so injected WHERE
-  // predicates can correlate them with the negated event.
-  std::vector<Event> tuple;
-  if (!e.cbt.empty()) {
-    tuple.reserve(e.cbt.size());
-    for (const EventRef& c : e.cbt) tuple.push_back(*c);
-  } else {
-    tuple.push_back(e);
-  }
-  Duration optimistic_delay = std::min(scope_, spec().max_blocking);
-  core_->AddCandidate(e.id, std::move(output), std::move(tuple),
-                      /*block_lo=*/e.vs,
-                      /*block_hi=*/TimeAdd(e.vs, scope_),
-                      /*certain_at=*/TimeAdd(e.vs, scope_),
-                      /*resolve_at=*/TimeAdd(e.vs, optimistic_delay));
-  core_->Advance(max_watermark(), input_guarantee());
-  return Status::OK();
-}
-
-Status UnlessOp::ProcessRetract(const Event& e, Time new_ve, int port) {
-  if (new_ve > e.vs) return Status::OK();  // partial shrink: Vs intact
-  if (port == 1) {
-    core_->RemoveBlocker(e);
-  } else {
-    core_->CancelCandidate(e.id);
-  }
-  return Status::OK();
-}
-
-Status UnlessOp::ProcessCti(Time t, int port) {
-  core_->Advance(max_watermark(), input_guarantee());
-  return Operator::ProcessCti(t, port);
-}
-
-void UnlessOp::TrimState(Time horizon) {
-  core_->Advance(max_watermark(), input_guarantee());
-  core_->Trim(horizon, input_guarantee());
-}
-
-UnlessPrimeOp::UnlessPrimeOp(size_t n, Duration scope,
-                             NegationPredicate predicate,
-                             ConsistencySpec spec, std::string name)
-    : Operator(std::move(name), spec, /*num_inputs=*/2),
-      n_(n),
-      scope_(scope) {
-  NegationCore::Callbacks callbacks;
-  callbacks.emit_insert = [this](Event e) { EmitInsert(std::move(e)); };
-  callbacks.emit_retract = [this](const Event& e, Time t) {
-    EmitRetract(e, t);
-  };
-  callbacks.lost_correction = [this]() { CountLostCorrection(); };
-  // The anchor contributor's Vs is at most the composite's Vs, so the
-  // window reaches back at most `scope` behind pending candidates, which
-  // themselves wait until the guarantee reaches anchor + scope; the
-  // anchor can lag the composite arbitrarily, so retain blockers for the
-  // scope plus the candidate's own wait (conservatively unbounded is
-  // avoided by anchoring retention at the scope; windows further back
-  // belong to candidates whose anchor already passed the guarantee).
-  core_ = std::make_unique<NegationCore>(
-      this->spec().max_blocking, /*blocker_retention=*/scope,
-      std::move(predicate), std::move(callbacks));
-}
-
-Status UnlessPrimeOp::ProcessInsert(const Event& e, int port) {
-  if (port == 1) {
-    core_->AddBlocker(e);
-    return Status::OK();
-  }
-  const Event* anchor = nullptr;
-  if (e.cbt.empty()) {
-    if (n_ == 1) anchor = &e;
-  } else if (n_ >= 1 && n_ <= e.cbt.size()) {
-    anchor = e.cbt[n_ - 1].get();
-  }
-  if (anchor == nullptr) return Status::OK();  // lineage too short
-
-  Event output = e;
-  output.vs = std::max(e.vs, TimeAdd(anchor->vs, scope_));
-  output.ve = TimeAdd(e.vs, scope_);
-  if (output.valid().empty()) return Status::OK();
-  std::vector<Event> tuple;
-  if (!e.cbt.empty()) {
-    tuple.reserve(e.cbt.size());
-    for (const EventRef& c : e.cbt) tuple.push_back(*c);
-  } else {
-    tuple.push_back(e);
-  }
-  Time window_end = TimeAdd(anchor->vs, scope_);
-  Duration optimistic_delay = std::min(scope_, spec().max_blocking);
-  core_->AddCandidate(e.id, std::move(output), std::move(tuple),
-                      /*block_lo=*/anchor->vs,
-                      /*block_hi=*/window_end,
-                      /*certain_at=*/window_end,
-                      /*resolve_at=*/TimeAdd(e.vs, optimistic_delay));
-  core_->Advance(max_watermark(), input_guarantee());
-  return Status::OK();
-}
-
-Status UnlessPrimeOp::ProcessRetract(const Event& e, Time new_ve, int port) {
-  if (new_ve > e.vs) return Status::OK();
-  if (port == 1) {
-    core_->RemoveBlocker(e);
-  } else {
-    core_->CancelCandidate(e.id);
-  }
-  return Status::OK();
-}
-
-Status UnlessPrimeOp::ProcessCti(Time t, int port) {
-  core_->Advance(max_watermark(), input_guarantee());
-  return Operator::ProcessCti(t, port);
-}
-
-void UnlessPrimeOp::TrimState(Time horizon) {
-  core_->Advance(max_watermark(), input_guarantee());
-  core_->Trim(horizon, input_guarantee());
-}
-
-NotSequenceOp::NotSequenceOp(Duration lookback, NegationPredicate predicate,
-                             ConsistencySpec spec, std::string name)
-    : Operator(std::move(name), spec, /*num_inputs=*/2) {
-  NegationCore::Callbacks callbacks;
-  callbacks.emit_insert = [this](Event e) { EmitInsert(std::move(e)); };
-  callbacks.emit_retract = [this](const Event& e, Time t) {
-    EmitRetract(e, t);
-  };
-  callbacks.lost_correction = [this]() { CountLostCorrection(); };
-  core_ = std::make_unique<NegationCore>(this->spec().max_blocking, lookback,
-                                         std::move(predicate),
-                                         std::move(callbacks));
-}
-
-Status NotSequenceOp::ProcessInsert(const Event& e, int port) {
-  if (port == 1) {
-    core_->AddBlocker(e);
-    return Status::OK();
-  }
-  // Negation window: strictly between the first and last contributor.
-  Time lo = e.vs;
-  Time hi = e.vs;
-  std::vector<Event> tuple;
-  if (!e.cbt.empty()) {
-    lo = e.cbt.front()->vs;
-    hi = e.cbt.back()->vs;
-    tuple.reserve(e.cbt.size());
-    for (const EventRef& c : e.cbt) tuple.push_back(*c);
-  } else {
-    tuple.push_back(e);
-  }
-  Duration blocking = spec().max_blocking;
-  Time resolve_at =
-      blocking == kInfinity ? kInfinity : TimeAdd(e.vs, blocking);
-  core_->AddCandidate(e.id, e, std::move(tuple), lo, hi,
-                      /*certain_at=*/e.vs, resolve_at);
-  core_->Advance(max_watermark(), input_guarantee());
-  return Status::OK();
-}
-
-Status NotSequenceOp::ProcessRetract(const Event& e, Time new_ve, int port) {
-  if (new_ve > e.vs) return Status::OK();
-  if (port == 1) {
-    core_->RemoveBlocker(e);
-  } else {
-    core_->CancelCandidate(e.id);
-  }
-  return Status::OK();
-}
-
-Status NotSequenceOp::ProcessCti(Time t, int port) {
-  core_->Advance(max_watermark(), input_guarantee());
-  return Operator::ProcessCti(t, port);
-}
-
-void NotSequenceOp::TrimState(Time horizon) {
-  core_->Advance(max_watermark(), input_guarantee());
-  core_->Trim(horizon, input_guarantee());
-}
-
-void UnlessOp::SnapshotState(io::BinaryWriter* w) const {
-  core_->Snapshot(w);
-}
-
-Status UnlessOp::RestoreState(io::BinaryReader* r) {
-  return core_->Restore(r);
-}
-
-void UnlessPrimeOp::SnapshotState(io::BinaryWriter* w) const {
-  core_->Snapshot(w);
-}
-
-Status UnlessPrimeOp::RestoreState(io::BinaryReader* r) {
-  return core_->Restore(r);
-}
-
-void NotSequenceOp::SnapshotState(io::BinaryWriter* w) const {
-  core_->Snapshot(w);
-}
-
-Status NotSequenceOp::RestoreState(io::BinaryReader* r) {
-  return core_->Restore(r);
 }
 
 }  // namespace cedr

@@ -1,9 +1,13 @@
-// Negation operators (Section 3.3.2): UNLESS and NOT(..., SEQUENCE(...)).
+// Negation (Section 3.3.2): UNLESS, UNLESS', NOT(..., SEQUENCE(...)) and
+// CANCEL-WHEN are one operator. Each positive event (port 0) becomes a
+// candidate output that survives iff no negated event (port 1) matching
+// the negation predicate has Vs strictly inside the candidate's window;
+// the four constructs differ only in how the NegationWindow draws that
+// window.
 //
 // Negation is where the consistency spectrum bites hardest: an output
 // asserting the *non-occurrence* of events can only be certain once the
-// input guarantee has passed its negation scope. NegationCore implements
-// the shared machinery:
+// input guarantee has passed its window:
 //
 //   strong (B = inf)  candidates are held until the combined input
 //                     guarantee closes their negation window, then
@@ -18,7 +22,6 @@
 #ifndef CEDR_PATTERN_NEGATION_H_
 #define CEDR_PATTERN_NEGATION_H_
 
-#include <functional>
 #include <map>
 #include <unordered_map>
 
@@ -27,81 +30,108 @@
 
 namespace cedr {
 
-class NegationCore {
+/// How a negation draws the window of a positive event e:
+///
+///   Unless(w)          output e over [e.Vs, e.Vs + w); window
+///                      (e.Vs, e.Vs + w); certain at e.Vs + w.
+///   UnlessPrime(n, w)  anchored at the n-th (1-based) contributor a of
+///                      e: output e over [max(e.Vs, a.Vs + w), e.Vs + w);
+///                      window (a.Vs, a.Vs + w); certain at a.Vs + w.
+///   Not(lookback)      output e; window strictly between its first and
+///                      last contributor; certain at e.Vs.
+///   CancelWhen()       output e; window (e.Rt, e.Vs), the detection
+///                      itself; certain at e.Vs.
+///
+/// UNLESS and UNLESS' also lag the output guarantee by w, since a late
+/// blocker retracts output that started up to w earlier.
+struct NegationWindow {
+  enum class Kind { kUnless, kUnlessPrime, kNot, kCancelWhen };
+
+  static NegationWindow Unless(Duration w) {
+    return {Kind::kUnless, 0, w, 0};
+  }
+  /// `lookback` bounds how far the anchor precedes the composite's Vs:
+  /// the scope of the positive input.
+  static NegationWindow UnlessPrime(size_t n, Duration w, Duration lookback) {
+    return {Kind::kUnlessPrime, n, w, lookback};
+  }
+  /// `lookback` bounds how far a composite's window reaches behind its
+  /// own Vs: the inner sequence's scope.
+  static NegationWindow Not(Duration lookback) {
+    return {Kind::kNot, 0, 0, lookback};
+  }
+  static NegationWindow CancelWhen() {
+    return {Kind::kCancelWhen, 0, 0, kInfinity};
+  }
+
+  /// The operator name, serialized in snapshots.
+  const char* name() const;
+  /// How long a blocker must outlive the repair horizon: as far as a
+  /// candidate still to come (or still pending) can reach behind it.
+  Duration BlockerRetention() const;
+
+  Kind kind;
+  size_t n;
+  Duration w;
+  Duration lookback;
+};
+
+class NegationOp : public Operator {
  public:
-  struct Callbacks {
-    std::function<void(Event)> emit_insert;
-    std::function<void(const Event&, Time)> emit_retract;
-    std::function<void()> lost_correction;
-  };
+  NegationOp(NegationWindow window, NegationPredicate predicate,
+             ConsistencySpec spec);
 
-  /// `blocking` is the effective B; `blocker_retention` is how far a
-  /// future candidate's window can reach behind the guarantee (0 for
-  /// UNLESS, the inner sequence scope for NOT, unbounded for
-  /// CANCEL-WHEN).
-  NegationCore(Duration blocking, Duration blocker_retention,
-               NegationPredicate predicate, Callbacks callbacks);
+  size_t StateSize() const override;
 
-  /// Registers a candidate output whose negation window is
-  /// (block_lo, block_hi) in Vs. `key` identifies it for cancellation
-  /// (the positive contributor's id). `certain_at` is the guarantee
-  /// needed for finality; `resolve_at` the watermark for optimistic
-  /// emission.
-  void AddCandidate(EventId key, Event output, std::vector<Event> tuple,
-                    Time block_lo, Time block_hi, Time certain_at,
-                    Time resolve_at);
-
-  /// A negated event occurred.
-  void AddBlocker(const Event& e);
-  /// A negated event was fully removed by a retraction.
-  void RemoveBlocker(const Event& e);
-  /// The positive side fully removed the candidate's source.
-  void CancelCandidate(EventId key);
-
-  /// Resolves due candidates. Call whenever watermark/guarantee advance,
-  /// and *before* forwarding a CTI downstream.
-  void Advance(Time watermark, Time guarantee);
-
-  /// Drops final candidates and unreachable blockers; freezes (resolves)
-  /// candidates whose window fell behind the horizon.
-  void Trim(Time horizon, Time guarantee);
-
-  size_t StateSize() const;
-
+ protected:
+  Status ProcessInsert(const Event& e, int port) override;
+  Status ProcessRetract(const Event& e, Time new_ve, int port) override;
+  Status ProcessCti(Time t, int port) override;
+  void TrimState(Time horizon) override;
+  Time OutputGuarantee(Time input_guarantee) const override;
   /// Serializes candidates, resolution indexes, blockers, and frontier
   /// bookkeeping. The indexes are written verbatim (not rebuilt) so the
   /// equal-key insertion order - the resolution order - survives
   /// recovery.
-  void Snapshot(io::BinaryWriter* w) const;
-  Status Restore(io::BinaryReader* r);
+  void SnapshotState(io::BinaryWriter* w) const override;
+  Status RestoreState(io::BinaryReader* r) override;
 
  private:
   enum class State { kPending, kEmitted, kSuppressed, kRetracted };
 
   struct Candidate {
-    EventId key = 0;
+    EventId key = 0;  // the positive event's id, for cancellation
     Event output;
-    std::vector<Event> tuple;
+    std::vector<Event> tuple;  // exposed to the negation predicate
     Time block_lo = 0;
     Time block_hi = 0;
-    Time certain_at = 0;
-    Time resolve_at = 0;
+    Time certain_at = 0;  // the guarantee needed for finality
+    Time resolve_at = 0;  // the watermark for optimistic emission
     State state = State::kPending;
     uint64_t generation = 0;
   };
 
+  /// Draws e's candidate through the window; false if e has none.
+  bool Draw(const Event& e, Candidate* c) const;
+  void AddCandidate(Candidate c);
+  void AddBlocker(const Event& e);
+  void RemoveBlocker(const Event& e);
+  void CancelCandidate(EventId key);
   bool IsBlocked(const Candidate& c) const;
   void Resolve(Candidate* c);
   void EmitCandidate(Candidate* c);
-  std::vector<const Event*> TuplePtrs(const Candidate& c) const;
+  /// Resolves due candidates. Called whenever watermark/guarantee
+  /// advance, and *before* forwarding a CTI downstream.
+  void Advance(Time watermark, Time guarantee);
+  /// Drops final candidates and unreachable blockers; freezes (resolves)
+  /// candidates whose window fell behind the horizon.
+  void Trim(Time horizon, Time guarantee);
   /// Applies fn to every candidate whose window contains vs.
   template <typename Fn>
   void ForEachAffected(Time vs, Fn fn);
 
-  Duration blocking_;
-  Duration blocker_retention_;
+  NegationWindow window_;
   NegationPredicate predicate_;
-  Callbacks callbacks_;
 
   std::unordered_map<EventId, Candidate> candidates_;  // by key
   std::multimap<Time, EventId> by_block_lo_;
@@ -112,84 +142,6 @@ class NegationCore {
   Time last_watermark_ = kMinTime;
   Time last_guarantee_ = kMinTime;
   Time trim_frontier_ = kMinTime;
-};
-
-/// UNLESS(E1, E2, w): port 0 carries E1 outputs, port 1 carries E2.
-/// Output lifetime [e1.Vs, e1.Vs + w); negation window (e1.Vs, e1.Vs+w).
-class UnlessOp : public Operator {
- public:
-  UnlessOp(Duration scope, NegationPredicate predicate, ConsistencySpec spec,
-           std::string name = "unless");
-
-  size_t StateSize() const override { return core_->StateSize(); }
-
- protected:
-  Status ProcessInsert(const Event& e, int port) override;
-  Status ProcessRetract(const Event& e, Time new_ve, int port) override;
-  Status ProcessCti(Time t, int port) override;
-  void TrimState(Time horizon) override;
-  /// Output corrections can reach back w behind the input guarantee.
-  Time OutputGuarantee(Time input_guarantee) const override {
-    return TimeSub(input_guarantee, scope_);
-  }
-  void SnapshotState(io::BinaryWriter* w) const override;
-  Status RestoreState(io::BinaryReader* r) override;
-
- private:
-  Duration scope_;
-  std::unique_ptr<NegationCore> core_;
-};
-
-/// UNLESS'(E1, E2, n, w): the paper's flexible variant - the negation
-/// scope is anchored at the n-th (1-based) contributor of the E1
-/// composite. Output Vs = max(e1.Vs, cbt[n].Vs + w), Ve = e1.Vs + w.
-class UnlessPrimeOp : public Operator {
- public:
-  UnlessPrimeOp(size_t n, Duration scope, NegationPredicate predicate,
-                ConsistencySpec spec, std::string name = "unless_prime");
-
-  size_t StateSize() const override { return core_->StateSize(); }
-
- protected:
-  Status ProcessInsert(const Event& e, int port) override;
-  Status ProcessRetract(const Event& e, Time new_ve, int port) override;
-  Status ProcessCti(Time t, int port) override;
-  void TrimState(Time horizon) override;
-  Time OutputGuarantee(Time input_guarantee) const override {
-    return TimeSub(input_guarantee, scope_);
-  }
-  void SnapshotState(io::BinaryWriter* w) const override;
-  Status RestoreState(io::BinaryReader* r) override;
-
- private:
-  size_t n_;
-  Duration scope_;
-  std::unique_ptr<NegationCore> core_;
-};
-
-/// NOT(E, SEQUENCE(...)): port 0 carries the inner sequence's composite
-/// outputs (with lineage), port 1 carries the negated E events. An
-/// output survives iff no E event falls strictly between the first and
-/// last contributor's Vs.
-class NotSequenceOp : public Operator {
- public:
-  /// `lookback` bounds how far a composite's window reaches behind its
-  /// own Vs - the inner sequence's scope.
-  NotSequenceOp(Duration lookback, NegationPredicate predicate,
-                ConsistencySpec spec, std::string name = "not");
-
-  size_t StateSize() const override { return core_->StateSize(); }
-
- protected:
-  Status ProcessInsert(const Event& e, int port) override;
-  Status ProcessRetract(const Event& e, Time new_ve, int port) override;
-  Status ProcessCti(Time t, int port) override;
-  void TrimState(Time horizon) override;
-  void SnapshotState(io::BinaryWriter* w) const override;
-  Status RestoreState(io::BinaryReader* r) override;
-
- private:
-  std::unique_ptr<NegationCore> core_;
 };
 
 }  // namespace cedr

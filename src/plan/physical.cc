@@ -6,7 +6,6 @@
 #include "ops/alter_lifetime.h"
 #include "ops/project.h"
 #include "ops/select.h"
-#include "pattern/cancel_when.h"
 #include "pattern/counting.h"
 #include "pattern/negation.h"
 #include "pattern/sequence.h"
@@ -207,22 +206,20 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
                                           node.scope, tuple_pred, q_.spec));
       break;
     }
-    case LogicalKind::kUnless: {
-      if (node.count > 0) {
-        op = Own(std::make_unique<UnlessPrimeOp>(
-            static_cast<size_t>(node.count), node.scope, neg_pred, q_.spec));
-      } else {
-        op = Own(std::make_unique<UnlessOp>(node.scope, neg_pred, q_.spec));
-      }
-      break;
-    }
-    case LogicalKind::kNot: {
-      op = Own(std::make_unique<NotSequenceOp>(node.lookback, neg_pred,
-                                               q_.spec));
-      break;
-    }
+    case LogicalKind::kUnless:
+    case LogicalKind::kNot:
     case LogicalKind::kCancelWhen: {
-      op = Own(std::make_unique<CancelWhenOp>(neg_pred, q_.spec));
+      NegationWindow window = NegationWindow::CancelWhen();
+      if (node.kind == LogicalKind::kNot) {
+        window = NegationWindow::Not(node.lookback);
+      } else if (node.kind == LogicalKind::kUnless) {
+        window = node.count > 0
+                     ? NegationWindow::UnlessPrime(
+                           static_cast<size_t>(node.count), node.scope,
+                           node.children[0]->scope)
+                     : NegationWindow::Unless(node.scope);
+      }
+      op = Own(std::make_unique<NegationOp>(window, neg_pred, q_.spec));
       break;
     }
     case LogicalKind::kLeaf:

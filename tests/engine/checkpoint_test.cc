@@ -14,7 +14,6 @@
 #include "ops/join.h"
 #include "ops/select.h"
 #include "ops/union_op.h"
-#include "pattern/cancel_when.h"
 #include "pattern/negation.h"
 #include "testing/fault.h"
 #include "testing/helpers.h"
@@ -261,25 +260,29 @@ void ExpectNegationRoundtrip(
 
 TEST(OperatorCheckpointTest, UnlessRoundtrip) {
   ExpectNegationRoundtrip([](ConsistencySpec spec) {
-    return std::make_unique<UnlessOp>(10, SameKey, spec);
+    return std::make_unique<NegationOp>(NegationWindow::Unless(10), SameKey,
+                                        spec);
   });
 }
 
 TEST(OperatorCheckpointTest, UnlessPrimeRoundtrip) {
   ExpectNegationRoundtrip([](ConsistencySpec spec) {
-    return std::make_unique<UnlessPrimeOp>(1, 10, SameKey, spec);
+    return std::make_unique<NegationOp>(
+        NegationWindow::UnlessPrime(1, 10, /*lookback=*/10), SameKey, spec);
   });
 }
 
 TEST(OperatorCheckpointTest, NotRoundtrip) {
   ExpectNegationRoundtrip([](ConsistencySpec spec) {
-    return std::make_unique<NotSequenceOp>(10, SameKey, spec);
+    return std::make_unique<NegationOp>(NegationWindow::Not(10), SameKey,
+                                        spec);
   });
 }
 
 TEST(OperatorCheckpointTest, CancelWhenRoundtrip) {
   ExpectNegationRoundtrip([](ConsistencySpec spec) {
-    return std::make_unique<CancelWhenOp>(SameKey, spec);
+    return std::make_unique<NegationOp>(NegationWindow::CancelWhen(), SameKey,
+                                        spec);
   });
 }
 

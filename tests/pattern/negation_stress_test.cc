@@ -28,7 +28,7 @@ TEST(NegationStressTest, ResurrectionChain) {
   Event e1 = E(1, 10);
   Event b1 = E(2, 12);
   Event b2 = E(3, 13);
-  UnlessOp op(5, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op, {{InsertOf(e1, 10)},
             {InsertOf(b1, 11), RetractOf(b1, 12, 20), InsertOf(b2, 21),
@@ -78,7 +78,7 @@ TEST(NegationStressTest, ManyCandidatesManyBlockersConverge) {
   config.seed = 6;
   std::vector<Message> d2 = ApplyDisorder(stream(e2s), config);
 
-  UnlessOp op(8, neg, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(8), neg, ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {d1, d2});
   ASSERT_TRUE(result.status.ok());
   EXPECT_TRUE(StarEqual(result.Ideal(), expected));
@@ -92,7 +92,7 @@ TEST(NegationStressTest, FrozenPendingResolvesFromKnownBlockers) {
   Event e1 = E(1, 10);
   Event blocker = E(2, 12);
   Event later = E(3, 200);  // advances the watermark far past the window
-  UnlessOp op(5, nullptr, ConsistencySpec::Weak(3));
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Weak(3));
   auto result = RunMultiPort(
       &op, {{InsertOf(e1, 10), InsertOf(later, 200)},
             {InsertOf(blocker, 11)}});
@@ -105,7 +105,7 @@ TEST(NegationStressTest, FrozenPendingResolvesFromKnownBlockers) {
 }
 
 TEST(NegationStressTest, CancelOfUnknownCandidateCountsLost) {
-  UnlessOp op(5, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Middle());
   CollectingSink sink;
   op.ConnectTo(&sink, 0);
   Event ghost = E(7, 10);
@@ -122,7 +122,8 @@ TEST(NegationStressTest, NotSequenceLookbackKeepsDistantBlockers) {
   EventList seq = denotation::Sequence({{a}, {b}}, 100);
   ASSERT_EQ(seq.size(), 1u);
   Event blocker = E(3, 50);
-  NotSequenceOp op(/*lookback=*/100, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Not(/*lookback=*/100), nullptr,
+                ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op,
       {{InsertOf(seq[0], 95)},

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "denotation/patterns.h"
-#include "pattern/cancel_when.h"
 #include "pattern/sequence.h"
 #include "testing/helpers.h"
 #include "workload/disorder.h"
@@ -29,7 +28,8 @@ std::vector<Message> Stream(const EventList& events) {
 
 TEST(UnlessOpTest, EmitsWhenNoBlocker) {
   EventList e1 = {E(1, 10)};
-  UnlessOp op(/*scope=*/5, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(/*scope=*/5), nullptr,
+                ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(e1), {}});
   ASSERT_TRUE(result.status.ok());
   EventList ideal = result.Ideal();
@@ -41,7 +41,7 @@ TEST(UnlessOpTest, EmitsWhenNoBlocker) {
 TEST(UnlessOpTest, InScopeBlockerSuppresses) {
   EventList e1 = {E(1, 10)};
   EventList e2 = {E(2, 12)};
-  UnlessOp op(5, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(e1), Stream(e2)});
   EXPECT_TRUE(result.Ideal().empty());
 }
@@ -52,7 +52,7 @@ TEST(UnlessOpTest, MiddleEmitsOptimisticallyThenRetracts) {
   // and forces a retraction.
   Event e1 = E(1, 10);
   Event blocker = E(2, 12);
-  UnlessOp op(5, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op, {{InsertOf(e1, 10)}, {InsertOf(blocker, 20)}});
   ASSERT_TRUE(result.status.ok());
@@ -64,7 +64,7 @@ TEST(UnlessOpTest, MiddleEmitsOptimisticallyThenRetracts) {
 TEST(UnlessOpTest, StrongNeverRetracts) {
   Event e1 = E(1, 10);
   Event blocker = E(2, 12);
-  UnlessOp op(5, nullptr, ConsistencySpec::Strong());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Strong());
   auto result = RunMultiPort(
       &op, {{InsertOf(e1, 10)}, {InsertOf(blocker, 20)}});
   ASSERT_TRUE(result.status.ok());
@@ -75,7 +75,7 @@ TEST(UnlessOpTest, StrongNeverRetracts) {
 
 TEST(UnlessOpTest, StrongEmitsOnceGuaranteed) {
   Event e1 = E(1, 10);
-  UnlessOp op(5, nullptr, ConsistencySpec::Strong());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Strong());
   auto result = RunMultiPort(&op, {{InsertOf(e1, 10)}, {}});
   ASSERT_TRUE(result.status.ok());
   ASSERT_EQ(result.Ideal().size(), 1u);
@@ -87,7 +87,7 @@ TEST(UnlessOpTest, BlockerRemovalResurrectsOutput) {
   // UNLESS output must (re)appear.
   Event e1 = E(1, 10);
   Event blocker = E(2, 12);
-  UnlessOp op(5, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op, {{InsertOf(e1, 10)},
             {InsertOf(blocker, 11), RetractOf(blocker, 12, 20)}});
@@ -99,7 +99,7 @@ TEST(UnlessOpTest, BlockerRemovalResurrectsOutput) {
 
 TEST(UnlessOpTest, PositiveRemovalCancelsCandidate) {
   Event e1 = E(1, 10);
-  UnlessOp op(5, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Unless(5), nullptr, ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op, {{InsertOf(e1, 10), RetractOf(e1, 10, 12)}, {}});
   EXPECT_TRUE(result.Ideal().empty());
@@ -114,12 +114,12 @@ TEST(UnlessOpTest, NegationPredicateInjection) {
     return tuple[0]->payload.at(0) == z.payload.at(0);
   };
   {
-    UnlessOp op(5, neg, ConsistencySpec::Middle());
+    NegationOp op(NegationWindow::Unless(5), neg, ConsistencySpec::Middle());
     auto result = RunMultiPort(&op, {Stream({e1}), Stream({other_key})});
     EXPECT_EQ(result.Ideal().size(), 1u);
   }
   {
-    UnlessOp op(5, neg, ConsistencySpec::Middle());
+    NegationOp op(NegationWindow::Unless(5), neg, ConsistencySpec::Middle());
     auto result = RunMultiPort(&op, {Stream({e1}), Stream({same_key})});
     EXPECT_TRUE(result.Ideal().empty());
   }
@@ -136,7 +136,7 @@ TEST(UnlessOpTest, WeakLosesLateCorrection) {
   std::vector<Message> positives = {InsertOf(e1, 10), InsertOf(later, 30)};
   std::vector<Message> negatives = {CtiOf(20, 31), InsertOf(blocker, 100)};
 
-  UnlessOp weak(5, nullptr, ConsistencySpec::Weak(0));
+  NegationOp weak(NegationWindow::Unless(5), nullptr, ConsistencySpec::Weak(0));
   auto weak_result = RunMultiPort(&weak, {positives, negatives});
   ASSERT_TRUE(weak_result.status.ok());
   bool kept_e1_output = false;
@@ -147,7 +147,8 @@ TEST(UnlessOpTest, WeakLosesLateCorrection) {
   EXPECT_GT(weak.stats().lost_corrections, 0u);
 
   // Middle on the same input repairs: the e1 output is retracted.
-  UnlessOp middle(5, nullptr, ConsistencySpec::Middle());
+  NegationOp middle(NegationWindow::Unless(5), nullptr,
+                    ConsistencySpec::Middle());
   auto middle_result = RunMultiPort(&middle, {positives, negatives});
   ASSERT_TRUE(middle_result.status.ok());
   for (const Event& e : middle_result.Ideal()) {
@@ -160,7 +161,8 @@ TEST(NotSequenceOpTest, MatchesDenotation) {
   EventList b = {E(2, 10)};
   EventList seq = denotation::Sequence({a, b}, 20);
   EventList inside = {E(3, 5)};
-  NotSequenceOp op(/*lookback=*/20, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Not(/*lookback=*/20), nullptr,
+                ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(seq), Stream(inside)});
   ASSERT_TRUE(result.status.ok());
   EXPECT_TRUE(StarEqual(result.Ideal(),
@@ -173,7 +175,7 @@ TEST(NotSequenceOpTest, OutsideBlockerPasses) {
   EventList b = {E(2, 10)};
   EventList seq = denotation::Sequence({a, b}, 20);
   EventList outside = {E(3, 15)};
-  NotSequenceOp op(20, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Not(20), nullptr, ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(seq), Stream(outside)});
   EXPECT_EQ(result.Ideal().size(), 1u);
 }
@@ -183,7 +185,7 @@ TEST(NotSequenceOpTest, LateBlockerRetractsOptimisticOutput) {
   EventList b = {E(2, 10)};
   EventList seq = denotation::Sequence({a, b}, 20);
   Event blocker = E(3, 5);
-  NotSequenceOp op(20, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::Not(20), nullptr, ConsistencySpec::Middle());
   auto result =
       RunMultiPort(&op, {Stream(seq), {InsertOf(blocker, 50)}});
   ASSERT_TRUE(result.status.ok());
@@ -195,7 +197,8 @@ TEST(NotSequenceOpTest, LateBlockerRetractsOptimisticOutput) {
 TEST(CancelWhenOpTest, MatchesDenotation) {
   EventList seq = denotation::Sequence({{E(1, 1)}, {E(2, 10)}}, 20);
   EventList cancel = {E(3, 5)};
-  CancelWhenOp op(nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::CancelWhen(), nullptr,
+                ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(seq), Stream(cancel)});
   ASSERT_TRUE(result.status.ok());
   EXPECT_TRUE(StarEqual(result.Ideal(),
@@ -206,7 +209,8 @@ TEST(CancelWhenOpTest, MatchesDenotation) {
 TEST(CancelWhenOpTest, OutsideDetectionWindowPasses) {
   EventList seq = denotation::Sequence({{E(1, 1)}, {E(2, 10)}}, 20);
   EventList before = {E(3, 1)};  // not strictly inside (rt, vs)
-  CancelWhenOp op(nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::CancelWhen(), nullptr,
+                ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(seq), Stream(before)});
   EXPECT_EQ(result.Ideal().size(), 1u);
 }
@@ -214,7 +218,8 @@ TEST(CancelWhenOpTest, OutsideDetectionWindowPasses) {
 TEST(CancelWhenOpTest, StrongWaitsAndSuppressesCleanly) {
   EventList seq = denotation::Sequence({{E(1, 1)}, {E(2, 10)}}, 20);
   Event cancel = E(3, 5);
-  CancelWhenOp op(nullptr, ConsistencySpec::Strong());
+  NegationOp op(NegationWindow::CancelWhen(), nullptr,
+                ConsistencySpec::Strong());
   // The canceling event arrives late in CEDR time.
   auto result = RunMultiPort(&op, {Stream(seq), {InsertOf(cancel, 40)}});
   ASSERT_TRUE(result.status.ok());
@@ -263,7 +268,7 @@ TEST_P(UnlessDisorderTest, ConvergesAcrossLevels) {
   for (ConsistencySpec spec :
        {ConsistencySpec::Strong(), ConsistencySpec::Middle(),
         ConsistencySpec::Custom(4, kInfinity)}) {
-    UnlessOp op(10, neg, spec);
+    NegationOp op(NegationWindow::Unless(10), neg, spec);
     auto result = RunMultiPort(&op, {d1, d2});
     ASSERT_TRUE(result.status.ok());
     EXPECT_TRUE(StarEqual(result.Ideal(), expected))

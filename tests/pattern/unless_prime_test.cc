@@ -76,7 +76,8 @@ TEST(UnlessPrimeOpTest, MatchesDenotation) {
   EventList seq = Composites();
   EventList blockers = {E(3, 5), E(4, 25)};
   for (size_t n : {1u, 2u}) {
-    UnlessPrimeOp op(n, 10, nullptr, ConsistencySpec::Middle());
+    NegationOp op(NegationWindow::UnlessPrime(n, 10, /*lookback=*/30), nullptr,
+                  ConsistencySpec::Middle());
     auto result = RunMultiPort(&op, {Stream(seq), Stream(blockers)});
     ASSERT_TRUE(result.status.ok());
     EXPECT_TRUE(StarEqual(result.Ideal(),
@@ -88,7 +89,8 @@ TEST(UnlessPrimeOpTest, MatchesDenotation) {
 TEST(UnlessPrimeOpTest, OptimisticRepairOnLateBlocker) {
   EventList seq = Composites();
   Event blocker = E(3, 5);  // inside the n=1 window (2, 12)
-  UnlessPrimeOp op(1, 10, nullptr, ConsistencySpec::Middle());
+  NegationOp op(NegationWindow::UnlessPrime(1, 10, /*lookback=*/30), nullptr,
+                ConsistencySpec::Middle());
   auto result =
       RunMultiPort(&op, {Stream(seq), {InsertOf(blocker, 50)}});
   ASSERT_TRUE(result.status.ok());
@@ -100,7 +102,8 @@ TEST(UnlessPrimeOpTest, OptimisticRepairOnLateBlocker) {
 TEST(UnlessPrimeOpTest, StrongBlocksCleanly) {
   EventList seq = Composites();
   Event blocker = E(3, 5);
-  UnlessPrimeOp op(1, 10, nullptr, ConsistencySpec::Strong());
+  NegationOp op(NegationWindow::UnlessPrime(1, 10, /*lookback=*/30), nullptr,
+                ConsistencySpec::Strong());
   auto result =
       RunMultiPort(&op, {Stream(seq), {InsertOf(blocker, 50)}});
   ASSERT_TRUE(result.status.ok());
