@@ -53,10 +53,16 @@ const char* NegationWindow::name() const {
 Duration NegationWindow::BlockerRetention() const {
   switch (kind) {
     case Kind::kUnless:
-    case Kind::kUnlessPrime:
       // Pending candidates wait until the guarantee reaches the end of
       // their window, which starts up to w behind it.
       return w;
+    case Kind::kUnlessPrime:
+      // The window starts at the anchor, which precedes the composite's
+      // Vs by up to `lookback`; a composite can still arrive once the
+      // guarantee reaches its Vs, and a pending one waits until the
+      // guarantee reaches anchor + w. Either way the window starts at
+      // most w + lookback behind the horizon.
+      return TimeAdd(w, lookback);
     case Kind::kNot:
     case Kind::kCancelWhen:
       // A composite's window reaches back to its first contributor (the

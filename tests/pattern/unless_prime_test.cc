@@ -111,6 +111,29 @@ TEST(UnlessPrimeOpTest, StrongBlocksCleanly) {
   EXPECT_TRUE(result.Ideal().empty());
 }
 
+TEST(UnlessPrimeOpTest, StrongKeepsBlockersForTheAnchorLookback) {
+  // The anchor A@23 precedes the composite's Vs (B@40) by up to the
+  // sequence scope 20. At strong the composite is only released once the
+  // guarantee passed 38, so the blocker C@27 inside the window (23, 33)
+  // must survive trimming at that guarantee.
+  auto same_key = [](const std::vector<const Event*>& tuple, const Event& z) {
+    return tuple[0]->payload.at(0) == z.payload.at(0);
+  };
+  EventList seq = denotation::Sequence({{E(1, 23, 3)}, {E(2, 40, 3)}}, 20);
+  ASSERT_EQ(seq.size(), 1u);
+  Event blocker = E(3, 27, 3);
+  NegationOp op(NegationWindow::UnlessPrime(1, 10, /*lookback=*/20), same_key,
+                ConsistencySpec::Strong());
+  auto result = RunMultiPort(
+      &op, {{CtiOf(38, 30), InsertOf(seq[0], 41)},
+            {InsertOf(blocker, 27), CtiOf(38, 31)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_TRUE(StarEqual(result.Ideal(), denotation::UnlessPrime(
+                                            seq, {blocker}, 1, 10, same_key)));
+  EXPECT_TRUE(result.Ideal().empty());
+  EXPECT_EQ(op.stats().lost_corrections, 0u);
+}
+
 TEST(UnlessPrimeLangTest, ParsesBindsAndRuns) {
   std::string text =
       "EVENT Q\n"
