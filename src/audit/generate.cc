@@ -78,8 +78,8 @@ std::vector<Message> GenerateStream(Rng* rng, const StreamConfig& config,
 namespace {
 
 /// Query templates over event types A, B, C (each with the kv schema)
-/// covering SEQUENCE, NOT, ATLEAST, ALL, ANY, UNLESS, CANCEL-WHEN plus
-/// predicates, output projection and temporal slices.
+/// covering SEQUENCE, NOT, ATLEAST, ALL, ANY, UNLESS, UNLESS',
+/// CANCEL-WHEN plus predicates, output projection and temporal slices.
 const std::vector<std::string>& QueryTemplates() {
   static const std::vector<std::string> templates = {
       "EVENT Q WHEN SEQUENCE(A AS x, B AS y, 20) WHERE {x.k = y.k}",
@@ -95,6 +95,10 @@ const std::vector<std::string>& QueryTemplates() {
       "WHERE {x.k = y.k}",
       "EVENT Q WHEN SEQUENCE(A, B, 40) #[5, 45)",
       "EVENT Q WHEN SEQUENCE(A AS x, B AS y, 20) WHERE {x.v < y.v}",
+      "EVENT Q WHEN CANCEL-WHEN(SEQUENCE(A AS x, B AS y, 25), C AS z) "
+      "WHERE {x.k = z.k}",
+      "EVENT Q WHEN UNLESS(SEQUENCE(A AS x, B AS y, 20), C AS z, 1, 10) "
+      "WHERE {x.k = z.k}",
   };
   return templates;
 }
