@@ -1034,6 +1034,10 @@ Result<std::unique_ptr<SupervisedService>> SupervisedService::Recover(
                        "'"));
           } else {
             it->second.RestoreProgress(record.seq, it->second.next_seq());
+            // Journal it like Reconnect does, after the routes staged
+            // before it, so the recovered journal keeps the record order.
+            applied = svc->FlushStaged();
+            svc->journal_.Append(record);
           }
         }
         break;

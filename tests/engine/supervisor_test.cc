@@ -419,6 +419,28 @@ TEST(SupervisorTest, RecoverRebuildsSessionsAndHistory) {
   EXPECT_EQ(recovered->GetQuery("Pair").ValueOrDie()->Ideal().size(), 1u);
 }
 
+TEST(SupervisorTest, RecoveringARecoveredSupervisorKeepsReconnectEpochs) {
+  SupervisedService svc = MakeService();
+  ASSERT_TRUE(svc.RegisterQuery(PairQuery()).ok());
+  ASSERT_TRUE(svc.AttachSource("src", {"INSTALL", "SHUTDOWN"}).ok());
+  ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 0}, "INSTALL",
+                          MakeEvent(1, 2, kInfinity, Payload(7)))
+                  .ok());
+  ASSERT_TRUE(svc.Tick().ok());
+  ASSERT_TRUE(svc.Reconnect("src").ok());
+  const std::string& journal_bytes = svc.journal().bytes();
+
+  std::unique_ptr<SupervisedService> once =
+      SupervisedService::Recover(journal_bytes).ValueOrDie();
+  EXPECT_TRUE(once->journal().bytes() == journal_bytes)
+      << "the recovered journal differs from the one it was rebuilt from";
+  std::unique_ptr<SupervisedService> twice =
+      SupervisedService::Recover(once->journal().bytes()).ValueOrDie();
+  EXPECT_EQ(svc.Session("src").ValueOrDie()->epoch(), 1u);
+  EXPECT_EQ(once->Session("src").ValueOrDie()->epoch(), 1u);
+  EXPECT_EQ(twice->Session("src").ValueOrDie()->epoch(), 1u);
+}
+
 TEST(SupervisorTest, RecoverReplaysSynthesizedSyncPoints) {
   SupervisorConfig config;
   config.session.heartbeat_timeout = 2;
