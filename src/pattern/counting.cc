@@ -59,10 +59,9 @@ void AtLeastOp::Extend(std::vector<const Event*>* tuple,
   for (int p = 0; p < num_inputs(); ++p) {
     if ((*used)[p]) continue;
     if (p == anchor_port && !anchor_used) {
-      // The anchor is the only admissible event of its port (new matches
-      // must involve it); other events of this port may also participate
-      // at other... no: one event per chosen port, so the anchor port
-      // contributes exactly the anchor.
+      // New matches must involve the anchor, and each chosen port
+      // contributes one event, so the anchor's port contributes exactly
+      // the anchor.
       try_candidate(anchor, p, /*is_anchor=*/true);
       continue;
     }
@@ -93,26 +92,6 @@ void AtLeastOp::Extend(std::vector<const Event*>* tuple,
       if (admissible && mode == SelectionMode::kFirst) break;
     }
   }
-}
-
-std::unique_ptr<AtLeastOp> MakeAllOp(int num_inputs, Duration scope,
-                                     PatternTuplePredicate predicate,
-                                     ScModes sc_modes, SchemaPtr output_schema,
-                                     ConsistencySpec spec) {
-  return std::make_unique<AtLeastOp>(
-      static_cast<size_t>(num_inputs), num_inputs, scope,
-      std::move(predicate), std::move(sc_modes), std::move(output_schema),
-      spec, "all");
-}
-
-std::unique_ptr<AtLeastOp> MakeAnyOp(int num_inputs,
-                                     PatternTuplePredicate predicate,
-                                     ScModes sc_modes, SchemaPtr output_schema,
-                                     ConsistencySpec spec) {
-  return std::make_unique<AtLeastOp>(1, num_inputs, /*scope=*/1,
-                                     std::move(predicate),
-                                     std::move(sc_modes),
-                                     std::move(output_schema), spec, "any");
 }
 
 AtMostOp::AtMostOp(size_t n, int num_inputs, Duration scope,

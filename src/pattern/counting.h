@@ -9,7 +9,9 @@ namespace cedr {
 
 /// ATLEAST(n, E1, ..., Ek, w): n events drawn from n *distinct* inputs
 /// with strictly increasing Vs spanning at most w. Monotonic, so the
-/// same incremental machinery as SEQUENCE applies.
+/// same incremental machinery as SEQUENCE applies. ALL(E1, ..., Ek, w)
+/// is ATLEAST(k, E1, ..., Ek, w) and ANY(E1, ..., Ek) is
+/// ATLEAST(1, E1, ..., Ek, 1).
 class AtLeastOp : public PatternOpBase {
  public:
   AtLeastOp(size_t n, int num_inputs, Duration scope,
@@ -27,18 +29,6 @@ class AtLeastOp : public PatternOpBase {
 
   size_t n_;
 };
-
-/// ALL(E1, ..., Ek, w) = ATLEAST(k, E1, ..., Ek, w).
-std::unique_ptr<AtLeastOp> MakeAllOp(int num_inputs, Duration scope,
-                                     PatternTuplePredicate predicate,
-                                     ScModes sc_modes, SchemaPtr output_schema,
-                                     ConsistencySpec spec);
-
-/// ANY(E1, ..., Ek) = ATLEAST(1, E1, ..., Ek, 1).
-std::unique_ptr<AtLeastOp> MakeAnyOp(int num_inputs,
-                                     PatternTuplePredicate predicate,
-                                     ScModes sc_modes, SchemaPtr output_schema,
-                                     ConsistencySpec spec);
 
 /// ATMOST(n, E1, ..., Ek, w): an output for each input event e such that
 /// the pooled input count in (e.Vs - w, e.Vs] is at most n (the paper's

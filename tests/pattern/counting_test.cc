@@ -68,8 +68,8 @@ TEST(AllOpTest, RequiresEveryInput) {
   EventList a = {E(1, 1)};
   EventList b = {E(2, 3)};
   EventList c = {E(3, 5)};
-  auto op = MakeAllOp(3, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
-  auto result = RunMultiPort(op.get(), {Stream(a), Stream(b), Stream(c)});
+  AtLeastOp op(3, 3, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b), Stream(c)});
   EXPECT_TRUE(StarEqual(result.Ideal(), denotation::All({a, b, c}, 10)));
   EXPECT_EQ(result.Ideal().size(), 1u);
 }
@@ -77,16 +77,17 @@ TEST(AllOpTest, RequiresEveryInput) {
 TEST(AllOpTest, MissingInputProducesNothing) {
   EventList a = {E(1, 1)};
   EventList b = {E(2, 3)};
-  auto op = MakeAllOp(3, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
-  auto result = RunMultiPort(op.get(), {Stream(a), Stream(b), {}});
+  AtLeastOp op(3, 3, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b), {}});
   EXPECT_TRUE(result.Ideal().empty());
 }
 
 TEST(AnyOpTest, FiresPerEvent) {
   EventList a = {E(1, 1), E(2, 3)};
   EventList b = {E(3, 5)};
-  auto op = MakeAnyOp(2, nullptr, {}, nullptr, ConsistencySpec::Middle());
-  auto result = RunMultiPort(op.get(), {Stream(a), Stream(b)});
+  AtLeastOp op(1, 2, /*scope=*/1, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   EXPECT_EQ(result.Ideal().size(), 3u);
 }
 
