@@ -109,7 +109,9 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
       if (c->output.valid().empty()) return false;
       c->block_lo = anchor->vs;
       c->block_hi = TimeAdd(anchor->vs, w);
-      c->certain_at = c->block_hi;
+      // The window can end before e.Vs, but e itself can still be fully
+      // retracted (sync time e.Vs) until the guarantee passes e.Vs.
+      c->certain_at = std::max(c->block_hi, TimeAdd(e.vs, 1));
       c->resolve_at = TimeAdd(e.vs, std::min(w, blocking));
       break;
     }

@@ -134,6 +134,22 @@ TEST(UnlessPrimeOpTest, StrongKeepsBlockersForTheAnchorLookback) {
   EXPECT_EQ(op.stats().lost_corrections, 0u);
 }
 
+TEST(UnlessPrimeOpTest, PositiveRetractionAfterTheWindowCloses) {
+  // The window (7, 17) closes before the composite's Vs 22, but the
+  // composite can still be fully retracted until the guarantee passes
+  // 22: the candidate must outlive the guarantee 19 to be cancelled.
+  EventList seq = denotation::Sequence({{E(1, 7)}, {E(2, 22)}}, 20);
+  ASSERT_EQ(seq.size(), 1u);
+  NegationOp op(NegationWindow::UnlessPrime(1, 10, /*lookback=*/20), nullptr,
+                ConsistencySpec::Strong());
+  auto result = RunMultiPort(
+      &op, {{CtiOf(22, 20), InsertOf(seq[0], 22), RetractOf(seq[0], 22, 23)},
+            {CtiOf(19, 19)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_TRUE(result.Ideal().empty());
+  EXPECT_EQ(op.stats().lost_corrections, 0u);
+}
+
 TEST(UnlessPrimeLangTest, ParsesBindsAndRuns) {
   std::string text =
       "EVENT Q\n"
