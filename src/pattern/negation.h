@@ -36,7 +36,8 @@ namespace cedr {
 ///                      (e.Vs, e.Vs + w); certain at e.Vs + w.
 ///   UnlessPrime(n, w)  anchored at the n-th (1-based) contributor a of
 ///                      e: output e over [max(e.Vs, a.Vs + w), e.Vs + w);
-///                      window (a.Vs, a.Vs + w); certain at a.Vs + w.
+///                      window (a.Vs, a.Vs + w); certain once the
+///                      guarantee reaches a.Vs + w and passes e.Vs.
 ///   Not(lookback)      output e; window strictly between its first and
 ///                      last contributor; certain at e.Vs.
 ///   CancelWhen()       output e; window (e.Rt, e.Vs), the detection
@@ -60,6 +61,7 @@ struct NegationWindow {
   static NegationWindow Not(Duration lookback) {
     return {Kind::kNot, 0, 0, lookback};
   }
+  /// A detection's window reaches back to its start, without bound.
   static NegationWindow CancelWhen() {
     return {Kind::kCancelWhen, 0, 0, kInfinity};
   }
@@ -70,10 +72,10 @@ struct NegationWindow {
   /// candidate still to come (or still pending) can reach behind it.
   Duration BlockerRetention() const;
 
-  Kind kind;
-  size_t n;
-  Duration w;
-  Duration lookback;
+  Kind kind = Kind::kUnless;
+  size_t n = 0;
+  Duration w = 0;
+  Duration lookback = 0;
 };
 
 class NegationOp : public Operator {

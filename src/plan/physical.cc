@@ -213,6 +213,9 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
       if (node.kind == LogicalKind::kNot) {
         window = NegationWindow::Not(node.lookback);
       } else if (node.kind == LogicalKind::kUnless) {
+        // The UNLESS' anchor is a contributor of the positive child's
+        // output; for a SEQUENCE, ALL or ATLEAST child it lies at most
+        // that child's scope before the output's Vs.
         window = node.count > 0
                      ? NegationWindow::UnlessPrime(
                            static_cast<size_t>(node.count), node.scope,
