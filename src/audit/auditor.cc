@@ -435,8 +435,9 @@ AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
       st = query->PushBatch(
           std::span<const TypedMessage>(merged.data(), cut));
       if (st.ok()) {
+        // The engine's checkpoint form: plan state, and the output so far.
         io::BinaryWriter w;
-        st = query->Snapshot(&w);
+        st = query->SnapshotPlan(&w);
         if (st.ok()) {
           auto fresh_r = make_query();
           if (!fresh_r.ok()) {
@@ -444,7 +445,8 @@ AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
           } else {
             auto fresh = std::move(fresh_r).ValueUnsafe();
             io::BinaryReader r(w.bytes());
-            st = fresh->Restore(&r);
+            st = fresh->RestorePlan(&r);
+            fresh->SeedOutput(query->sink().messages());
             if (st.ok()) query = std::move(fresh);
           }
         }

@@ -21,6 +21,15 @@ namespace cedr {
 /// batched push path (MergeByArrival produces vectors of these).
 using TypedMessage = std::pair<std::string, Message>;
 
+/// The refresh rule of CedrService seals and SwitchableQuery barriers: a
+/// checkpoint costs about its own size to take, so a sync point refreshes
+/// it only once the input recorded since has grown to this multiple of
+/// it, and checkpoint cost is O(1) amortized per message.
+inline constexpr size_t kCheckpointRefreshRatio = 2;
+inline bool CheckpointDue(size_t input_bytes, size_t checkpoint_bytes) {
+  return input_bytes >= kCheckpointRefreshRatio * checkpoint_bytes;
+}
+
 class CompiledQuery {
  public:
   /// Fault-injection seam (chaos testing): consulted for every message
@@ -89,8 +98,8 @@ class CompiledQuery {
   /// head (CollectingSink::SnapshotHead). Its size does not grow with
   /// the output history.
   Status SnapshotPlan(io::BinaryWriter* w) const;
-  /// Restores a SnapshotPlan, leaving the sink's log empty for
-  /// SeedOutput to fill.
+  /// Restores a SnapshotPlan, leaving the sink's log empty at position
+  /// sink().emitted() for SeedOutput to fill or the stream to continue.
   Status RestorePlan(io::BinaryReader* r);
   /// Fills the sink's log after RestorePlan with the output the
   /// snapshotted plan had emitted.

@@ -116,8 +116,9 @@ Status CedrService::Apply(const io::JournalRecord& call) {
 
 Status CedrService::Log(const io::JournalRecord& call) {
   journal_.Append(call);
-  if (call.op != io::JournalOp::kSyncPoint) return Status::OK();
-  return Seal();
+  const bool due = call.op == io::JournalOp::kSyncPoint &&
+                   CheckpointDue(journal_.bytes().size(), snapshot_.size());
+  return due ? Seal() : Status::OK();
 }
 
 Status CedrService::Seal() {
@@ -156,7 +157,7 @@ Status CedrService::Checkpoint(io::BinaryWriter* w) const {
     w->PutString(query->text());
     io::WriteSpec(w, query->bound().spec);
     io::BinaryWriter frame;
-    CEDR_RETURN_NOT_OK(query->Snapshot(&frame));
+    CEDR_RETURN_NOT_OK(query->SnapshotPlan(&frame));
     w->PutString(frame.Take());
   }
   return Status::OK();
@@ -182,7 +183,7 @@ Result<std::unique_ptr<CedrService>> CedrService::Restore(
                  query->bound().name, "'"));
     }
     io::BinaryReader frame_reader(frame);
-    CEDR_RETURN_NOT_OK(query->Restore(&frame_reader));
+    CEDR_RETURN_NOT_OK(query->RestorePlan(&frame_reader));
     CEDR_RETURN_NOT_OK(frame_reader.ExpectEnd());
     service->queries_.emplace(std::move(name), std::move(query));
   }

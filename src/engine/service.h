@@ -5,15 +5,19 @@
 // events/corrections/sync points, and read each query's output.
 //
 // Durability = a sealed snapshot plus an input journal of every accepted
-// call since that snapshot. A snapshot is sealed at every accepted sync
-// point: sync points are where the consistency spectrum converges (the
-// alignment buffers' guarantees are explicit state), so the barrier is
-// well-defined at every level. Recover restores the snapshot and
-// replays the journal suffix through Apply; because event identities are
+// call since that snapshot. A snapshot is sealed at an accepted sync
+// point once the journal has outgrown it (CheckpointDue, the switching
+// barrier's rule): sync points are where the consistency spectrum
+// converges (the alignment buffers' guarantees are explicit state), so
+// the barrier is well-defined at every level. A snapshot holds each
+// query's plan state, not its output log: output delivered before the
+// seal belongs to the consumer. Recover restores the snapshot, whose
+// sink logs resume empty at position sink().emitted(), and replays the
+// journal suffix through Apply; because event identities are
 // deterministic (composite ids derive from contributor ids, repair ids
 // from checkpointed counters, arrival stamps from the checkpointed cs
 // clock), the recovered service re-emits the exact messages of the
-// original run.
+// original run from that position on.
 #ifndef CEDR_ENGINE_SERVICE_H_
 #define CEDR_ENGINE_SERVICE_H_
 
@@ -55,7 +59,7 @@ class CedrService {
                            Time new_end);
 
   /// Publishes a provider sync point for `type`: no later message on
-  /// that type has sync time < t. Seals a snapshot once accepted.
+  /// that type has sync time < t. May seal a snapshot once accepted.
   Status PublishSyncPoint(const std::string& type, Time t);
 
   /// Ends all inputs and flushes every query (blocking levels emit
@@ -89,21 +93,21 @@ class CedrService {
   static Result<std::unique_ptr<CedrService>> Recover(
       const std::string& snapshot_bytes, const std::string& journal_bytes);
 
-  /// Serializes the full service state: the ingress core (catalog, cs
-  /// clock, hardening trackers), the finished flag, and every registered
-  /// query's text, spec, and operator state. Taken at a message
+  /// Serializes the service state: the ingress core (catalog, cs clock,
+  /// hardening trackers), the finished flag, and every registered query's
+  /// text, spec, and plan state (no output log). Taken at a message
   /// boundary, the snapshot is well-defined at every consistency level.
   Status Checkpoint(io::BinaryWriter* w) const;
   /// Rebuilds a service from a Checkpoint: restores the ingress core,
   /// recompiles every query (plans are deterministic), then restores
-  /// operator state, and seals the result as the new durable snapshot.
+  /// plan state, and seals the result as the new durable snapshot.
   /// Because composite ids derive from contributor ids and repair ids
   /// from checkpointed counters, the restored service re-emits identical
   /// event identities for identical input.
   static Result<std::unique_ptr<CedrService>> Restore(io::BinaryReader* r);
 
  private:
-  /// Journals an accepted call; an accepted sync point seals a snapshot.
+  /// Journals an accepted call; a sync point seals when CheckpointDue.
   Status Log(const io::JournalRecord& call);
   /// Seals the current state as the snapshot and truncates the journal.
   /// A failed checkpoint leaves the previous snapshot/journal pair.

@@ -47,12 +47,6 @@ EventList CollectingSink::AliveAt(Time t) const {
   return out;
 }
 
-void CollectingSink::Clear() {
-  messages_.clear();
-  inserts_ = retracts_ = ctis_ = 0;
-  terminal_ = Status::OK();
-}
-
 void CollectingSink::SnapshotState(io::BinaryWriter* w) const {
   SnapshotCounters(w);
   SnapshotLog(w);

@@ -29,6 +29,8 @@ class CollectingSink : public Operator {
   uint64_t inserts() const { return inserts_; }
   uint64_t retracts() const { return retracts_; }
   uint64_t ctis() const { return ctis_; }
+  /// Messages emitted in all: the end position of the log.
+  uint64_t emitted() const { return inserts_ + retracts_ + ctis_; }
   /// Output size in the Figure 8 sense.
   uint64_t OutputSize() const { return inserts_ + retracts_; }
 
@@ -41,13 +43,11 @@ class CollectingSink : public Operator {
   /// with OK is a no-op). A closed sink rejects further messages.
   void CloseWithError(const Status& error);
 
-  void Clear();
-
   /// Checkpoint sections. Operator::Snapshot writes the head (operator
   /// bookkeeping and counters, fixed-size) and then the log, which grows
-  /// with the output. A snapshot of plan state alone
-  /// (CompiledQuery::SnapshotPlan) stops after the head, and its
-  /// restoring side refills the log with SeedLog.
+  /// with the output. A snapshot of plan state alone (SnapshotPlan) stops
+  /// after the head; restored, its log is empty at position emitted()
+  /// until SeedLog refills it with the output the counters count.
   void SnapshotHead(io::BinaryWriter* w) const;
   Status RestoreHead(io::BinaryReader* r);
   void SnapshotLog(io::BinaryWriter* w) const;

@@ -677,7 +677,8 @@ void SupervisedService::QuarantineQuery(const std::string& name,
   // Best-effort post-mortem: the faulted plan may be too broken to
   // snapshot; the report is filed either way.
   io::BinaryWriter w;
-  Status snap = GuardQuery([&] { return g->query->active().Snapshot(&w); });
+  Status snap =
+      GuardQuery([&] { return g->query->active().SnapshotPlan(&w); });
   if (snap.ok()) report.post_mortem = w.Take();
   g->query->CloseWithError(fault);
   g->status.phase = GovernorPhase::kQuarantined;

@@ -199,9 +199,9 @@ struct QuarantineReport {
   std::string origin;
   /// Logical tick of the quarantine.
   int64_t at_tick = 0;
-  /// CompiledQuery::Snapshot of the plan state at the fault, for
-  /// offline inspection; empty when the faulted plan could not be
-  /// snapshotted.
+  /// CompiledQuery::SnapshotPlan of the plan state at the fault, for
+  /// offline inspection; it does not grow with the output. Empty when the
+  /// faulted plan could not be snapshotted.
   std::string post_mortem;
 };
 

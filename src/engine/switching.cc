@@ -5,16 +5,6 @@
 
 namespace cedr {
 
-namespace {
-
-/// The refresh rule: a barrier costs about its own size to take, and a
-/// refresh waits until the retained input's footprint is this multiple
-/// of it, so snapshots cost O(1) amortized per message while a switch
-/// replays at most this multiple of the barrier plus one sync interval.
-constexpr size_t kBarrierRefreshRatio = 2;
-
-}  // namespace
-
 void SwitchableQuery::SpliceState::Append(const std::vector<Message>& more) {
   for (const Message& m : more) {
     switch (m.kind) {
@@ -88,18 +78,17 @@ void SwitchableQuery::MaybeAdvanceBarrier() {
   if (frontier <= sync_frontier_) return;
   sync_frontier_ = frontier;
   sync_pos_ = input_.size();
-  if (input_.size() * sizeof(TypedMessage) <
-      kBarrierRefreshRatio * barrier_state_.size()) {
+  if (!CheckpointDue(input_.size() * sizeof(TypedMessage),
+                     barrier_state_.size())) {
     return;  // SwitchTo rolls the barrier forward to here if it must
   }
   io::BinaryWriter w;
   if (!active_->SnapshotPlan(&w).ok()) return;  // keep replaying input_
-  SetBarrier(w.Take(), active_->sink().messages().size());
+  SetBarrier(w.Take());
 }
 
-void SwitchableQuery::SetBarrier(std::string plan_state, size_t log_size) {
+void SwitchableQuery::SetBarrier(std::string plan_state) {
   barrier_state_ = std::move(plan_state);
-  barrier_log_size_ = log_size;
   input_.erase(input_.begin(),
                input_.begin() + static_cast<std::ptrdiff_t>(sync_pos_));
   sync_pos_ = 0;
@@ -114,13 +103,14 @@ Result<std::unique_ptr<CompiledQuery>> SwitchableQuery::RestoreBarrier(
     io::BinaryReader reader(barrier_state_);
     CEDR_RETURN_NOT_OK(plan->RestorePlan(&reader));
     CEDR_RETURN_NOT_OK(reader.ExpectEnd());
-    // Every plan since the barrier began its log with the barrier's.
+    // Every plan since the barrier began its log with the barrier's,
+    // whose length the restored sink counters hold.
     std::span<const Message> log = active_->sink().messages();
-    if (log.size() < barrier_log_size_) {
+    if (log.size() < plan->sink().emitted()) {
       return Status::Internal("switch: the active log is shorter than the "
                               "barrier's");
     }
-    plan->SeedOutput(log.first(barrier_log_size_));
+    plan->SeedOutput(log.first(plan->sink().emitted()));
   }
   for (size_t i = 0; i < replay_end; ++i) {
     CEDR_RETURN_NOT_OK(plan->Push(input_[i].first, input_[i].second));
@@ -145,7 +135,7 @@ Result<Time> SwitchableQuery::SwitchTo(ConsistencySpec spec) {
     CEDR_ASSIGN_OR_RETURN(auto at_sync, RestoreBarrier(spec_, sync_pos_));
     io::BinaryWriter w;
     CEDR_RETURN_NOT_OK(at_sync->SnapshotPlan(&w));
-    SetBarrier(w.Take(), at_sync->sink().messages().size());
+    SetBarrier(w.Take());
   }
   // Restore the barrier into the new level and replay the retained
   // suffix; determinism lines its identities up with the retired plan's.

@@ -12,12 +12,12 @@
 // the barrier and replays the retained input.
 //
 // The barrier holds the plan's operator state but not the sink's output
-// log, which grows with the stream: it records the log's length N
-// instead, and a switch seeds the fresh plan's sink with the first N
+// log, which grows with the stream: its sink counters carry the log's
+// length N, and a switch seeds the fresh plan's sink with the first N
 // messages of the retiring plan's log (every plan since the barrier
 // starts its log with them). The barrier is refreshed only at common
 // sync points where the input retained since the last refresh has
-// outgrown it (kBarrierRefreshRatio), so snapshotting costs O(1)
+// outgrown it (CheckpointDue), so snapshotting costs O(1)
 // amortized per message. A switch still restores the state at the
 // latest common sync point, as if a barrier had been taken at each: it
 // first rolls the barrier forward to that point by replaying the
@@ -92,7 +92,7 @@ class SwitchableQuery {
   /// Messages currently retained for replay: only the suffix since the
   /// barrier (the input before it is folded into the barrier snapshot).
   /// Retention is bounded by the larger of the provider's sync cadence
-  /// and the refresh rule's kBarrierRefreshRatio * barrier_bytes() /
+  /// and the refresh rule's kCheckpointRefreshRatio * barrier_bytes() /
   /// sizeof(TypedMessage) messages, instead of growing with the stream.
   size_t retained_input_size() const { return input_.size(); }
 
@@ -122,10 +122,9 @@ class SwitchableQuery {
   /// point past the last one), folds the retained input into a fresh
   /// barrier snapshot when the refresh rule says so.
   void MaybeAdvanceBarrier();
-  /// Installs `plan_state` (a SnapshotPlan whose sink log held
-  /// `log_size` messages) as the barrier at the last common sync point,
-  /// and drops the input it folds in.
-  void SetBarrier(std::string plan_state, size_t log_size);
+  /// Installs `plan_state` (a SnapshotPlan) as the barrier at the last
+  /// common sync point, and drops the input it folds in.
+  void SetBarrier(std::string plan_state);
   /// A fresh plan at `spec` holding the barrier state with the
   /// retained input up to `replay_end` replayed into it.
   Result<std::unique_ptr<CompiledQuery>> RestoreBarrier(
@@ -143,10 +142,9 @@ class SwitchableQuery {
   std::vector<TypedMessage> input_;
   /// CompiledQuery::SnapshotPlan of the active plan at a common sync
   /// point; empty until the first one. SwitchTo restores it into the
-  /// fresh plan, seeds the sink with the first `barrier_log_size_`
-  /// messages of the retiring plan's log, and replays only `input_`.
+  /// fresh plan, seeds the sink with the retiring plan's log up to the
+  /// barrier, and replays only `input_`.
   std::string barrier_state_;
-  size_t barrier_log_size_ = 0;
   uint64_t barriers_ = 0;
   /// Last sync point seen per input type, and the frontier (minimum over
   /// all input types) at the last common sync point.

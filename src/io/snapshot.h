@@ -20,9 +20,9 @@ namespace cedr {
 namespace io {
 
 inline constexpr char kSnapshotMagic[] = "CEDRSNP1";  // 8 chars + NUL
-/// 2: a query's sink log follows its plan state instead of sitting in
-/// the sink's length-prefixed frame (CompiledQuery::Snapshot).
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// 3: a CedrService query frame holds plan state alone
+/// (CompiledQuery::SnapshotPlan), without the sink's output log.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// Wraps a serialized payload in the versioned, checksummed envelope.
 std::string SealSnapshot(const std::string& payload);

@@ -80,60 +80,100 @@ std::vector<io::JournalRecord> MergeFeeds(
   return merged;
 }
 
-namespace {
-
-Status Prepare(CedrService* service, const ServiceScenario& scenario) {
+Result<std::unique_ptr<CedrService>> RunPrefix(
+    const ServiceScenario& scenario, size_t calls) {
+  auto service = std::make_unique<CedrService>();
   for (const auto& [name, schema] : scenario.catalog) {
     CEDR_RETURN_NOT_OK(service->RegisterEventType(name, schema));
   }
   for (const ScenarioQuery& q : scenario.queries) {
     CEDR_RETURN_NOT_OK(service->RegisterQuery(q.text, q.spec).status());
   }
-  return Status::OK();
+  for (size_t i = 0; i < calls && i < scenario.feed.size(); ++i) {
+    CEDR_RETURN_NOT_OK(service->Apply(scenario.feed[i]));
+  }
+  return service;
 }
 
-Result<RunOutputs> FinishAndCollect(CedrService* service) {
-  CEDR_RETURN_NOT_OK(service->Finish());
+RunOutputs OutputsOf(const CedrService& service) {
   RunOutputs outputs;
-  for (const std::string& name : service->QueryNames()) {
-    CEDR_ASSIGN_OR_RETURN(const CompiledQuery* query,
-                          service->GetQuery(name));
-    outputs[name] = query->sink().messages();
+  for (const std::string& name : service.QueryNames()) {
+    outputs[name] =
+        service.GetQuery(name).ValueOrDie()->sink().messages();
   }
   return outputs;
 }
 
-}  // namespace
+Result<RunOutputs> JoinOutputs(const RunOutputs& delivered,
+                               const CedrService& resumed) {
+  RunOutputs joined;
+  for (const std::string& name : resumed.QueryNames()) {
+    const CollectingSink& sink = resumed.GetQuery(name).ValueOrDie()->sink();
+    const size_t start = sink.emitted() - sink.messages().size();
+    auto it = delivered.find(name);
+    const size_t have = it == delivered.end() ? 0 : it->second.size();
+    if (have < start) {
+      return Status::Internal(
+          StrCat("query '", name, "' resumed at output position ", start,
+                 " but only ", have, " messages were delivered"));
+    }
+    std::vector<Message>& out = joined[name];
+    if (start > 0) {
+      out.assign(it->second.begin(),
+                 it->second.begin() + static_cast<std::ptrdiff_t>(start));
+    }
+    out.insert(out.end(), sink.messages().begin(), sink.messages().end());
+  }
+  return joined;
+}
 
 Result<RunOutputs> RunUninterrupted(const ServiceScenario& scenario) {
-  CedrService service;
-  CEDR_RETURN_NOT_OK(Prepare(&service, scenario));
-  for (const io::JournalRecord& call : scenario.feed) {
-    CEDR_RETURN_NOT_OK(service.Apply(call));
-  }
-  return FinishAndCollect(&service);
+  CEDR_ASSIGN_OR_RETURN(std::unique_ptr<CedrService> service,
+                        RunPrefix(scenario, scenario.feed.size()));
+  CEDR_RETURN_NOT_OK(service->Finish());
+  return OutputsOf(*service);
 }
 
 Result<RunOutputs> RunWithCrash(const ServiceScenario& scenario,
                                 size_t crash_after) {
+  RunOutputs delivered;
   std::string snapshot_bytes;
   std::string journal_bytes;
   {
-    CedrService service;
-    CEDR_RETURN_NOT_OK(Prepare(&service, scenario));
-    for (size_t i = 0; i < crash_after && i < scenario.feed.size(); ++i) {
-      CEDR_RETURN_NOT_OK(service.Apply(scenario.feed[i]));
-    }
-    // Crash: the process dies; only the durable bytes survive.
-    snapshot_bytes = service.snapshot_bytes();
-    journal_bytes = service.journal_bytes();
+    CEDR_ASSIGN_OR_RETURN(std::unique_ptr<CedrService> service,
+                          RunPrefix(scenario, crash_after));
+    // Crash: the process dies; the durable bytes survive, and so does
+    // the output its consumers already received.
+    delivered = OutputsOf(*service);
+    snapshot_bytes = service->snapshot_bytes();
+    journal_bytes = service->journal_bytes();
   }
   CEDR_ASSIGN_OR_RETURN(std::unique_ptr<CedrService> recovered,
                         CedrService::Recover(snapshot_bytes, journal_bytes));
   for (size_t i = crash_after; i < scenario.feed.size(); ++i) {
     CEDR_RETURN_NOT_OK(recovered->Apply(scenario.feed[i]));
   }
-  return FinishAndCollect(recovered.get());
+  CEDR_RETURN_NOT_OK(recovered->Finish());
+  return JoinOutputs(delivered, *recovered);
+}
+
+bool SyncPointWithin(const std::vector<io::JournalRecord>& feed,
+                     size_t calls) {
+  calls = std::min(calls, feed.size());
+  return std::any_of(feed.begin(),
+                     feed.begin() + static_cast<std::ptrdiff_t>(calls),
+                     [](const io::JournalRecord& call) {
+                       return call.op == io::JournalOp::kSyncPoint;
+                     });
+}
+
+Result<uint64_t> JournalBaseAt(const ServiceScenario& scenario,
+                               size_t calls) {
+  CEDR_ASSIGN_OR_RETURN(std::unique_ptr<CedrService> service,
+                        RunPrefix(scenario, calls));
+  CEDR_ASSIGN_OR_RETURN(io::JournalContents journal,
+                        io::ReadJournal(service->journal_bytes()));
+  return journal.base_index;
 }
 
 bool PhysicallyIdentical(const std::vector<Message>& a,

@@ -3,15 +3,16 @@
 // A scenario is a catalog, a set of standing queries, and a feed of
 // ingress calls. The harness runs it uninterrupted or with a simulated
 // crash after N accepted calls (drop the service, keep the durable
-// bytes, recover, continue), and the FaultInjector deterministically
-// damages the durable bytes (bit flips, truncation) to exercise the
-// kCorruption/kDataLoss rejection paths. Everything is seeded, so every
-// failure reproduces.
+// bytes and the output its consumers received, recover, continue), and
+// the FaultInjector deterministically damages the durable bytes (bit
+// flips, truncation) to exercise the kCorruption/kDataLoss rejection
+// paths. Everything is seeded, so every failure reproduces.
 #ifndef CEDR_TESTING_FAULT_H_
 #define CEDR_TESTING_FAULT_H_
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,14 +69,40 @@ std::vector<io::JournalRecord> MergeFeeds(
 /// Per-query physical output streams, keyed by query name.
 using RunOutputs = std::map<std::string, std::vector<Message>>;
 
+/// A service with the scenario's catalog and queries registered and its
+/// first `calls` feed calls applied.
+Result<std::unique_ptr<CedrService>> RunPrefix(
+    const ServiceScenario& scenario, size_t calls);
+
+/// Every registered query's sink log, keyed by query name.
+RunOutputs OutputsOf(const CedrService& service);
+
+/// The whole output a consumer of `resumed` has received, per query: the
+/// first N messages of `delivered` (the logs, from position 0, of the run
+/// `resumed` was restored or recovered from), then the resumed log, which
+/// starts at N = sink().emitted() - messages().size(). kInternal when
+/// `delivered` holds fewer than N messages.
+Result<RunOutputs> JoinOutputs(const RunOutputs& delivered,
+                               const CedrService& resumed);
+
 /// Runs the scenario start to finish on one CedrService.
 Result<RunOutputs> RunUninterrupted(const ServiceScenario& scenario);
 
 /// Runs the scenario, crashes after `crash_after` accepted feed calls
-/// (keeping only the durable bytes), recovers, and finishes the feed on
-/// the recovered service.
+/// (keeping only the durable bytes and the output already delivered),
+/// recovers, finishes the feed on the recovered service, and joins the
+/// delivered output to the recovered output (JoinOutputs).
 Result<RunOutputs> RunWithCrash(const ServiceScenario& scenario,
                                 size_t crash_after);
+
+/// True when a sync point is among the first `calls` feed calls.
+bool SyncPointWithin(const std::vector<io::JournalRecord>& feed,
+                     size_t calls);
+
+/// The base index of the journal a crash after `calls` feed calls leaves
+/// behind: 0 until a sync point has sealed a snapshot.
+Result<uint64_t> JournalBaseAt(const ServiceScenario& scenario,
+                               size_t calls);
 
 /// True when the two streams are identical message-for-message (same
 /// kinds, events, ids, lifetimes, payloads, arrival stamps). Stronger

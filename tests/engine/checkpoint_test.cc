@@ -387,8 +387,13 @@ TEST(ServiceCheckpointTest, MidStreamRoundtripIsPhysicallyIdentical) {
   }
   ASSERT_TRUE(restored->Finish().ok());
 
+  // The restored query resumes its log where the checkpoint left it; the
+  // output before that was delivered by the first half.
+  testing::RunOutputs joined =
+      testing::JoinOutputs(testing::OutputsOf(first_half), *restored)
+          .ValueOrDie();
   EXPECT_TRUE(PhysicallyIdentical(SinkOf(baseline, "CIDR07_Example"),
-                                  SinkOf(*restored, "CIDR07_Example")));
+                                  joined.at("CIDR07_Example")));
 }
 
 TEST(ServiceCheckpointTest, RestorePreservesCatalogAndHardening) {

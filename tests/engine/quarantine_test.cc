@@ -253,6 +253,53 @@ TEST(QuarantineTest, ThrowingQueryIsQuarantinedNotFatal) {
   EXPECT_NE(report.fault.message().find("escaped"), std::string::npos);
 }
 
+TEST(QuarantineTest, PostMortemHoldsPlanStateWithoutTheOutputLog) {
+  // The post-mortem does not grow with the output: it is the plan state
+  // at the fault, which restores into a freshly compiled query whose
+  // sink counters account for every message the faulted query emitted.
+  SupervisedService svc = MakeService();
+  ASSERT_TRUE(svc.RegisterQuery(PairQuery()).ok());
+  ASSERT_TRUE(svc.AttachSource("src", {"INSTALL", "SHUTDOWN"}).ok());
+  uint64_t seq = 0;
+  for (int64_t m = 1; m <= 3; ++m) {
+    ASSERT_TRUE(svc.Publish(Ingress{"src", 0, seq++}, "INSTALL",
+                            MakeEvent(2 * m, 10 * m, kInfinity, Payload(m)))
+                    .ok());
+    ASSERT_TRUE(
+        svc.Publish(Ingress{"src", 0, seq++}, "SHUTDOWN",
+                    MakeEvent(2 * m + 1, 10 * m + 5, kInfinity, Payload(m)))
+            .ok());
+  }
+  for (const char* type : {"INSTALL", "SHUTDOWN"}) {
+    ASSERT_TRUE(
+        svc.PublishSyncPoint(Ingress{"src", 0, seq++}, type, 50).ok());
+  }
+  ASSERT_TRUE(svc.Tick().ok());
+  ASSERT_TRUE(svc.SetQueryFaultHook(
+                     "Pair",
+                     [](const std::string&, const Message&) {
+                       return Status::ExecutionError("poison pill");
+                     })
+                  .ok());
+  ASSERT_TRUE(svc.Publish(Ingress{"src", 0, seq++}, "INSTALL",
+                          MakeEvent(100, 60, kInfinity, Payload(9)))
+                  .ok());
+  ASSERT_TRUE(svc.Tick().ok());
+
+  QuarantineReport report = svc.QuarantineOf("Pair").ValueOrDie();
+  ASSERT_FALSE(report.post_mortem.empty());
+  const size_t output =
+      svc.GetQuery("Pair").ValueOrDie()->active().sink().messages().size();
+  ASSERT_GT(output, 0u);
+  std::unique_ptr<CompiledQuery> fresh =
+      CompiledQuery::Compile(PairQuery(), workload::MachineCatalog())
+          .ValueOrDie();
+  io::BinaryReader r(report.post_mortem);
+  ASSERT_TRUE(fresh->RestorePlan(&r).ok());
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_EQ(fresh->sink().emitted(), output);
+}
+
 TEST(QuarantineTest, ReviveRebuildsBitIdenticalState) {
   // Reference: the same feed with no fault at all.
   SupervisedService clean = MakeService();

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "denotation/patterns.h"
+#include "engine/service.h"
 #include "testing/fault.h"
 #include "workload/disorder.h"
 #include "workload/machines.h"
@@ -300,6 +301,49 @@ TEST(SwitchingTest, BarrierSizeDoesNotGrowWithOutput) {
   EXPECT_LE(max_barrier, 2 * early_barrier)
       << "the barrier grew with the output history";
   EXPECT_GT(query->barriers(), 10u);
+}
+
+TEST(SwitchingTest, ServiceSnapshotSizeDoesNotGrowWithOutput) {
+  // The CedrService twin of the test above: the service seals plan state
+  // on the barrier's refresh rule, so on the same feed its sealed
+  // snapshot stays flat while the output log grows many times over. The
+  // one part that grows with the input is the ingress's published-id
+  // set (8 bytes per published event), which is left out.
+  Feed feed = MakeFeed(13, /*disordered=*/true, /*num_sessions=*/1500);
+  CedrService service;
+  for (const auto& [type, schema] : workload::MachineCatalog()) {
+    ASSERT_TRUE(service.RegisterEventType(type, schema).ok());
+  }
+  const std::string name =
+      service.RegisterQuery(QueryText(), ConsistencySpec::Middle())
+          .ValueOrDie();
+  const CollectingSink& sink = service.GetQuery(name).ValueOrDie()->sink();
+  const size_t tenth = feed.merged.size() / 10;
+  size_t published = 0;
+  size_t seals = 0;
+  size_t early_snapshot = 0;
+  size_t early_log = 0;
+  size_t max_snapshot = 0;
+  for (size_t i = 0; i < feed.merged.size(); ++i) {
+    const auto& [type, msg] = feed.merged[i];
+    const size_t journal_before = service.journal_bytes().size();
+    ASSERT_TRUE(service.Apply(testing::FeedOf(type, {msg}).front()).ok());
+    if (msg.kind == MessageKind::kInsert) ++published;
+    if (service.journal_bytes().size() < journal_before) {  // sealed
+      ++seals;
+      max_snapshot = std::max(
+          max_snapshot, service.snapshot_bytes().size() - 8 * published);
+    }
+    if (i + 1 == tenth) {
+      early_snapshot = max_snapshot;
+      early_log = sink.messages().size();
+    }
+  }
+  ASSERT_GT(early_snapshot, 0u);
+  EXPECT_GT(sink.messages().size(), 10 * early_log);
+  EXPECT_LE(max_snapshot, 2 * early_snapshot)
+      << "the sealed snapshot grew with the output history";
+  EXPECT_GT(seals, 10u);
 }
 
 TEST(SwitchingTest, SwitchStartsFromTheLatestCommonSyncPoint) {

@@ -50,6 +50,14 @@ std::vector<ConsistencySpec> Levels() {
           ConsistencySpec::Weak(20)};
 }
 
+// A crash past a sync point recovers from a sealed snapshot, not by
+// replaying the journal from its first record.
+void ExpectSealedBefore(const ServiceScenario& scenario, size_t crash_after) {
+  if (!SyncPointWithin(scenario.feed, crash_after)) return;
+  EXPECT_GT(JournalBaseAt(scenario, crash_after).ValueOrDie(), 0u)
+      << "crash after " << crash_after << " calls";
+}
+
 TEST(FaultInjectionTest, CrashRecoveryIsInvisibleAtEveryLevel) {
   for (const ConsistencySpec& spec : Levels()) {
     ServiceScenario scenario = MachineScenario(3, spec, /*disorder=*/0.3);
@@ -57,6 +65,7 @@ TEST(FaultInjectionTest, CrashRecoveryIsInvisibleAtEveryLevel) {
     for (double fraction : {0.1, 0.5, 0.9}) {
       size_t crash_after =
           static_cast<size_t>(scenario.feed.size() * fraction);
+      ExpectSealedBefore(scenario, crash_after);
       RunOutputs crashed =
           RunWithCrash(scenario, crash_after).ValueOrDie();
       EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
@@ -71,6 +80,7 @@ TEST(FaultInjectionTest, CrashAtEveryBoundaryOfASmallFeed) {
   scenario.feed.resize(40);
   RunOutputs baseline = RunUninterrupted(scenario).ValueOrDie();
   for (size_t crash = 0; crash <= scenario.feed.size(); ++crash) {
+    ExpectSealedBefore(scenario, crash);
     RunOutputs crashed = RunWithCrash(scenario, crash).ValueOrDie();
     EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
         << "crash after " << crash << " calls";
@@ -83,28 +93,20 @@ TEST(FaultInjectionTest, DoubleCrashStillRecovers) {
   RunOutputs baseline = RunUninterrupted(scenario).ValueOrDie();
 
   // First crash at 1/3, recover, second crash at 2/3, recover, finish.
-  std::string snapshot;
-  std::string journal;
+  // Each crash keeps the durable bytes and the output delivered so far.
   size_t third = scenario.feed.size() / 3;
-  {
-    CedrService service;
-    for (const auto& [name, schema] : scenario.catalog) {
-      ASSERT_TRUE(service.RegisterEventType(name, schema).ok());
-    }
-    for (const ScenarioQuery& q : scenario.queries) {
-      ASSERT_TRUE(service.RegisterQuery(q.text, q.spec).ok());
-    }
-    for (size_t i = 0; i < third; ++i) {
-      ASSERT_TRUE(service.Apply(scenario.feed[i]).ok());
-    }
-    snapshot = service.snapshot_bytes();
-    journal = service.journal_bytes();
-  }
+  std::unique_ptr<CedrService> first = RunPrefix(scenario, third).ValueOrDie();
+  RunOutputs delivered = OutputsOf(*first);
+  std::string snapshot = first->snapshot_bytes();
+  std::string journal = first->journal_bytes();
+  first.reset();
+
   std::unique_ptr<CedrService> second =
       CedrService::Recover(snapshot, journal).ValueOrDie();
   for (size_t i = third; i < 2 * third; ++i) {
     ASSERT_TRUE(second->Apply(scenario.feed[i]).ok());
   }
+  delivered = JoinOutputs(delivered, *second).ValueOrDie();
   snapshot = second->snapshot_bytes();
   journal = second->journal_bytes();
   second.reset();
@@ -115,13 +117,8 @@ TEST(FaultInjectionTest, DoubleCrashStillRecovers) {
     ASSERT_TRUE(third_run->Apply(scenario.feed[i]).ok());
   }
   ASSERT_TRUE(third_run->Finish().ok());
-
-  RunOutputs outputs;
-  for (const std::string& name : third_run->QueryNames()) {
-    outputs[name] =
-        third_run->GetQuery(name).ValueOrDie()->sink().messages();
-  }
-  EXPECT_TRUE(PhysicallyIdentical(baseline, outputs));
+  EXPECT_TRUE(PhysicallyIdentical(
+      baseline, JoinOutputs(delivered, *third_run).ValueOrDie()));
 }
 
 TEST(FaultInjectionTest, UnregisterQueryReplaysAcrossACrash) {
@@ -161,6 +158,7 @@ TEST(FaultInjectionTest, UnregisterQueryReplaysAcrossACrash) {
   RunOutputs baseline = RunUninterrupted(scenario).ValueOrDie();
   ASSERT_FALSE(baseline.at("CIDR07_Example").empty());
   for (size_t crash : {cycle_at + 2, next_sync + 2}) {
+    ExpectSealedBefore(scenario, crash);
     RunOutputs crashed = RunWithCrash(scenario, crash).ValueOrDie();
     EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
         << "crash after " << crash << " calls";
@@ -170,18 +168,10 @@ TEST(FaultInjectionTest, UnregisterQueryReplaysAcrossACrash) {
 // Captures the durable bytes of a partially-run scenario.
 void DurableBytesAt(const ServiceScenario& scenario, size_t calls,
                     std::string* snapshot, std::string* journal) {
-  CedrService service;
-  for (const auto& [name, schema] : scenario.catalog) {
-    ASSERT_TRUE(service.RegisterEventType(name, schema).ok());
-  }
-  for (const ScenarioQuery& q : scenario.queries) {
-    ASSERT_TRUE(service.RegisterQuery(q.text, q.spec).ok());
-  }
-  for (size_t i = 0; i < calls && i < scenario.feed.size(); ++i) {
-    ASSERT_TRUE(service.Apply(scenario.feed[i]).ok());
-  }
-  *snapshot = service.snapshot_bytes();
-  *journal = service.journal_bytes();
+  std::unique_ptr<CedrService> service =
+      RunPrefix(scenario, calls).ValueOrDie();
+  *snapshot = service->snapshot_bytes();
+  *journal = service->journal_bytes();
 }
 
 TEST(FaultInjectionTest, FlippedSnapshotBitIsCorruption) {
@@ -231,17 +221,35 @@ TEST(FaultInjectionTest, MismatchedJournalEpochIsDataLoss) {
 
   // Pair an old snapshot with a journal from a later epoch: records are
   // missing in between, which must be detected, not silently replayed.
+  // A checkpoint was sealed in between, so the two epochs' base indexes
+  // differ.
+  io::JournalContents a = io::ReadJournal(journal_a).ValueOrDie();
+  io::JournalContents b = io::ReadJournal(journal_b).ValueOrDie();
+  ASSERT_LT(a.base_index, b.base_index);
   Result<std::unique_ptr<CedrService>> got =
       CedrService::Recover(snapshot_a, journal_b);
-  if (got.ok()) {
-    // Only acceptable when both epochs happen to share a base index
-    // (i.e. no checkpoint in between) - then nothing was lost.
-    io::JournalContents a = io::ReadJournal(journal_a).ValueOrDie();
-    io::JournalContents b = io::ReadJournal(journal_b).ValueOrDie();
-    EXPECT_EQ(a.base_index, b.base_index);
-  } else {
-    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
-  }
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(FaultInjectionTest, PreviousSnapshotVersionIsCorruption) {
+  // Version 2 snapshots held each query's whole output log; version 3
+  // holds plan state alone, so a version-2 snapshot is refused rather
+  // than misread.
+  ServiceScenario scenario =
+      MachineScenario(7, ConsistencySpec::Middle(), /*disorder=*/0.0);
+  std::string snapshot;
+  std::string journal;
+  DurableBytesAt(scenario, scenario.feed.size() / 2, &snapshot, &journal);
+  ASSERT_TRUE(CedrService::Recover(snapshot, journal).ok());
+
+  io::BinaryWriter version;
+  version.PutU32(2);
+  snapshot.replace(/*magic*/ 8, 4, version.bytes());
+  Result<std::unique_ptr<CedrService>> got =
+      CedrService::Recover(snapshot, journal);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
 }
 
 TEST(FaultInjectionTest, RandomDamageSweepNeverCrashesOrLies) {

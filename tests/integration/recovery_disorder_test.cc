@@ -49,6 +49,41 @@ ServiceScenario DisorderedMachines(uint64_t seed, ConsistencySpec spec) {
   return scenario;
 }
 
+// A crash past a sync point recovers from a sealed snapshot, not by
+// replaying the journal from its first record.
+void ExpectSealedBefore(const ServiceScenario& scenario, size_t crash_after) {
+  if (!SyncPointWithin(scenario.feed, crash_after)) return;
+  EXPECT_GT(JournalBaseAt(scenario, crash_after).ValueOrDie(), 0u)
+      << "crash after " << crash_after << " calls";
+}
+
+// Restores a Checkpoint taken at the last sync point among the first
+// `calls` feed calls, finishes the feed on the restored service, and
+// joins the output delivered before the checkpoint. Seals skip most sync
+// points, so a crash recovers from an earlier barrier; this restores
+// the barrier nearest the crash.
+RunOutputs RestoredAtLastSyncPoint(const ServiceScenario& scenario,
+                                   size_t calls) {
+  size_t sync_end = calls;  // feed index just past the last sync point
+  while (sync_end > 0 &&
+         scenario.feed[sync_end - 1].op != io::JournalOp::kSyncPoint) {
+    --sync_end;
+  }
+  std::unique_ptr<CedrService> original =
+      RunPrefix(scenario, sync_end).ValueOrDie();
+  io::BinaryWriter w;
+  EXPECT_TRUE(original->Checkpoint(&w).ok());
+  io::BinaryReader r(w.bytes());
+  std::unique_ptr<CedrService> restored =
+      CedrService::Restore(&r).ValueOrDie();
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  for (size_t i = sync_end; i < scenario.feed.size(); ++i) {
+    EXPECT_TRUE(restored->Apply(scenario.feed[i]).ok()) << "call " << i;
+  }
+  EXPECT_TRUE(restored->Finish().ok());
+  return JoinOutputs(OutputsOf(*original), *restored).ValueOrDie();
+}
+
 struct Input {
   const char* label;
   uint64_t seed;
@@ -72,6 +107,7 @@ TEST(RecoveryDisorderTest, DisorderSpanningTheBarrierAtEveryLevel) {
     for (double fraction : input.crash_fractions) {
       size_t crash_after =
           static_cast<size_t>(scenario.feed.size() * fraction);
+      ExpectSealedBefore(scenario, crash_after);
       RunOutputs crashed =
           RunWithCrash(scenario, crash_after).ValueOrDie();
       // Strong: the recovered stream is message-for-message identical.
@@ -86,6 +122,10 @@ TEST(RecoveryDisorderTest, DisorderSpanningTheBarrierAtEveryLevel) {
             << input.label << " seed " << input.seed
             << " not canonically equivalent, crash at " << crash_after;
       }
+      EXPECT_TRUE(PhysicallyIdentical(
+          baseline, RestoredAtLastSyncPoint(scenario, crash_after)))
+          << input.label << " seed " << input.seed
+          << " restored at the last sync point before " << crash_after;
     }
   }
 }
@@ -115,6 +155,7 @@ TEST(RecoveryDisorderTest, RetractionsAcrossTheBarrier) {
   for (double fraction : {0.2, 0.5, 0.8}) {
     size_t crash_after =
         static_cast<size_t>(scenario.feed.size() * fraction);
+    ExpectSealedBefore(scenario, crash_after);
     RunOutputs crashed = RunWithCrash(scenario, crash_after).ValueOrDie();
     EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
         << "crash at " << crash_after;
@@ -153,6 +194,7 @@ TEST(RecoveryDisorderTest, NewsCorrelationSurvivesCrashes) {
   for (double fraction : {0.25, 0.75}) {
     size_t crash_after =
         static_cast<size_t>(scenario.feed.size() * fraction);
+    ExpectSealedBefore(scenario, crash_after);
     RunOutputs crashed = RunWithCrash(scenario, crash_after).ValueOrDie();
     EXPECT_TRUE(PhysicallyIdentical(baseline, crashed))
         << "crash at " << crash_after;
