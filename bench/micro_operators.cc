@@ -205,9 +205,13 @@ void BM_SequenceDetect(benchmark::State& state) {
     if (t.size() < 2) return true;
     return t[0]->payload.at(0) == t[1]->payload.at(0);
   };
+  // Partitioned by Machine_Id on both ports, as the planner builds a
+  // correlated SEQUENCE.
+  const FieldSlot machine(workload::MachineEventSchema(), "Machine_Id");
   for (auto _ : state) {
     SequenceOp op(2, 30, pred, {}, nullptr,
-                  SpecFor(static_cast<int>(state.range(1))));
+                  SpecFor(static_cast<int>(state.range(1))),
+                  {machine, machine});
     CollectingSink sink;
     op.ConnectTo(&sink, 0);
     size_t li = 0, ri = 0;

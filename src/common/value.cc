@@ -34,10 +34,8 @@ Result<double> Value::ToDouble() const {
   }
 }
 
-Result<int> Value::Compare(const Value& other) const {
-  if (is_null() || other.is_null()) {
-    return Status::InvalidArgument("cannot compare null values");
-  }
+std::optional<int> Value::TryCompare(const Value& other) const {
+  if (is_null() || other.is_null()) return std::nullopt;
   const bool numeric_a =
       type() == ValueType::kInt64 || type() == ValueType::kDouble;
   const bool numeric_b =
@@ -47,15 +45,14 @@ Result<int> Value::Compare(const Value& other) const {
       int64_t a = AsInt64(), b = other.AsInt64();
       return a < b ? -1 : (a > b ? 1 : 0);
     }
-    double a = std::move(*this).ToDouble().ValueOrDie();
-    double b = std::move(other).ToDouble().ValueOrDie();
+    double a = type() == ValueType::kInt64 ? static_cast<double>(AsInt64())
+                                           : AsDouble();
+    double b = other.type() == ValueType::kInt64
+                   ? static_cast<double>(other.AsInt64())
+                   : other.AsDouble();
     return a < b ? -1 : (a > b ? 1 : 0);
   }
-  if (type() != other.type()) {
-    return Status::InvalidArgument(
-        std::string("cannot compare ") + ValueTypeToString(type()) + " with " +
-        ValueTypeToString(other.type()));
-  }
+  if (type() != other.type()) return std::nullopt;
   switch (type()) {
     case ValueType::kBool: {
       bool a = AsBool(), b = other.AsBool();
@@ -66,8 +63,18 @@ Result<int> Value::Compare(const Value& other) const {
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     default:
-      return Status::Internal("unreachable value comparison");
+      return std::nullopt;
   }
+}
+
+Result<int> Value::Compare(const Value& other) const {
+  if (std::optional<int> c = TryCompare(other)) return *c;
+  if (is_null() || other.is_null()) {
+    return Status::InvalidArgument("cannot compare null values");
+  }
+  return Status::InvalidArgument(
+      std::string("cannot compare ") + ValueTypeToString(type()) + " with " +
+      ValueTypeToString(other.type()));
 }
 
 size_t Value::Hash() const {

@@ -7,6 +7,7 @@
 #define CEDR_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -57,6 +58,8 @@ class Value {
   /// value across int64/double; comparing incompatible types or nulls is
   /// an error.
   Result<int> Compare(const Value& other) const;
+  /// Compare without building an error: nullopt where Compare fails.
+  std::optional<int> TryCompare(const Value& other) const;
 
   size_t Hash() const;
   std::string ToString() const;

@@ -7,57 +7,49 @@ namespace cedr {
 AtLeastOp::AtLeastOp(size_t n, int num_inputs, Duration scope,
                      PatternTuplePredicate predicate, ScModes sc_modes,
                      SchemaPtr output_schema, ConsistencySpec spec,
-                     std::string name)
+                     std::vector<FieldSlot> partition_key, std::string name)
     : PatternOpBase(num_inputs, scope, std::move(predicate),
                     std::move(sc_modes), std::move(output_schema), spec,
-                    std::move(name)),
-      n_(n) {}
+                    std::move(name), std::move(partition_key)),
+      n_(n),
+      used_(num_inputs, false) {}
 
-Status AtLeastOp::OnNewCandidate(const Event& e, int port) {
+Status AtLeastOp::OnNewCandidate(const EventRef& e, int port) {
   if (n_ == 0 || n_ > static_cast<size_t>(num_inputs())) return Status::OK();
-  std::vector<const Event*> tuple;
-  std::vector<int> ports;
-  std::vector<bool> used(num_inputs(), false);
-  Extend(&tuple, &ports, &used, /*anchor_used=*/false, e, port);
+  Extend(/*anchor_used=*/false, e, port);
   return Status::OK();
 }
 
-void AtLeastOp::Extend(std::vector<const Event*>* tuple,
-                       std::vector<int>* ports, std::vector<bool>* used,
-                       bool anchor_used, const Event& anchor,
+void AtLeastOp::Extend(bool anchor_used, const EventRef& anchor,
                        int anchor_port) {
-  if (tuple->size() == n_) {
-    if (anchor_used) EmitComposite(*tuple, *ports);
+  const std::vector<const Event*>& tuple = this->tuple();
+  if (tuple.size() == n_) {
+    if (anchor_used) EmitComposite();
     return;
   }
   // Pruning: if the anchor has not been placed yet, it must still fit
   // after the current prefix (strictly increasing Vs).
-  const Time prev_vs = tuple->empty() ? kMinTime : tuple->back()->vs;
-  if (!anchor_used && !(*used)[anchor_port] && anchor.vs <= prev_vs) {
+  const Time prev_vs = tuple.empty() ? kMinTime : tuple.back()->vs;
+  if (!anchor_used && !used_[anchor_port] && anchor->vs <= prev_vs) {
     return;  // the anchor can no longer be placed
   }
 
-  auto try_candidate = [&](const Event& candidate, int port,
+  auto try_candidate = [&](const EventRef& candidate, int port,
                            bool is_anchor) -> bool {
-    if (!tuple->empty()) {
-      if (candidate.vs <= tuple->back()->vs) return false;
-      if (candidate.vs - tuple->front()->vs > scope_) return false;
+    if (!tuple.empty()) {
+      if (candidate->vs <= tuple.back()->vs) return false;
+      if (candidate->vs - tuple.front()->vs > scope_) return false;
     }
-    (*used)[port] = true;
-    tuple->push_back(&candidate);
-    ports->push_back(port);
-    if (predicate_(*tuple, *ports)) {
-      Extend(tuple, ports, used, anchor_used || is_anchor, anchor,
-             anchor_port);
-    }
-    tuple->pop_back();
-    ports->pop_back();
-    (*used)[port] = false;
+    used_[port] = true;
+    Bind(candidate, port);
+    if (MatchSoFar()) Extend(anchor_used || is_anchor, anchor, anchor_port);
+    Unbind();
+    used_[port] = false;
     return true;
   };
 
   for (int p = 0; p < num_inputs(); ++p) {
-    if ((*used)[p]) continue;
+    if (used_[p]) continue;
     if (p == anchor_port && !anchor_used) {
       // New matches must involve the anchor, and each chosen port
       // contributes one event, so the anchor's port contributes exactly
@@ -65,29 +57,29 @@ void AtLeastOp::Extend(std::vector<const Event*>* tuple,
       try_candidate(anchor, p, /*is_anchor=*/true);
       continue;
     }
-    Time lo = tuple->empty() ? kMinTime : TimeAdd(tuple->back()->vs, 1);
-    const Store& s = store(p);
+    Time lo = tuple.empty() ? kMinTime : TimeAdd(tuple.back()->vs, 1);
+    const Store& s = scan(p);
     const SelectionMode mode = ModeOf(p).selection;
     auto begin = s.lower_bound(std::make_pair(lo, EventId{0}));
     if (mode == SelectionMode::kLast) {
-      Time hi = tuple->empty()
+      Time hi = tuple.empty()
                     ? kInfinity
-                    : TimeAdd(TimeAdd(tuple->front()->vs, scope_), 1);
+                    : TimeAdd(TimeAdd(tuple.front()->vs, scope_), 1);
       auto end = hi == kInfinity
                      ? s.end()
                      : s.lower_bound(std::make_pair(hi, EventId{0}));
       while (end != begin) {
         --end;
-        if (end->second.id == anchor.id) continue;
+        if (end->second->id == anchor->id) continue;
         if (try_candidate(end->second, p, false)) break;
       }
       continue;
     }
     for (auto it = begin; it != s.end(); ++it) {
-      if (!tuple->empty() && it->first.first - tuple->front()->vs > scope_) {
+      if (!tuple.empty() && it->first.first - tuple.front()->vs > scope_) {
         break;
       }
-      if (it->second.id == anchor.id) continue;
+      if (it->second->id == anchor->id) continue;
       bool admissible = try_candidate(it->second, p, false);
       if (admissible && mode == SelectionMode::kFirst) break;
     }
@@ -125,8 +117,8 @@ void AtMostOp::Evaluate(Tracked* t) {
       t->eligible && CountWindow(t->source.vs) <= n_;
   if (want == t->emitted) return;
   if (want) {
-    std::vector<const Event*> tuple = {&t->source};
-    Event composite = MakeCompositeEvent(tuple, scope_, nullptr);
+    Event composite = MakeCompositeEvent(
+        {std::make_shared<const Event>(t->source)}, scope_, nullptr);
     if (t->generation > 0) {
       composite.id = IdGen({composite.id, t->generation});
       composite.k = composite.id;

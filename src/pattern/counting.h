@@ -17,17 +17,17 @@ class AtLeastOp : public PatternOpBase {
   AtLeastOp(size_t n, int num_inputs, Duration scope,
             PatternTuplePredicate predicate, ScModes sc_modes,
             SchemaPtr output_schema, ConsistencySpec spec,
+            std::vector<FieldSlot> partition_key = {},
             std::string name = "atleast");
 
  protected:
-  Status OnNewCandidate(const Event& e, int port) override;
+  Status OnNewCandidate(const EventRef& e, int port) override;
 
  private:
-  void Extend(std::vector<const Event*>* tuple, std::vector<int>* ports,
-              std::vector<bool>* used, bool anchor_used, const Event& anchor,
-              int anchor_port);
+  void Extend(bool anchor_used, const EventRef& anchor, int anchor_port);
 
   size_t n_;
+  std::vector<bool> used_;  // ports bound in the match being enumerated
 };
 
 /// ATMOST(n, E1, ..., Ek, w): an output for each input event e such that

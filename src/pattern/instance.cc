@@ -5,31 +5,34 @@
 
 namespace cedr {
 
-Event MakeCompositeEvent(const std::vector<const Event*>& tuple, Duration w,
+Event MakeCompositeEvent(std::vector<EventRef> tuple, Duration w,
                          const SchemaPtr& schema) {
   const Event& first = *tuple.front();
   const Event& last = *tuple.back();
   Event out;
   std::vector<EventId> ids;
   ids.reserve(tuple.size());
-  for (const Event* e : tuple) ids.push_back(e->id);
+  size_t width = 0;
+  out.rt = kInfinity;
+  for (const EventRef& e : tuple) {
+    ids.push_back(e->id);
+    width += e->payload.size();
+    out.rt = std::min(out.rt, e->rt);
+  }
   out.id = IdGen(ids);
   out.k = out.id;
   out.os = last.os;
   out.oe = last.oe;
   out.vs = last.vs;
   out.ve = TimeAdd(first.vs, w);
-  out.rt = kInfinity;
-  for (const Event* e : tuple) {
-    out.rt = std::min(out.rt, e->rt);
-    out.cbt.push_back(std::make_shared<const Event>(*e));
-  }
   std::vector<Value> values;
-  for (const Event* e : tuple) {
+  values.reserve(width);
+  for (const EventRef& e : tuple) {
     values.insert(values.end(), e->payload.values().begin(),
                   e->payload.values().end());
   }
   out.payload = Row(schema, std::move(values));
+  out.cbt = std::move(tuple);
   return out;
 }
 

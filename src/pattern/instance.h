@@ -15,8 +15,9 @@ namespace cedr {
 /// an ordered contributor tuple: id = idgen(contributor ids),
 /// Os/Oe/Vs from the last contributor, Ve = first.Vs + w, rt = min root
 /// time, lineage [e1..en], payload = concatenated contributor payloads
-/// under `schema` (may be null).
-Event MakeCompositeEvent(const std::vector<const Event*>& tuple, Duration w,
+/// under `schema` (may be null). The lineage shares the contributors:
+/// `tuple` becomes the composite's cbt.
+Event MakeCompositeEvent(std::vector<EventRef> tuple, Duration w,
                          const SchemaPtr& schema);
 
 /// Index from contributor event id to the composite outputs it

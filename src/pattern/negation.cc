@@ -6,13 +6,6 @@ namespace cedr {
 
 namespace {
 
-std::vector<const Event*> TuplePtrs(const std::vector<Event>& tuple) {
-  std::vector<const Event*> ptrs;
-  ptrs.reserve(tuple.size());
-  for (const Event& e : tuple) ptrs.push_back(&e);
-  return ptrs;
-}
-
 void WriteIndex(io::BinaryWriter* w,
                 const std::multimap<Time, EventId>& index) {
   w->PutU64(index.size());
@@ -132,11 +125,12 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
   }
   // The predicate tuple exposes e's contributors so injected WHERE
   // predicates can correlate them with the negated event.
-  if (e.cbt.empty()) {
-    c->tuple.push_back(e);
+  if (!e.cbt.empty()) {
+    c->tuple = e.cbt;
+  } else if (!c->output.cbt.empty()) {
+    c->tuple = c->output.cbt;  // UNLESS: e itself, already shared
   } else {
-    c->tuple.reserve(e.cbt.size());
-    for (const EventRef& contributor : e.cbt) c->tuple.push_back(*contributor);
+    c->tuple = {std::make_shared<const Event>(e)};
   }
   return true;
 }
@@ -180,11 +174,17 @@ Time NegationOp::OutputGuarantee(Time input_guarantee) const {
   return lags ? TimeSub(input_guarantee, window_.w) : input_guarantee;
 }
 
+const std::vector<const Event*>& NegationOp::View(const Candidate& c) const {
+  view_.clear();
+  for (const EventRef& contributor : c.tuple) view_.push_back(contributor.get());
+  return view_;
+}
+
 bool NegationOp::IsBlocked(const Candidate& c) const {
   if (c.block_lo >= c.block_hi) return false;
   auto begin = blockers_.lower_bound(
       std::make_pair(TimeAdd(c.block_lo, 1), EventId{0}));
-  std::vector<const Event*> tuple = TuplePtrs(c.tuple);
+  const std::vector<const Event*>& tuple = View(c);
   for (auto it = begin; it != blockers_.end(); ++it) {
     if (it->first.first >= c.block_hi) break;
     if (predicate_(tuple, it->second)) return true;
@@ -219,17 +219,16 @@ void NegationOp::Resolve(Candidate* c) {
 }
 
 void NegationOp::EmitCandidate(Candidate* c) {
-  Event out = c->output;
   if (c->generation > 0) {
     // Re-emission after a full retraction: fresh identity (Section 4's
-    // remove-and-reinsert protocol).
-    out.id = IdGen({c->output.id, c->generation});
-    out.k = out.id;
+    // remove-and-reinsert protocol). The output remembers the identity
+    // actually emitted.
+    c->output.id = IdGen({c->output.id, c->generation});
+    c->output.k = c->output.id;
   }
   ++c->generation;
   c->state = State::kEmitted;
-  c->output = out;  // remember the identity actually emitted
-  EmitInsert(std::move(out));
+  EmitInsert(c->output);
 }
 
 void NegationOp::AddBlocker(const Event& e) {
@@ -242,7 +241,7 @@ void NegationOp::AddBlocker(const Event& e) {
   blockers_.emplace(std::make_pair(e.vs, e.id), e);
   ForEachAffected(e.vs, [&](Candidate* c) {
     if (c->state != State::kEmitted) return;
-    if (!predicate_(TuplePtrs(c->tuple), e)) return;
+    if (!predicate_(View(*c), e)) return;
     EmitRetract(c->output, c->output.vs);
     c->state = State::kRetracted;
   });
@@ -398,7 +397,8 @@ void NegationOp::SnapshotState(io::BinaryWriter* w) const {
   for (const auto& [key, c] : sorted) {
     w->PutU64(c->key);
     io::WriteEvent(w, c->output);
-    io::WriteEvents(w, c->tuple);
+    w->PutU64(c->tuple.size());
+    for (const EventRef& e : c->tuple) io::WriteEvent(w, *e);
     w->PutTime(c->block_lo);
     w->PutTime(c->block_hi);
     w->PutTime(c->certain_at);
@@ -424,7 +424,10 @@ Status NegationOp::RestoreState(io::BinaryReader* r) {
     Candidate c;
     CEDR_ASSIGN_OR_RETURN(c.key, r->GetU64());
     CEDR_ASSIGN_OR_RETURN(c.output, io::ReadEvent(r));
-    CEDR_ASSIGN_OR_RETURN(c.tuple, io::ReadEvents(r));
+    CEDR_ASSIGN_OR_RETURN(std::vector<Event> tuple, io::ReadEvents(r));
+    for (Event& e : tuple) {
+      c.tuple.push_back(std::make_shared<const Event>(std::move(e)));
+    }
     CEDR_ASSIGN_OR_RETURN(c.block_lo, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.block_hi, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.certain_at, r->GetTime());

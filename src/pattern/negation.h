@@ -104,7 +104,9 @@ class NegationOp : public Operator {
   struct Candidate {
     EventId key = 0;  // the positive event's id, for cancellation
     Event output;
-    std::vector<Event> tuple;  // exposed to the negation predicate
+    /// Exposed to the negation predicate: the positive event's
+    /// contributors, shared with its lineage (or the event itself).
+    std::vector<EventRef> tuple;
     Time block_lo = 0;
     Time block_hi = 0;
     Time certain_at = 0;  // the guarantee needed for finality
@@ -120,6 +122,8 @@ class NegationOp : public Operator {
   void RemoveBlocker(const Event& e);
   void CancelCandidate(EventId key);
   bool IsBlocked(const Candidate& c) const;
+  /// `c`'s tuple as the predicate takes it, in a reused buffer.
+  const std::vector<const Event*>& View(const Candidate& c) const;
   void Resolve(Candidate* c);
   void EmitCandidate(Candidate* c);
   /// Resolves due candidates. Called whenever watermark/guarantee
@@ -134,6 +138,8 @@ class NegationOp : public Operator {
 
   NegationWindow window_;
   NegationPredicate predicate_;
+  /// The predicate's view of a candidate's tuple, refilled per call.
+  mutable std::vector<const Event*> view_;
 
   std::unordered_map<EventId, Candidate> candidates_;  // by key
   std::multimap<Time, EventId> by_block_lo_;

@@ -42,16 +42,38 @@ bool ApplyOp(AttributeComparison::Op op, int cmp) {
   return false;
 }
 
+}  // namespace
+
 bool CompareValues(const Value& left, const Value& right,
                    AttributeComparison::Op op) {
-  auto cmp = left.Compare(right);
   // Type errors and nulls make the predicate fail (SQL-ish), except for
   // equality tests where null == null could be debated; we fail those too.
-  if (!cmp.ok()) return false;
-  return ApplyOp(op, cmp.ValueOrDie());
+  std::optional<int> cmp = left.TryCompare(right);
+  return cmp.has_value() && ApplyOp(op, *cmp);
 }
 
-}  // namespace
+FieldSlot::FieldSlot(SchemaPtr schema_in, std::string attribute_in)
+    : schema(std::move(schema_in)), attribute(std::move(attribute_in)) {
+  if (schema == nullptr) return;
+  auto idx = schema->FieldIndex(attribute);
+  if (idx.ok()) index = idx.ValueOrDie();
+}
+
+const Value* FieldSlot::Fetch(const Row& payload, bool* no_field) const {
+  if (no_field != nullptr) *no_field = false;
+  size_t i = 0;
+  if (index.has_value() && payload.schema().get() == schema.get()) {
+    i = *index;
+  } else {
+    if (payload.schema() == nullptr) return nullptr;
+    if (!payload.schema()->HasField(attribute)) {
+      if (no_field != nullptr) *no_field = true;
+      return nullptr;
+    }
+    i = payload.schema()->FieldIndex(attribute).ValueOrDie();
+  }
+  return i < payload.size() ? &payload.at(i) : nullptr;
+}
 
 bool AttributeComparison::Evaluate(
     const std::vector<const Event*>& tuple) const {

@@ -11,6 +11,8 @@
 #define CEDR_PATTERN_PREDICATE_H_
 
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "stream/event.h"
@@ -62,6 +64,30 @@ struct AttributeComparison {
   /// `negated_index`.
   bool EvaluateWithNegated(const std::vector<const Event*>& tuple,
                            const Event& negated, int negated_index) const;
+};
+
+/// Applies `op` to two values as AttributeComparison does: nulls and
+/// incompatible types fail. Does not allocate.
+bool CompareValues(const Value& left, const Value& right,
+                   AttributeComparison::Op op);
+
+/// An attribute of a payload, resolved once to its field index in
+/// `schema`. A payload under another schema object is looked up by name,
+/// so rows built by hand behave as under Row::Get.
+struct FieldSlot {
+  FieldSlot() = default;
+  FieldSlot(SchemaPtr schema, std::string attribute);
+
+  /// The attribute's value in `payload`, or nullptr. On nullptr,
+  /// `*no_field` says whether the payload's schema lacks the attribute
+  /// (Row::Get's NotFound) rather than the payload having no schema or
+  /// being shorter than it.
+  const Value* Fetch(const Row& payload, bool* no_field = nullptr) const;
+
+  SchemaPtr schema;
+  std::string attribute;
+  /// Index of `attribute` in `schema`; unset when the schema lacks it.
+  std::optional<size_t> index;
 };
 
 /// Conjunction of comparisons as a TuplePredicate.

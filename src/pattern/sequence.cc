@@ -1,20 +1,54 @@
 #include "pattern/sequence.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace cedr {
+
+namespace {
+
+// A correlation value as a partition key: keys are equal wherever
+// Value::Compare finds the values equal, so numbers key by their double
+// value (int64 1 and double 1.0 share a partition) and a null or missing
+// value keys as null.
+Value PartitionKey(const Value* v) {
+  if (v == nullptr) return Value();
+  switch (v->type()) {
+    case ValueType::kInt64:
+      return Value(static_cast<double>(v->AsInt64()));
+    case ValueType::kDouble:
+      return Value(v->AsDouble() == 0 ? 0.0 : v->AsDouble());  // -0 == 0
+    default:
+      return *v;
+  }
+}
+
+bool IsNaN(const Value& key) {
+  return key.type() == ValueType::kDouble && std::isnan(key.AsDouble());
+}
+
+}  // namespace
 
 PatternOpBase::PatternOpBase(int num_inputs, Duration scope,
                              PatternTuplePredicate predicate, ScModes sc_modes,
                              SchemaPtr output_schema, ConsistencySpec spec,
-                             std::string name)
+                             std::string name,
+                             std::vector<FieldSlot> partition_key)
     : Operator(std::move(name), spec, num_inputs),
       scope_(scope),
       predicate_(predicate ? std::move(predicate) : TruePatternPredicate()),
       sc_modes_(std::move(sc_modes)),
       output_schema_(std::move(output_schema)),
-      stores_(num_inputs) {
+      stores_(num_inputs),
+      partition_key_(std::move(partition_key)),
+      scan_(num_inputs) {
   sc_modes_.resize(num_inputs);
+  if (partition_key_.size() != static_cast<size_t>(num_inputs)) {
+    partition_key_.clear();
+  }
+  tuple_.reserve(num_inputs);
+  refs_.reserve(num_inputs);
+  ports_.reserve(num_inputs);
   // TrimState here is a pure trim keyed on (Vs + scope, horizon): safe
   // to run only when the horizon advances.
   trim_on_advance_ = true;
@@ -22,7 +56,9 @@ PatternOpBase::PatternOpBase(int num_inputs, Duration scope,
 
 size_t PatternOpBase::StateSize() const {
   size_t n = emitted_.size();
-  for (const Store& s : stores_) n += s.size();
+  for (const Partitions& parts : stores_) {
+    for (const auto& [key, s] : parts) n += s.size();
+  }
   return n;
 }
 
@@ -30,19 +66,71 @@ const ScMode& PatternOpBase::ModeOf(int port) const {
   return sc_modes_[port];
 }
 
+Value PatternOpBase::KeyOf(const Event& e, int port) const {
+  if (partition_key_.empty()) return Value();
+  return PartitionKey(partition_key_[port].Fetch(e.payload));
+}
+
+Value PatternOpBase::StoreKey(const Event& e, int port) {
+  Value key = KeyOf(e, port);
+  if (!IsNaN(key)) return key;
+  partition_key_.clear();
+  for (Partitions& parts : stores_) {
+    Store merged;
+    for (auto& [k, s] : parts) merged.merge(s);
+    parts.clear();
+    if (!merged.empty()) parts.emplace(Value(), std::move(merged));
+  }
+  return Value();
+}
+
+PatternOpBase::Store* PatternOpBase::Find(const Event& e, int port,
+                                          Store::iterator* it) {
+  const auto pos = std::make_pair(e.vs, e.id);
+  Partitions& parts = stores_[port];
+  auto home = parts.find(KeyOf(e, port));
+  if (home != parts.end()) {
+    *it = home->second.find(pos);
+    if (*it != home->second.end()) return &home->second;
+  }
+  for (auto& [key, s] : parts) {
+    *it = s.find(pos);
+    if (*it != s.end()) return &s;
+  }
+  return nullptr;
+}
+
+void PatternOpBase::Erase(int port, Store* s, Store::iterator it) {
+  s->erase(it);
+  if (!s->empty()) return;
+  Partitions& parts = stores_[port];
+  for (auto pit = parts.begin(); pit != parts.end(); ++pit) {
+    if (&pit->second == s) {
+      parts.erase(pit);
+      return;
+    }
+  }
+}
+
 Status PatternOpBase::ProcessInsert(const Event& e, int port) {
   if (e.valid().empty()) return Status::OK();
-  stores_[port].emplace(std::make_pair(e.vs, e.id), e);
-  Status st = OnNewCandidate(e, port);
+  Value key = StoreKey(e, port);
+  // On a duplicate (Vs, id) the stored event stays and the arrival is
+  // still enumerated as it came.
+  EventRef ref = std::make_shared<const Event>(e);
+  stores_[port][key].emplace(std::make_pair(e.vs, e.id), ref);
+  static const Store kEmpty;
+  for (int p = 0; p < num_inputs(); ++p) {
+    auto it = stores_[p].find(key);
+    scan_[p] = it == stores_[p].end() ? &kEmpty : &it->second;
+  }
+  Status st = OnNewCandidate(ref, port);
   // Consumption is applied after enumeration so one arrival sees a
   // consistent candidate snapshot.
-  for (const auto& [p, id] : pending_consumption_) {
-    for (auto it = stores_[p].begin(); it != stores_[p].end(); ++it) {
-      if (it->first.second == id) {
-        stores_[p].erase(it);
-        break;
-      }
-    }
+  for (const auto& [p, consumed] : pending_consumption_) {
+    Store::iterator it;
+    Store* s = Find(*consumed, p, &it);
+    if (s != nullptr) Erase(p, s, it);
   }
   pending_consumption_.clear();
   return st;
@@ -50,14 +138,17 @@ Status PatternOpBase::ProcessInsert(const Event& e, int port) {
 
 Status PatternOpBase::ProcessRetract(const Event& e, Time new_ve, int port) {
   const bool full_removal = new_ve <= e.vs;
-  bool found = false;
-  auto it = stores_[port].find(std::make_pair(e.vs, e.id));
-  if (it != stores_[port].end()) {
-    found = true;
+  Store::iterator it;
+  Store* s = Find(e, port, &it);
+  if (s != nullptr) {
     if (full_removal) {
-      stores_[port].erase(it);
-    } else {
-      it->second.ve = std::min(it->second.ve, new_ve);
+      Erase(port, s, it);
+    } else if (new_ve < it->second->ve) {
+      // Copy on write: composites already emitted keep the contributor
+      // as it was when they were built.
+      auto shrunk = std::make_shared<Event>(*it->second);
+      shrunk->ve = new_ve;
+      it->second = std::move(shrunk);
     }
   }
   if (full_removal) {
@@ -66,7 +157,7 @@ Status PatternOpBase::ProcessRetract(const Event& e, Time new_ve, int port) {
     for (const Event& composite : invalidated) {
       EmitRetract(composite, composite.vs);
     }
-    if (!found && invalidated.empty()) CountLostCorrection();
+    if (s == nullptr && invalidated.empty()) CountLostCorrection();
   }
   // Partial lifetime shrink does not affect sequencing (contributor
   // occurrence is its Vs), so nothing else to repair.
@@ -74,29 +165,45 @@ Status PatternOpBase::ProcessRetract(const Event& e, Time new_ve, int port) {
 }
 
 void PatternOpBase::TrimState(Time horizon) {
-  for (Store& s : stores_) {
-    // A candidate can still combine with future events (sync >= horizon)
-    // only while its Vs + scope reaches the horizon.
-    for (auto it = s.begin(); it != s.end();) {
-      if (TimeAdd(it->first.first, scope_) <= horizon) {
-        it = s.erase(it);
-      } else {
-        break;  // store is ordered by Vs
+  for (Partitions& parts : stores_) {
+    for (auto pit = parts.begin(); pit != parts.end();) {
+      // A candidate can still combine with future events (sync >=
+      // horizon) only while its Vs + scope reaches the horizon; the
+      // partition is ordered by Vs.
+      Store& s = pit->second;
+      while (!s.empty() && TimeAdd(s.begin()->first.first, scope_) <= horizon) {
+        s.erase(s.begin());
       }
+      pit = s.empty() ? parts.erase(pit) : std::next(pit);
     }
   }
   emitted_.Trim(horizon);
 }
 
-void PatternOpBase::EmitComposite(const std::vector<const Event*>& tuple,
-                                  const std::vector<int>& ports) {
-  Event composite = MakeCompositeEvent(tuple, scope_, output_schema_);
+void PatternOpBase::Bind(const EventRef& e, int port) {
+  tuple_.push_back(e.get());
+  refs_.push_back(&e);
+  ports_.push_back(port);
+}
+
+void PatternOpBase::Unbind() {
+  tuple_.pop_back();
+  refs_.pop_back();
+  ports_.pop_back();
+}
+
+void PatternOpBase::EmitComposite() {
+  std::vector<EventRef> contributors;
+  contributors.reserve(refs_.size());
+  for (const EventRef* ref : refs_) contributors.push_back(*ref);
+  Event composite =
+      MakeCompositeEvent(std::move(contributors), scope_, output_schema_);
   // A tuple spanning exactly the scope has an empty lifetime: no match.
   if (composite.valid().empty()) return;
   emitted_.Record(composite);
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    if (ModeOf(ports[i]).consumption == ConsumptionMode::kConsume) {
-      pending_consumption_.emplace_back(ports[i], tuple[i]->id);
+  for (size_t i = 0; i < refs_.size(); ++i) {
+    if (ModeOf(ports_[i]).consumption == ConsumptionMode::kConsume) {
+      pending_consumption_.emplace_back(ports_[i], *refs_[i]);
     }
   }
   EmitInsert(std::move(composite));
@@ -104,14 +211,23 @@ void PatternOpBase::EmitComposite(const std::vector<const Event*>& tuple,
 
 void PatternOpBase::SnapshotState(io::BinaryWriter* w) const {
   w->PutU64(stores_.size());
-  for (const Store& s : stores_) {
-    w->PutU64(s.size());
-    for (const auto& [key, e] : s) io::WriteEvent(w, e);
+  std::vector<const Store::value_type*> merged;
+  for (const Partitions& parts : stores_) {
+    merged.clear();
+    for (const auto& [key, s] : parts) {
+      for (const auto& entry : s) merged.push_back(&entry);
+    }
+    std::sort(merged.begin(), merged.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    w->PutU64(merged.size());
+    for (const auto* entry : merged) io::WriteEvent(w, *entry->second);
   }
+  // Consumption is applied before ProcessInsert returns, so none is
+  // pending between pushes; the count keeps the format.
   w->PutU64(pending_consumption_.size());
-  for (const auto& [port, id] : pending_consumption_) {
+  for (const auto& [port, e] : pending_consumption_) {
     w->PutU64(static_cast<uint64_t>(port));
-    w->PutU64(id);
+    w->PutU64(e->id);
   }
   emitted_.Snapshot(w);
 }
@@ -121,24 +237,21 @@ Status PatternOpBase::RestoreState(io::BinaryReader* r) {
   if (num_stores != stores_.size()) {
     return Status::Corruption("pattern snapshot: store count mismatch");
   }
-  for (Store& s : stores_) {
-    s.clear();
+  for (Partitions& parts : stores_) parts.clear();
+  for (int port = 0; port < num_inputs(); ++port) {
     CEDR_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
     for (uint64_t i = 0; i < n; ++i) {
       CEDR_ASSIGN_OR_RETURN(Event e, io::ReadEvent(r));
-      auto key = std::make_pair(e.vs, e.id);
-      s.emplace(key, std::move(e));
+      Value key = StoreKey(e, port);
+      auto pos = std::make_pair(e.vs, e.id);
+      stores_[port][key].emplace(pos,
+                                 std::make_shared<const Event>(std::move(e)));
     }
   }
   CEDR_ASSIGN_OR_RETURN(uint64_t num_pending, r->GetU64());
   pending_consumption_.clear();
-  for (uint64_t i = 0; i < num_pending; ++i) {
-    CEDR_ASSIGN_OR_RETURN(uint64_t port, r->GetU64());
-    if (port >= stores_.size()) {
-      return Status::Corruption("pattern snapshot: pending port out of range");
-    }
-    CEDR_ASSIGN_OR_RETURN(EventId id, r->GetU64());
-    pending_consumption_.emplace_back(static_cast<int>(port), id);
+  if (num_pending != 0) {
+    return Status::Corruption("pattern snapshot: consumption left pending");
   }
   return emitted_.Restore(r);
 }
@@ -146,43 +259,36 @@ Status PatternOpBase::RestoreState(io::BinaryReader* r) {
 SequenceOp::SequenceOp(int num_inputs, Duration scope,
                        PatternTuplePredicate predicate, ScModes sc_modes,
                        SchemaPtr output_schema, ConsistencySpec spec,
-                       std::string name)
+                       std::vector<FieldSlot> partition_key, std::string name)
     : PatternOpBase(num_inputs, scope, std::move(predicate),
                     std::move(sc_modes), std::move(output_schema), spec,
-                    std::move(name)) {}
+                    std::move(name), std::move(partition_key)) {}
 
-Status SequenceOp::OnNewCandidate(const Event& e, int port) {
-  std::vector<const Event*> tuple;
-  std::vector<int> ports;
-  Extend(&tuple, &ports, /*stage=*/0, e, port);
+Status SequenceOp::OnNewCandidate(const EventRef& e, int port) {
+  Extend(/*stage=*/0, e, port);
   return Status::OK();
 }
 
-void SequenceOp::Extend(std::vector<const Event*>* tuple,
-                        std::vector<int>* ports, int stage,
-                        const Event& anchor, int anchor_port) {
+void SequenceOp::Extend(int stage, const EventRef& anchor, int anchor_port) {
   const int k = num_inputs();
   if (stage == k) {
-    EmitComposite(*tuple, *ports);
+    EmitComposite();
     return;
   }
+  const std::vector<const Event*>& tuple = this->tuple();
 
-  auto try_candidate = [&](const Event& candidate) -> bool {
-    if (!tuple->empty()) {
-      if (candidate.vs <= tuple->back()->vs) return false;
-      if (candidate.vs - tuple->front()->vs > scope_) return false;
+  auto try_candidate = [&](const EventRef& candidate) -> bool {
+    if (!tuple.empty()) {
+      if (candidate->vs <= tuple.back()->vs) return false;
+      if (candidate->vs - tuple.front()->vs > scope_) return false;
     }
     if (stage < anchor_port) {
-      if (candidate.vs >= anchor.vs) return false;
-      if (anchor.vs - candidate.vs > scope_) return false;
+      if (candidate->vs >= anchor->vs) return false;
+      if (anchor->vs - candidate->vs > scope_) return false;
     }
-    tuple->push_back(&candidate);
-    ports->push_back(stage);
-    if (predicate_(*tuple, *ports)) {
-      Extend(tuple, ports, stage + 1, anchor, anchor_port);
-    }
-    tuple->pop_back();
-    ports->pop_back();
+    Bind(candidate, stage);
+    if (MatchSoFar()) Extend(stage + 1, anchor, anchor_port);
+    Unbind();
     return true;
   };
 
@@ -191,13 +297,13 @@ void SequenceOp::Extend(std::vector<const Event*>* tuple,
     return;
   }
 
-  // Range of admissible Vs in this port's store.
+  // Range of admissible Vs in this port's partition.
   Time lo = kMinTime;
-  if (!tuple->empty()) lo = std::max(lo, TimeAdd(tuple->back()->vs, 1));
+  if (!tuple.empty()) lo = std::max(lo, TimeAdd(tuple.back()->vs, 1));
   if (stage < anchor_port && scope_ != kInfinity) {
-    lo = std::max(lo, TimeSub(anchor.vs, scope_));
+    lo = std::max(lo, TimeSub(anchor->vs, scope_));
   }
-  const Store& s = store(stage);
+  const Store& s = scan(stage);
   auto begin = s.lower_bound(std::make_pair(lo, EventId{0}));
 
   const SelectionMode mode = ModeOf(stage).selection;
@@ -205,9 +311,9 @@ void SequenceOp::Extend(std::vector<const Event*>* tuple,
     // Walk backwards from the end of the admissible range (exclusive
     // upper bound on Vs).
     Time hi = kInfinity;
-    if (stage < anchor_port) hi = anchor.vs;
-    if (!tuple->empty()) {
-      hi = std::min(hi, TimeAdd(TimeAdd(tuple->front()->vs, scope_), 1));
+    if (stage < anchor_port) hi = anchor->vs;
+    if (!tuple.empty()) {
+      hi = std::min(hi, TimeAdd(TimeAdd(tuple.front()->vs, scope_), 1));
     }
     auto end = hi == kInfinity ? s.end()
                                : s.lower_bound(std::make_pair(hi, EventId{0}));
@@ -219,8 +325,8 @@ void SequenceOp::Extend(std::vector<const Event*>* tuple,
   }
 
   for (auto it = begin; it != s.end(); ++it) {
-    if (stage < anchor_port && it->first.first >= anchor.vs) break;
-    if (!tuple->empty() && it->first.first - tuple->front()->vs > scope_) {
+    if (stage < anchor_port && it->first.first >= anchor->vs) break;
+    if (!tuple.empty() && it->first.first - tuple.front()->vs > scope_) {
       break;
     }
     bool admissible = try_candidate(it->second);

@@ -14,6 +14,7 @@
 #define CEDR_PATTERN_SEQUENCE_H_
 
 #include <map>
+#include <unordered_map>
 
 #include "ops/operator.h"
 #include "pattern/instance.h"
@@ -25,38 +26,56 @@ namespace cedr {
 /// Base for k-input pattern detectors with a time scope w: owns the
 /// per-port candidate stores, SC modes, lineage index, and the retraction
 /// and trimming logic.
+///
+/// Each port's store is partitioned by a correlation key, one field per
+/// port in `partition_key` (empty: a single partition). The planner gives
+/// a key only when every match binds equal key values, so an arrival
+/// scans only its own key's partition; the full predicate still runs.
+/// Stores hold shared, immutable contributors that composites point at.
 class PatternOpBase : public Operator {
  public:
   PatternOpBase(int num_inputs, Duration scope, PatternTuplePredicate predicate,
                 ScModes sc_modes, SchemaPtr output_schema,
-                ConsistencySpec spec, std::string name);
+                ConsistencySpec spec, std::string name,
+                std::vector<FieldSlot> partition_key);
 
   size_t StateSize() const override;
+  /// Whether candidates are partitioned by a correlation key.
+  bool partitioned() const { return !partition_key_.empty(); }
 
  protected:
+  using Store = std::map<std::pair<Time, EventId>, EventRef>;
+
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
   void TrimState(Time horizon) override;
-  /// Serializes the candidate stores, pending consumptions, and lineage
-  /// index. SequenceOp/AtLeastOp add no further state, so this covers
-  /// the whole positive-pattern family.
+  /// Serializes the candidate stores (each port's partitions merged in
+  /// (Vs, id) order), pending consumptions, and lineage index.
+  /// SequenceOp/AtLeastOp add no further state, so this covers the whole
+  /// positive-pattern family.
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;
 
   /// Enumerate and emit the new matches created by `e` arriving on
-  /// `port`. Called after `e` has been stored.
-  virtual Status OnNewCandidate(const Event& e, int port) = 0;
+  /// `port`. Called after `e` has been stored and scan() points at its
+  /// key's partitions.
+  virtual Status OnNewCandidate(const EventRef& e, int port) = 0;
 
-  /// Emits a composite built from `tuple`, records lineage, applies
-  /// consumption modes.
-  void EmitComposite(const std::vector<const Event*>& tuple,
-                     const std::vector<int>& ports);
+  /// Appends `e`, from `port`, to the match being enumerated; Unbind
+  /// drops the last contributor.
+  void Bind(const EventRef& e, int port);
+  void Unbind();
+  /// The predicate over the match being enumerated.
+  bool MatchSoFar() const { return predicate_(tuple_, ports_); }
+  /// Emits a composite of the match being enumerated, records lineage,
+  /// applies consumption modes.
+  void EmitComposite();
 
   const ScMode& ModeOf(int port) const;
-
-  using Store = std::map<std::pair<Time, EventId>, Event>;
-  Store& store(int port) { return stores_[port]; }
-  const Store& store(int port) const { return stores_[port]; }
+  /// The partition of `port` holding the current arrival's key.
+  const Store& scan(int port) const { return *scan_[port]; }
+  /// Contributors bound so far, in match order.
+  const std::vector<const Event*>& tuple() const { return tuple_; }
 
   Duration scope_;
   PatternTuplePredicate predicate_;
@@ -65,8 +84,26 @@ class PatternOpBase : public Operator {
   CompositeIndex emitted_;
 
  private:
-  std::vector<Store> stores_;
-  std::vector<std::pair<int, EventId>> pending_consumption_;
+  using Partitions = std::unordered_map<Value, Store>;
+
+  /// The partition key of `e` on `port`; null when unpartitioned.
+  Value KeyOf(const Event& e, int port) const;
+  /// KeyOf for storing `e`. A NaN key, which Value::Compare finds equal
+  /// to every number, merges every port into one partition for good.
+  Value StoreKey(const Event& e, int port);
+  /// Finds `e`'s stored entry on `port`: in its key's partition, else
+  /// (a retraction whose payload differs from the insert's) in any.
+  Store* Find(const Event& e, int port, Store::iterator* it);
+  void Erase(int port, Store* s, Store::iterator it);
+
+  std::vector<Partitions> stores_;
+  std::vector<FieldSlot> partition_key_;
+  std::vector<const Store*> scan_;
+  // The match being enumerated: contributors, their refs, their ports.
+  std::vector<const Event*> tuple_;
+  std::vector<const EventRef*> refs_;
+  std::vector<int> ports_;
+  std::vector<std::pair<int, EventRef>> pending_consumption_;
 };
 
 /// SEQUENCE(E1, ..., Ek, w): one contributor per input, strictly
@@ -75,14 +112,14 @@ class SequenceOp : public PatternOpBase {
  public:
   SequenceOp(int num_inputs, Duration scope, PatternTuplePredicate predicate,
              ScModes sc_modes, SchemaPtr output_schema, ConsistencySpec spec,
+             std::vector<FieldSlot> partition_key = {},
              std::string name = "sequence");
 
  protected:
-  Status OnNewCandidate(const Event& e, int port) override;
+  Status OnNewCandidate(const EventRef& e, int port) override;
 
  private:
-  void Extend(std::vector<const Event*>* tuple, std::vector<int>* ports,
-              int stage, const Event& anchor, int anchor_port);
+  void Extend(int stage, const EventRef& anchor, int anchor_port);
 };
 
 }  // namespace cedr

@@ -15,71 +15,29 @@ namespace plan {
 
 namespace {
 
-void FlattenInto(const Event* e, std::vector<const Event*>* out) {
-  if (e == nullptr) return;
-  if (e->cbt.empty()) {
-    out->push_back(e);
-    return;
+/// The n-th leaf, in depth-first order, of `e`'s contributor tree, or
+/// nullptr when it has fewer; counts *n down past the leaves it walks.
+const Event* NthLeaf(const Event* e, int* n) {
+  if (e == nullptr) return nullptr;
+  if (e->cbt.empty()) return (*n)-- == 0 ? e : nullptr;
+  for (const EventRef& c : e->cbt) {
+    if (const Event* leaf = NthLeaf(c.get(), n)) return leaf;
   }
-  for (const EventRef& c : e->cbt) FlattenInto(c.get(), out);
+  return nullptr;
 }
 
-/// Rebases positive contributor indices by -flat_lo; negated markers
-/// (>= kNegatedIndexBase) are left untouched.
-std::vector<AttributeComparison> Rebase(
-    std::vector<AttributeComparison> comparisons, int flat_lo) {
-  for (AttributeComparison& c : comparisons) {
-    if (c.left_contributor < kNegatedIndexBase) c.left_contributor -= flat_lo;
-    if (c.right_contributor >= 0 && c.right_contributor < kNegatedIndexBase) {
-      c.right_contributor -= flat_lo;
-    }
-  }
-  return comparisons;
-}
-
-PatternTuplePredicate MakeNodePredicate(
-    std::vector<AttributeComparison> comparisons, int flat_lo, int flat_hi,
-    std::vector<int> child_offsets) {
-  if (comparisons.empty()) return nullptr;
-  comparisons = Rebase(std::move(comparisons), flat_lo);
-  const int width = flat_hi - flat_lo;
-  return [comparisons = std::move(comparisons),
-          child_offsets = std::move(child_offsets),
-          width](const std::vector<const Event*>& tuple,
-                 const std::vector<int>& ports) {
-    std::vector<const Event*> flat(static_cast<size_t>(width), nullptr);
-    std::vector<const Event*> leaves;
-    for (size_t i = 0; i < tuple.size() && i < ports.size(); ++i) {
-      leaves.clear();
-      FlattenInto(tuple[i], &leaves);
-      size_t base = static_cast<size_t>(child_offsets[ports[i]]);
-      for (size_t j = 0;
-           j < leaves.size() && base + j < static_cast<size_t>(width); ++j) {
-        flat[base + j] = leaves[j];
-      }
-    }
-    for (const AttributeComparison& c : comparisons) {
-      if (!c.Evaluate(flat)) return false;
-    }
-    return true;
-  };
-}
-
-NegationPredicate MakeNodeNegationPredicate(
-    std::vector<AttributeComparison> comparisons, int flat_lo,
-    int negated_marker) {
-  if (comparisons.empty()) return nullptr;
-  comparisons = Rebase(std::move(comparisons), flat_lo);
-  return [comparisons = std::move(comparisons), negated_marker](
-             const std::vector<const Event*>& tuple, const Event& negated) {
-    std::vector<const Event*> flat;
-    for (const Event* e : tuple) FlattenInto(e, &flat);
-    for (const AttributeComparison& c : comparisons) {
-      if (!c.EvaluateWithNegated(flat, negated, negated_marker)) return false;
-    }
-    return true;
-  };
-}
+/// An AttributeComparison resolved at plan time: each side is a flat slot
+/// relative to the node (a negated leaf keeps its marker) and a field of
+/// that slot's leaf schema.
+struct SlotComparison {
+  int left_slot = 0;
+  FieldSlot left;
+  bool right_constant = true;
+  int right_slot = 0;
+  FieldSlot right;
+  Value constant;
+  AttributeComparison::Op op = AttributeComparison::Op::kEq;
+};
 
 class Builder {
  public:
@@ -99,6 +57,16 @@ class Builder {
 
   /// Payload-value offset of a positive flat index within the composite.
   int FieldOffset(int flat_index) const;
+  /// Schema of the leaf at a positive flat index or a negated marker.
+  SchemaPtr LeafSchema(int index) const;
+  std::vector<SlotComparison> Compile(
+      const std::vector<AttributeComparison>& comparisons, int flat_lo) const;
+  PatternTuplePredicate MakeNodePredicate(const LogicalNode& node) const;
+  NegationPredicate MakeNodeNegationPredicate(const LogicalNode& node) const;
+  /// One key field per port when every match of `node` (n contributors
+  /// each) binds equal key values; empty otherwise.
+  std::vector<FieldSlot> PartitionKey(const LogicalNode& node,
+                                      size_t n) const;
   /// Schema slice covering positive flat range [lo, hi); null if empty.
   SchemaPtr SchemaSlice(int lo, int hi) const;
 
@@ -119,6 +87,202 @@ int Builder::FieldOffset(int flat_index) const {
     }
   }
   return offset;
+}
+
+SchemaPtr Builder::LeafSchema(int index) const {
+  const bool negated = index >= kNegatedIndexBase;
+  for (const BoundLeaf& leaf : q_.leaves) {
+    if (leaf.negated == negated && leaf.flat_index == index) return leaf.schema;
+  }
+  return nullptr;
+}
+
+std::vector<SlotComparison> Builder::Compile(
+    const std::vector<AttributeComparison>& comparisons, int flat_lo) const {
+  // Positive indices are rebased by -flat_lo; negated markers are kept.
+  auto slot = [flat_lo](int index) {
+    return index < kNegatedIndexBase ? index - flat_lo : index;
+  };
+  std::vector<SlotComparison> out;
+  for (const AttributeComparison& c : comparisons) {
+    SlotComparison sc;
+    sc.left_slot = slot(c.left_contributor);
+    sc.left = FieldSlot(LeafSchema(c.left_contributor), c.left_attribute);
+    sc.right_constant = c.right_contributor < 0;
+    if (!sc.right_constant) {
+      sc.right_slot = slot(c.right_contributor);
+      sc.right = FieldSlot(LeafSchema(c.right_contributor), c.right_attribute);
+    }
+    sc.constant = c.constant;
+    sc.op = c.op;
+    out.push_back(std::move(sc));
+  }
+  return out;
+}
+
+PatternTuplePredicate Builder::MakeNodePredicate(
+    const LogicalNode& node) const {
+  if (node.tuple_comparisons.empty()) return nullptr;
+  const int width = node.flat_hi - node.flat_lo;
+  // Each flat slot's port, and its leaf's position under that child.
+  std::vector<std::pair<int, int>> slots(static_cast<size_t>(width), {-1, 0});
+  for (size_t port = 0; port < node.children.size(); ++port) {
+    const LogicalNode& child = *node.children[port];
+    for (int f = child.flat_lo; f < child.flat_hi; ++f) {
+      slots[f - node.flat_lo] = {static_cast<int>(port), f - child.flat_lo};
+    }
+  }
+  return [comparisons = Compile(node.tuple_comparisons, node.flat_lo),
+          slots = std::move(slots)](const std::vector<const Event*>& tuple,
+                                    const std::vector<int>& ports) {
+    // The leaf bound at a slot, or nullptr while its port is unbound.
+    auto bound = [&](int slot) -> const Event* {
+      if (slot < 0 || slot >= static_cast<int>(slots.size())) return nullptr;
+      auto [port, leaf] = slots[slot];
+      for (size_t i = 0; i < tuple.size() && i < ports.size(); ++i) {
+        if (ports[i] == port) return NthLeaf(tuple[i], &leaf);
+      }
+      return nullptr;
+    };
+    for (const SlotComparison& c : comparisons) {
+      // A comparison with an unbound side cannot fail yet.
+      const Event* left = bound(c.left_slot);
+      if (left == nullptr) continue;
+      const Event* right = c.right_constant ? nullptr : bound(c.right_slot);
+      if (!c.right_constant && right == nullptr) continue;
+      const Value* lv = c.left.Fetch(left->payload);
+      const Value* rv =
+          c.right_constant ? &c.constant : c.right.Fetch(right->payload);
+      if (lv == nullptr || rv == nullptr) return false;
+      if (!CompareValues(*lv, *rv, c.op)) return false;
+    }
+    return true;
+  };
+}
+
+NegationPredicate Builder::MakeNodeNegationPredicate(
+    const LogicalNode& node) const {
+  if (node.negation_comparisons.empty()) return nullptr;
+  const int marker = q_.leaves[node.negated_leaf_id].flat_index;
+  return [comparisons = Compile(node.negation_comparisons, node.flat_lo),
+          marker](const std::vector<const Event*>& tuple,
+                  const Event& negated) {
+    // One side's value, or nullptr when that side decides the comparison:
+    // *pass says how. The negated event must have the field; an unbound
+    // positive contributor, or one whose schema lacks the field, cannot
+    // veto.
+    auto fetch = [&](int slot, const FieldSlot& field,
+                     bool* pass) -> const Value* {
+      *pass = false;
+      if (slot == marker) return field.Fetch(negated.payload);
+      const Event* leaf = nullptr;
+      for (size_t i = 0; i < tuple.size() && leaf == nullptr && slot >= 0;
+           ++i) {
+        leaf = NthLeaf(tuple[i], &slot);
+      }
+      if (leaf == nullptr) {
+        *pass = true;
+        return nullptr;
+      }
+      return field.Fetch(leaf->payload, pass);
+    };
+    for (const SlotComparison& c : comparisons) {
+      bool pass = false;
+      const Value* lv = fetch(c.left_slot, c.left, &pass);
+      if (lv == nullptr) {
+        if (pass) continue;
+        return false;
+      }
+      const Value* rv = &c.constant;
+      if (!c.right_constant) {
+        rv = fetch(c.right_slot, c.right, &pass);
+        if (rv == nullptr) {
+          if (pass) continue;
+          return false;
+        }
+      }
+      if (!CompareValues(*lv, *rv, c.op)) return false;
+    }
+    return true;
+  };
+}
+
+std::vector<FieldSlot> Builder::PartitionKey(const LogicalNode& node,
+                                             size_t n) const {
+  // Partitioning only prunes candidates that fail the predicate, and
+  // only under EACH selection: FIRST and LAST choose a candidate on its
+  // time bounds before the predicate runs.
+  const size_t k = node.children.size();
+  std::vector<int> flats;
+  for (size_t p = 0; p < k; ++p) {
+    const LogicalNode& child = *node.children[p];
+    if (child.kind != LogicalKind::kLeaf) return {};
+    if (p < node.child_modes.size() &&
+        node.child_modes[p].selection != SelectionMode::kEach) {
+      return {};
+    }
+    flats.push_back(q_.leaves[child.leaf_id].flat_index);
+  }
+  // Equality classes of (flat index, attribute), in order of appearance.
+  std::vector<std::pair<int, std::string>> items;
+  std::vector<size_t> parent;
+  auto find = [&](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  auto item = [&](int flat, const std::string& attribute) {
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (items[i].first == flat && items[i].second == attribute) return i;
+    }
+    items.emplace_back(flat, attribute);
+    parent.push_back(items.size() - 1);
+    return items.size() - 1;
+  };
+  std::vector<std::pair<size_t, size_t>> links;
+  for (const AttributeComparison& c : node.tuple_comparisons) {
+    if (c.op != AttributeComparison::Op::kEq || c.right_contributor < 0) {
+      continue;
+    }
+    size_t a = item(c.left_contributor, c.left_attribute);
+    size_t b = item(c.right_contributor, c.right_attribute);
+    parent[find(a)] = find(b);
+    links.emplace_back(a, b);
+  }
+  auto linked = [&](size_t a, size_t b) {
+    for (auto [x, y] : links) {
+      if ((x == a && y == b) || (x == b && y == a)) return true;
+    }
+    return false;
+  };
+  for (size_t root = 0; root < items.size(); ++root) {
+    if (find(root) != root) continue;
+    // Each port's first attribute in this class.
+    std::vector<size_t> chosen;
+    for (int flat : flats) {
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (items[i].first == flat && find(i) == root) {
+          chosen.push_back(i);
+          break;
+        }
+      }
+    }
+    if (chosen.size() != k) continue;
+    // A match of fewer than k contributors checks only the comparisons
+    // it binds, so every pair of ports must be compared directly.
+    bool covered = true;
+    for (size_t p = 0; p < k && covered && n < k; ++p) {
+      for (size_t q = p + 1; q < k && covered; ++q) {
+        covered = linked(chosen[p], chosen[q]);
+      }
+    }
+    if (!covered) continue;
+    std::vector<FieldSlot> key;
+    for (size_t i : chosen) {
+      key.emplace_back(LeafSchema(items[i].first), items[i].second);
+    }
+    return key;
+  }
+  return {};
 }
 
 SchemaPtr Builder::SchemaSlice(int lo, int hi) const {
@@ -157,21 +321,9 @@ Status Builder::WirePositiveChild(const LogicalNode& child, Operator* parent,
 }
 
 Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
-  // Flat-leaf offset of each child within this node: predicates index
-  // events (leaves), not payload values.
-  std::vector<int> child_offsets;
-  for (const auto& child : node.children) {
-    child_offsets.push_back(child->flat_lo - node.flat_lo);
-  }
-
-  PatternTuplePredicate tuple_pred = MakeNodePredicate(
-      node.tuple_comparisons, node.flat_lo, node.flat_hi, child_offsets);
+  PatternTuplePredicate tuple_pred = MakeNodePredicate(node);
   NegationPredicate neg_pred;
-  if (node.negated_leaf_id >= 0) {
-    neg_pred = MakeNodeNegationPredicate(
-        node.negation_comparisons, node.flat_lo,
-        q_.leaves[node.negated_leaf_id].flat_index);
-  }
+  if (node.negated_leaf_id >= 0) neg_pred = MakeNodeNegationPredicate(node);
 
   const int k = static_cast<int>(node.children.size());
   Operator* op = nullptr;
@@ -179,7 +331,8 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
     case LogicalKind::kSequence: {
       op = Own(std::make_unique<SequenceOp>(
           k, node.scope, tuple_pred, node.child_modes,
-          SchemaSlice(node.flat_lo, node.flat_hi), q_.spec));
+          SchemaSlice(node.flat_lo, node.flat_hi), q_.spec,
+          PartitionKey(node, static_cast<size_t>(k))));
       break;
     }
     case LogicalKind::kAll:
@@ -190,15 +343,15 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
       SchemaPtr schema = n == static_cast<size_t>(k)
                              ? SchemaSlice(node.flat_lo, node.flat_hi)
                              : nullptr;
-      op = Own(std::make_unique<AtLeastOp>(n, k, node.scope, tuple_pred,
-                                           node.child_modes,
-                                           std::move(schema), q_.spec));
+      op = Own(std::make_unique<AtLeastOp>(
+          n, k, node.scope, tuple_pred, node.child_modes, std::move(schema),
+          q_.spec, PartitionKey(node, n)));
       break;
     }
     case LogicalKind::kAny: {
       op = Own(std::make_unique<AtLeastOp>(1, k, /*scope=*/1, tuple_pred,
                                            node.child_modes, nullptr,
-                                           q_.spec));
+                                           q_.spec, PartitionKey(node, 1)));
       break;
     }
     case LogicalKind::kAtMost: {

@@ -87,5 +87,32 @@ TEST(ScModeLangTest, FirstConsumeGivesOneToOnePairing) {
   EXPECT_EQ(used_as.size(), 2u);  // A1 with B1, A2 with B2
 }
 
+// FIRST and LAST choose a candidate on its time bounds before the WHERE
+// predicate runs, so a correlated query must not narrow the candidates
+// to the arrival's key: the chosen A has another id and nothing matches.
+void FeedCorrelated(CompiledQuery* query, int64_t first_id,
+                    int64_t second_id) {
+  ASSERT_TRUE(
+      query->Push("A", InsertOf(MakeEvent(1, 1, 2, P(first_id)), 1)).ok());
+  ASSERT_TRUE(
+      query->Push("A", InsertOf(MakeEvent(2, 2, 3, P(second_id)), 2)).ok());
+  ASSERT_TRUE(query->Push("B", InsertOf(MakeEvent(3, 5, 6, P(2)), 5)).ok());
+  ASSERT_TRUE(query->Finish().ok());
+}
+
+TEST(ScModeLangTest, FirstSelectionIgnoresCorrelationWhenChoosing) {
+  auto query = Compile(
+      "SEQUENCE(A AS x WITH (FIRST), B AS y, 10) WHERE {x.id = y.id}");
+  FeedCorrelated(query.get(), /*first_id=*/1, /*second_id=*/2);
+  EXPECT_TRUE(query->sink().Ideal().empty());
+}
+
+TEST(ScModeLangTest, LastSelectionIgnoresCorrelationWhenChoosing) {
+  auto query = Compile(
+      "SEQUENCE(A AS x WITH (LAST), B AS y, 10) WHERE {x.id = y.id}");
+  FeedCorrelated(query.get(), /*first_id=*/2, /*second_id=*/1);
+  EXPECT_TRUE(query->sink().Ideal().empty());
+}
+
 }  // namespace
 }  // namespace cedr

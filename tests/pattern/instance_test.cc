@@ -11,13 +11,14 @@ namespace {
 
 using testing::KV;
 
+EventRef Share(const Event& e) { return std::make_shared<const Event>(e); }
+
 TEST(MakeCompositeEventTest, HeaderFieldsPerPaper) {
   Event a = MakeEvent(1, 3, 4, KV(1, 10));
   Event b = MakeEvent(2, 9, 10, KV(2, 20));
   b.os = 9;
   b.oe = 42;
-  std::vector<const Event*> tuple = {&a, &b};
-  Event c = MakeCompositeEvent(tuple, /*w=*/20, nullptr);
+  Event c = MakeCompositeEvent({Share(a), Share(b)}, /*w=*/20, nullptr);
   EXPECT_EQ(c.id, IdGen({1, 2}));
   EXPECT_EQ(c.vs, 9);          // last contributor's Vs
   EXPECT_EQ(c.ve, 3 + 20);     // first contributor's Vs + w
@@ -33,11 +34,9 @@ TEST(MakeCompositeEventTest, HeaderFieldsPerPaper) {
 TEST(MakeCompositeEventTest, RootTimePropagatesThroughNesting) {
   Event a = MakeEvent(1, 3, 4);
   Event b = MakeEvent(2, 9, 10);
-  std::vector<const Event*> inner_tuple = {&a, &b};
-  Event inner = MakeCompositeEvent(inner_tuple, 20, nullptr);
+  Event inner = MakeCompositeEvent({Share(a), Share(b)}, 20, nullptr);
   Event c = MakeEvent(3, 15, 16);
-  std::vector<const Event*> outer_tuple = {&inner, &c};
-  Event outer = MakeCompositeEvent(outer_tuple, 30, nullptr);
+  Event outer = MakeCompositeEvent({Share(inner), Share(c)}, 30, nullptr);
   EXPECT_EQ(outer.rt, 3);  // min over the whole lineage
 }
 
@@ -46,10 +45,8 @@ TEST(CompositeIndexTest, TakeByContributor) {
   Event a = MakeEvent(1, 3, 4);
   Event b = MakeEvent(2, 9, 10);
   Event c = MakeEvent(3, 12, 13);
-  std::vector<const Event*> t1 = {&a, &b};
-  std::vector<const Event*> t2 = {&a, &c};
-  Event c1 = MakeCompositeEvent(t1, 20, nullptr);
-  Event c2 = MakeCompositeEvent(t2, 20, nullptr);
+  Event c1 = MakeCompositeEvent({Share(a), Share(b)}, 20, nullptr);
+  Event c2 = MakeCompositeEvent({Share(a), Share(c)}, 20, nullptr);
   index.Record(c1);
   index.Record(c2);
   EXPECT_EQ(index.size(), 2u);
@@ -75,8 +72,7 @@ TEST(CompositeIndexTest, TakeUnknownContributorIsEmpty) {
 TEST(CompositeIndexTest, TrimDropsFinishedComposites) {
   CompositeIndex index;
   Event a = MakeEvent(1, 3, 4);
-  std::vector<const Event*> tuple = {&a};
-  Event composite = MakeCompositeEvent(tuple, 10, nullptr);  // [3, 13)
+  Event composite = MakeCompositeEvent({Share(a)}, 10, nullptr);  // [3, 13)
   index.Record(composite);
   index.Trim(10);
   EXPECT_EQ(index.size(), 1u);
