@@ -99,6 +99,13 @@ const std::vector<std::string>& QueryTemplates() {
       "WHERE {x.k = z.k}",
       "EVENT Q WHEN UNLESS(SEQUENCE(A AS x, B AS y, 20), C AS z, 1, 10) "
       "WHERE {x.k = z.k}",
+      // Chained correlation: SEQUENCE binds every port, so the planner
+      // partitions it; ATLEAST(2) matches {x, z} without comparing them,
+      // so it must not.
+      "EVENT Q WHEN ATLEAST(2, A AS x, B AS y, C AS z, 25) "
+      "WHERE {x.k = y.k} AND {y.k = z.k}",
+      "EVENT Q WHEN SEQUENCE(A AS x, B AS y, C AS z, 30) "
+      "WHERE {x.k = y.k} AND {y.k = z.k}",
   };
   return templates;
 }
