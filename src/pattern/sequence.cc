@@ -224,11 +224,7 @@ void PatternOpBase::SnapshotState(io::BinaryWriter* w) const {
   }
   // Consumption is applied before ProcessInsert returns, so none is
   // pending between pushes; the count keeps the format.
-  w->PutU64(pending_consumption_.size());
-  for (const auto& [port, e] : pending_consumption_) {
-    w->PutU64(static_cast<uint64_t>(port));
-    w->PutU64(e->id);
-  }
+  w->PutU64(0);
   emitted_.Snapshot(w);
 }
 
@@ -249,7 +245,6 @@ Status PatternOpBase::RestoreState(io::BinaryReader* r) {
     }
   }
   CEDR_ASSIGN_OR_RETURN(uint64_t num_pending, r->GetU64());
-  pending_consumption_.clear();
   if (num_pending != 0) {
     return Status::Corruption("pattern snapshot: consumption left pending");
   }

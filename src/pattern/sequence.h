@@ -28,7 +28,7 @@ namespace cedr {
 /// and trimming logic.
 ///
 /// Each port's store is partitioned by a correlation key, one field per
-/// port in `partition_key` (empty: a single partition). The planner gives
+/// port in `partition_key` (any other size: a single partition). The planner gives
 /// a key only when every match binds equal key values, so an arrival
 /// scans only its own key's partition; the full predicate still runs.
 /// Stores hold shared, immutable contributors that composites point at.

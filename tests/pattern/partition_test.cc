@@ -143,6 +143,19 @@ TEST(PartitionTest, NullKeyIsStoredAndRetractedWithoutLoss) {
   EXPECT_EQ(query->Stats().lost_corrections, 0u);
 }
 
+TEST(PartitionTest, RetractionWithoutPayloadFindsItsCandidate) {
+  // A provider's retraction names the event by id; its payload need not
+  // repeat the insert's, so it cannot be trusted for the key.
+  auto query = Compile("SEQUENCE(A AS x, B AS y, 10) WHERE {x.id = y.id}");
+  Insert(query.get(), "A", 1, 1, Id(7));
+  Insert(query.get(), "B", 2, 3, Id(7));
+  ASSERT_TRUE(query->Push("A", RetractOf(MakeEvent(1, 1, 21), 1, 4)).ok());
+  EXPECT_EQ(PatternOp(*query)->StateSize(), 1u);  // B alone
+  ASSERT_TRUE(query->Finish().ok());
+  EXPECT_TRUE(query->sink().Ideal().empty());
+  EXPECT_EQ(query->Stats().lost_corrections, 0u);
+}
+
 TEST(SharedContributorTest, PartialShrinkLeavesEmittedCompositeIntact) {
   auto query = Compile("SEQUENCE(A AS x, B AS y, 10) WHERE {x.id = y.id}");
   Event a = MakeEvent(1, 1, 21, Id(1));
