@@ -45,11 +45,8 @@ std::optional<int> Value::TryCompare(const Value& other) const {
       int64_t a = AsInt64(), b = other.AsInt64();
       return a < b ? -1 : (a > b ? 1 : 0);
     }
-    double a = type() == ValueType::kInt64 ? static_cast<double>(AsInt64())
-                                           : AsDouble();
-    double b = other.type() == ValueType::kInt64
-                   ? static_cast<double>(other.AsInt64())
-                   : other.AsDouble();
+    double a = ToDouble().ValueOrDie();
+    double b = other.ToDouble().ValueOrDie();
     return a < b ? -1 : (a > b ? 1 : 0);
   }
   if (type() != other.type()) return std::nullopt;

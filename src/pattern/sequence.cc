@@ -8,9 +8,9 @@ namespace cedr {
 namespace {
 
 // A correlation value as a partition key: keys are equal wherever
-// Value::Compare finds the values equal, so numbers key by their double
-// value (int64 1 and double 1.0 share a partition) and a null or missing
-// value keys as null.
+// Value::Compare finds the values equal (NaN aside, see StoreKey), so
+// numbers key by their double value (int64 1 and double 1.0 share a
+// partition) and a null or missing value keys as null.
 Value PartitionKey(const Value* v) {
   if (v == nullptr) return Value();
   switch (v->type()) {
