@@ -1,8 +1,9 @@
-// Throughput scaling harness: serial executor vs ParallelExecutor at
-// 1/2/4/8 workers over a multi-query workload, plus supervised
-// tick-drain latency (p50/p99) with serial vs parallel routing over the
-// same events and queries, paced by the adversarial burst generator, and
-// the supervised/serial throughput ratio. Emits machine-readable JSON
+// Throughput scaling harness: the default Executor (1 worker, the
+// serial row) vs the same Executor at 2/4/8 workers over a multi-query
+// workload, plus supervised tick-drain latency (p50/p99) with serial vs
+// parallel routing over the same events and queries, paced by the
+// adversarial burst generator, and the supervised/serial throughput
+// ratio. Emits machine-readable JSON
 // (BENCH_throughput.json) to seed the perf trajectory.
 //
 //   throughput_scaling [--preset=small|full] [--seed=N]
@@ -26,7 +27,6 @@
 #include "cli.h"
 #include "common/format.h"
 #include "engine/executor.h"
-#include "engine/parallel.h"
 #include "engine/supervisor.h"
 #include "testing/fault.h"
 #include "workload/adversarial.h"
@@ -122,7 +122,7 @@ std::vector<std::unique_ptr<CompiledQuery>> BuildSuite() {
 }
 
 struct ExecTiming {
-  int workers = 0;  // 0 = serial executor
+  int workers = 1;  // 1 = the serial row
   double seconds = 0;
   double events_per_sec = 0;
   double speedup_vs_serial = 1.0;
@@ -183,7 +183,7 @@ TimedStats TimeRun(const Preset& preset, const RunFn& run) {
 void Usage(std::ostream& os) {
   os << "usage: throughput_scaling [--preset=small|full] [--seed=N]\n"
         "                          [--out=BENCH_throughput.json]\n"
-        "Times serial vs parallel execution at 1/2/4/8 workers plus\n"
+        "Times the executor at 1 (serial), 2, 4 and 8 workers plus\n"
         "supervised tick-drain latency, verifies bit-identical output on\n"
         "every configuration, and writes metrics to --out.\n";
 }
@@ -258,10 +258,9 @@ int Main(int argc, char** argv) {
 
   std::vector<ExecTiming> timings;
 
-  // Serial executor baseline.
+  // Serial baseline: the default Executor (1 worker).
   {
     ExecTiming t;
-    t.workers = 0;
     TimedStats stats = TimeRun(preset, [&] {
       auto suite = BuildSuite();
       Executor exec;
@@ -282,12 +281,12 @@ int Main(int argc, char** argv) {
   }
   const double serial_seconds = timings[0].seconds;
 
-  for (int workers : {1, 2, 4, 8}) {
+  for (int workers : {2, 4, 8}) {
     ExecTiming t;
     t.workers = workers;
     TimedStats stats = TimeRun(preset, [&] {
       auto suite = BuildSuite();
-      ParallelExecutor exec(ParallelConfig{workers, 1024});
+      Executor exec(ExecutorConfig{workers, 1024});
       for (auto& q : suite) exec.Register(q.get());
       auto start = Clock::now();
       Status st = exec.Run(streams);
@@ -418,7 +417,7 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < timings.size(); ++i) {
     const ExecTiming& t = timings[i];
     out << "    {\"mode\": \""
-        << (t.workers == 0 ? "serial" : "parallel")
+        << (t.workers == 1 ? "serial" : "parallel")
         << "\", \"workers\": " << t.workers << ", \"seconds\": "
         << t.seconds << ", \"events_per_sec\": " << t.events_per_sec
         << ", \"speedup_vs_serial\": " << t.speedup_vs_serial

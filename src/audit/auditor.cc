@@ -6,7 +6,7 @@
 #include "audit/generate.h"
 #include "common/format.h"
 #include "denotation/relational.h"
-#include "engine/parallel.h"
+#include "engine/executor.h"
 #include "engine/query.h"
 #include "engine/sink.h"
 #include "engine/switching.h"
@@ -425,7 +425,7 @@ AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
     auto query = std::move(q_r).ValueUnsafe();
 
     if (c.schedule.mode == ExecMode::kParallel) {
-      ParallelExecutor exec({std::max(1, c.schedule.workers), 64});
+      Executor exec({std::max(1, c.schedule.workers), 64});
       exec.Register(query.get());
       st = exec.Run(arrival);
     } else if (c.schedule.mode == ExecMode::kSnapshotRestore) {

@@ -1,84 +1,16 @@
-// ParallelExecutor: runs many standing queries over one merged ingress
-// stream on a fixed worker pool. Parallelism is across *queries*, not
-// within one: every registered query consumes the identical
-// arrival-ordered message sequence, queries share no mutable state, and
-// each query's operator graph runs single-threaded. Per-query output is
-// therefore bit-identical to the serial Executor for every worker
-// count; only wall-clock changes (see DESIGN.md, "Parallel execution &
-// batching").
+// Former names of the executor and its config, kept only because the
+// benchmark harness (perfbench/) still spells them and is edited only
+// together with a benchmark change. They are deleted with that change;
+// new code uses Executor and ExecutorConfig.
 #ifndef CEDR_ENGINE_PARALLEL_H_
 #define CEDR_ENGINE_PARALLEL_H_
 
-#include <memory>
-#include <vector>
-
-#include "engine/query.h"
-#include "engine/source.h"
-#include "engine/worker_pool.h"
+#include "engine/executor.h"
 
 namespace cedr {
 
-struct ParallelConfig {
-  /// Total worker threads (including the calling thread). 1 runs every
-  /// query inline on the calling thread — the exact serial path.
-  int workers = 4;
-  /// Messages per fan-out batch in Run(). Larger batches amortize the
-  /// pool handshake; the batch boundary is a barrier, so extreme sizes
-  /// trade latency for throughput.
-  size_t batch_size = 1024;
-};
-
-class ParallelExecutor {
- public:
-  explicit ParallelExecutor(ParallelConfig config = {});
-  ~ParallelExecutor();
-
-  /// Registers a query; the executor does not take ownership.
-  void Register(CompiledQuery* query);
-
-  /// Merges the streams by arrival time, fans batches of the merged
-  /// stream across the registered queries, then finishes the queries.
-  Status Run(const std::vector<LabeledStream>& streams);
-
-  /// Fans one batch across all live queries (one pool task per query)
-  /// and waits for the batch barrier. Each query runs inside a fault
-  /// domain: a query whose PushBatch fails — by Status or by throwing —
-  /// is quarantined (its sink closed with the terminal error, the query
-  /// excluded from every later fan-out) while its siblings and the
-  /// process are unaffected. Returns the error of the earliest
-  /// registered query that failed *in this call* (so callers see the
-  /// fault once); later calls return OK and keep serving the survivors.
-  Status PushBatch(std::span<const TypedMessage> batch);
-
-  /// Single-message convenience: a batch of one.
-  Status Push(const std::string& event_type, const Message& msg);
-
-  /// Finishes all live queries (parallel, one task per query).
-  /// Quarantined queries are not finished: their streams died with
-  /// their terminal error, they did not end.
-  Status Finish();
-
-  int workers() const { return pool_->workers(); }
-  const ParallelConfig& config() const { return config_; }
-
-  /// Terminal status of query `i` in registration order: OK while live,
-  /// the quarantining fault afterwards.
-  const Status& terminal(size_t i) const { return terminal_[i]; }
-  /// Registration indices of quarantined queries, ascending.
-  std::vector<size_t> Quarantined() const;
-  size_t num_quarantined() const { return num_quarantined_; }
-
- private:
-  ParallelConfig config_;
-  std::unique_ptr<WorkerPool> pool_;
-  std::vector<CompiledQuery*> queries_;
-  /// Per-query terminal status (index-aligned with queries_): OK while
-  /// the query is live, the fault that quarantined it afterwards.
-  std::vector<Status> terminal_;
-  size_t num_quarantined_ = 0;
-  /// Scratch: indices of live queries for the in-flight fan-out.
-  std::vector<size_t> live_;
-};
+using ParallelConfig = ExecutorConfig;
+using ParallelExecutor = Executor;
 
 }  // namespace cedr
 

@@ -11,17 +11,10 @@ Result<std::unique_ptr<CompiledQuery>> CompiledQuery::Compile(
   CEDR_ASSIGN_OR_RETURN(ast::Query ast, ParseQuery(text));
   CEDR_ASSIGN_OR_RETURN(plan::BoundQuery bound, Bind(ast, catalog));
   if (spec_override.has_value()) bound.spec = *spec_override;
-  CEDR_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> query,
-                        FromBound(std::move(bound)));
-  query->text_ = text;
-  return query;
-}
-
-Result<std::unique_ptr<CompiledQuery>> CompiledQuery::FromBound(
-    plan::BoundQuery bound) {
   auto query = std::unique_ptr<CompiledQuery>(new CompiledQuery());
+  query->text_ = text;
   query->bound_ = std::move(bound);
-  query->optimize_result_ = plan::Optimize(&query->bound_);
+  plan::Optimize(&query->bound_);
   CEDR_ASSIGN_OR_RETURN(query->physical_,
                         plan::BuildPhysicalPlan(query->bound_));
   query->sink_ = std::make_unique<CollectingSink>(

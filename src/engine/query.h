@@ -3,12 +3,14 @@
 #ifndef CEDR_ENGINE_QUERY_H_
 #define CEDR_ENGINE_QUERY_H_
 
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <utility>
 
+#include "common/format.h"
 #include "engine/sink.h"
 #include "engine/stats.h"
 #include "lang/binder.h"
@@ -30,12 +32,27 @@ inline bool CheckpointDue(size_t input_bytes, size_t checkpoint_bytes) {
   return input_bytes >= kCheckpointRefreshRatio * checkpoint_bytes;
 }
 
+/// The fault barrier of one query operation, shared by every engine path
+/// that fans work across queries (Executor, SupervisedService): a Status
+/// failure passes through, a throw becomes kExecutionError. Keeps one
+/// faulting plan from taking down its siblings or the calling thread.
+template <typename Fn>
+Status GuardQuery(Fn&& fn) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::ExecutionError(StrCat("query threw: ", e.what()));
+  } catch (...) {
+    return Status::ExecutionError("query threw a non-standard exception");
+  }
+}
+
 class CompiledQuery {
  public:
   /// Fault-injection seam (chaos testing): consulted for every message
   /// actually routed to an input port, before the operators see it. A
   /// non-OK return fails the push; the hook may also throw, which the
-  /// fault-domain barriers (ParallelExecutor, SupervisedService) must
+  /// fault barrier (GuardQuery, in Executor and SupervisedService) must
   /// absorb. Null disables injection.
   using FaultHook =
       std::function<Status(const std::string& type, const Message& msg)>;
@@ -46,10 +63,6 @@ class CompiledQuery {
   static Result<std::unique_ptr<CompiledQuery>> Compile(
       const std::string& text, const Catalog& catalog,
       std::optional<ConsistencySpec> spec_override = std::nullopt);
-
-  /// Builds directly from a bound query (programmatic plan API).
-  static Result<std::unique_ptr<CompiledQuery>> FromBound(
-      plan::BoundQuery bound);
 
   /// Pushes one message into every input fed by `event_type`.
   Status Push(const std::string& event_type, const Message& msg);
@@ -69,14 +82,10 @@ class CompiledQuery {
   /// the stream died with `error`, it did not end).
   void CloseWithError(const Status& error) { sink_->CloseWithError(error); }
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
-  /// The registered query text; empty for FromBound (programmatic)
-  /// queries, which cannot be checkpointed.
+  /// The registered query text.
   const std::string& text() const { return text_; }
   const plan::BoundQuery& bound() const { return bound_; }
   const plan::PhysicalPlan& physical() const { return *physical_; }
-  const plan::OptimizeResult& optimize_result() const {
-    return optimize_result_;
-  }
 
   /// Aggregated statistics including the sink.
   QueryStats Stats() const;
@@ -110,7 +119,6 @@ class CompiledQuery {
 
   std::string text_;
   plan::BoundQuery bound_;
-  plan::OptimizeResult optimize_result_;
   std::unique_ptr<plan::PhysicalPlan> physical_;
   std::unique_ptr<CollectingSink> sink_;
   FaultHook fault_hook_;

@@ -38,15 +38,6 @@ EventList CollectingSink::Ideal() const {
   return denotation::IdealOf(messages());
 }
 
-EventList CollectingSink::AliveAt(Time t) const {
-  EventList ideal = Ideal();
-  EventList out;
-  for (const Event& e : ideal) {
-    if (e.valid().Contains(t)) out.push_back(e);
-  }
-  return out;
-}
-
 void CollectingSink::SnapshotState(io::BinaryWriter* w) const {
   SnapshotCounters(w);
   SnapshotLog(w);

@@ -22,10 +22,6 @@ class CollectingSink : public Operator {
   /// (Section 6's ideal history table of the output).
   EventList Ideal() const;
 
-  /// Live output at occurrence... at valid time t: events whose final
-  /// lifetime contains t.
-  EventList AliveAt(Time t) const;
-
   uint64_t inserts() const { return inserts_; }
   uint64_t retracts() const { return retracts_; }
   uint64_t ctis() const { return ctis_; }

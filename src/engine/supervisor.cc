@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <utility>
 
 #include "common/format.h"
@@ -51,20 +50,6 @@ std::string JoinTypes(const std::vector<std::string>& types) {
     out += t;
   }
   return out;
-}
-
-/// Error barrier for one query operation: a Status failure passes
-/// through, a throw becomes kExecutionError. Keeps one faulting plan
-/// from taking down the routing thread with it.
-template <typename Fn>
-Status GuardQuery(Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::exception& e) {
-    return Status::ExecutionError(StrCat("query threw: ", e.what()));
-  } catch (...) {
-    return Status::ExecutionError("query threw a non-standard exception");
-  }
 }
 
 const char* DisplayTenant(const std::string& tenant) {
@@ -457,10 +442,10 @@ Status SupervisedService::RouteBatch(std::span<const TypedMessage> batch) {
   // verbatim. Parallelism is across queries: one task per query, each
   // plan single-threaded, no shared mutable state between tasks.
   //
-  // Each task runs inside its query's fault domain: a Status failure or
-  // a throw quarantines that query after the batch barrier, while its
-  // siblings and the process are unaffected (the batch itself always
-  // routes OK).
+  // Each task runs inside its query's fault domain (GuardQuery): a
+  // Status failure or a throw quarantines that query after the batch
+  // barrier, while its siblings and the process are unaffected (the
+  // batch itself always routes OK).
   std::vector<std::pair<const std::string, Governed>*> targets;
   for (auto& entry : queries_) {
     if (entry.second.status.phase == GovernorPhase::kQuarantined) continue;
@@ -468,22 +453,22 @@ Status SupervisedService::RouteBatch(std::span<const TypedMessage> batch) {
   }
   if (targets.empty()) return Status::OK();
   const bool timed = config_.watchdog.enabled;
-  std::vector<Status> statuses =
-      route_pool_->ParallelForGuarded(targets.size(), [&](size_t i) {
-        Governed& g = targets[i]->second;
-        return GuardQuery([&] {
-          if (!timed) return g.query->PushBatch(batch);
-          const auto start = std::chrono::steady_clock::now();
-          Status pushed = g.query->PushBatch(batch);
-          // Each task writes only its own query's counter, so this is
-          // race-free on pool workers.
-          g.tick_cost_us +=
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-          return pushed;
-        });
-      });
+  std::vector<Status> statuses(targets.size());
+  route_pool_->ParallelFor(targets.size(), [&](size_t i) {
+    Governed& g = targets[i]->second;
+    statuses[i] = GuardQuery([&] {
+      if (!timed) return g.query->PushBatch(batch);
+      const auto start = std::chrono::steady_clock::now();
+      Status pushed = g.query->PushBatch(batch);
+      // Each task writes only its own query's counter, so this is
+      // race-free on pool workers.
+      g.tick_cost_us +=
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+      return pushed;
+    });
+  });
   for (size_t i = 0; i < statuses.size(); ++i) {
     auto& [name, g] = *targets[i];
     if (!statuses[i].ok()) QuarantineQuery(name, &g, statuses[i], "push");

@@ -1,8 +1,8 @@
 // WorkerPool: a fixed set of long-lived worker threads executing
 // index-space jobs (ParallelFor). The concurrency substrate for the
-// parallel query executor and the supervisor's batched routing: one
-// pool is created per executor and reused across every batch, so the
-// per-batch cost is one mutex handshake instead of thread churn.
+// executor and the supervisor's batched routing: one pool is created
+// per executor and reused across every batch, so the per-batch cost is
+// one mutex handshake instead of thread churn.
 //
 // `workers` counts the total concurrent executors: the calling thread
 // participates in every job, so a pool of size N spawns N-1 threads and

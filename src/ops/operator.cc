@@ -72,10 +72,6 @@ Status Operator::PushOne(int port, const Message& msg) {
   return Status::OK();
 }
 
-Status Operator::PushAll(int port, const std::vector<Message>& msgs) {
-  return PushBatch(port, msgs);
-}
-
 Status Operator::Drain() {
   if (!first_error_.ok()) return first_error_;
   for (int port = 0; port < monitor_.num_ports(); ++port) {

@@ -62,7 +62,6 @@ class Operator {
   /// Batched push: same per-message semantics as Push, with the sticky
   /// error check hoisted out of the loop.
   Status PushBatch(int port, std::span<const Message> msgs);
-  Status PushAll(int port, const std::vector<Message>& msgs);
 
   /// Releases everything still blocked in the alignment buffers (end of
   /// stream). Does not cascade; the engine drains in topological order.

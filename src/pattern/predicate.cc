@@ -16,12 +16,6 @@ PatternTuplePredicate TruePatternPredicate() {
   };
 }
 
-PatternTuplePredicate IgnorePorts(TuplePredicate predicate) {
-  return [predicate = std::move(predicate)](
-             const std::vector<const Event*>& tuple,
-             const std::vector<int>&) { return predicate(tuple); };
-}
-
 namespace {
 
 bool ApplyOp(AttributeComparison::Op op, int cmp) {

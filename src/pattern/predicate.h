@@ -41,9 +41,6 @@ TuplePredicate TrueTuplePredicate();
 NegationPredicate TrueNegationPredicate();
 PatternTuplePredicate TruePatternPredicate();
 
-/// Adapts a port-oblivious predicate (e.g. a denotational one).
-PatternTuplePredicate IgnorePorts(TuplePredicate predicate);
-
 /// A comparison between an attribute of one contributor and either an
 /// attribute of another contributor or a constant - the WHERE-clause
 /// primitive ("parameterized predicate" / simple predicate).

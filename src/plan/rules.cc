@@ -85,33 +85,11 @@ bool DeduplicateComparisons(BoundQuery* query,
   return changed;
 }
 
-bool TightenScopes(BoundQuery* query, std::vector<std::string>* trace) {
-  if (query->root == nullptr) return false;
-  return ForEachNode(query->root.get(), [&](LogicalNode* node) {
-    if (node->kind != LogicalKind::kUnless || node->children.empty()) {
-      return false;
-    }
-    LogicalNode* positive = node->children[0].get();
-    bool pattern_child = positive->kind == LogicalKind::kSequence ||
-                         positive->kind == LogicalKind::kAtLeast ||
-                         positive->kind == LogicalKind::kAll;
-    if (!pattern_child || positive->scope != kInfinity) return false;
-    // An unbounded inner scope can never produce output under a bounded
-    // UNLESS faster than... it simply keeps unbounded state; clamping it
-    // to a large multiple of the negation scope preserves semantics only
-    // when the query author opted in; we instead leave semantics alone
-    // and do not fire. Kept as an explicit no-op so the rule list
-    // documents the opportunity.
-    return false;
-  });
-}
-
 const std::vector<Rule>& DefaultRules() {
   static const std::vector<Rule> kRules = {
       &RewriteAllToAtLeast,
       &RewriteAnyToAtLeast,
       &DeduplicateComparisons,
-      &TightenScopes,
   };
   return kRules;
 }

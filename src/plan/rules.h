@@ -28,11 +28,6 @@ bool RewriteAnyToAtLeast(BoundQuery* query, std::vector<std::string>* trace);
 bool DeduplicateComparisons(BoundQuery* query,
                             std::vector<std::string>* trace);
 
-/// Narrows an infinite ATLEAST/SEQUENCE scope to the enclosing UNLESS
-/// scope when possible - a consistency-sensitive optimization: smaller
-/// scopes mean earlier sync points and less operator state.
-bool TightenScopes(BoundQuery* query, std::vector<std::string>* trace);
-
 /// The default rule set in application order.
 const std::vector<Rule>& DefaultRules();
 

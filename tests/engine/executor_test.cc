@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "engine/source.h"
+#include "testing/fault.h"
 #include "workload/machines.h"
 
 namespace cedr {
@@ -72,6 +75,218 @@ TEST(ExecutorTest, EmptyRunFinishesCleanly) {
   executor.Register(query.get());
   ASSERT_TRUE(executor.Run({}).ok());
   EXPECT_TRUE(query->sink().Ideal().empty());
+}
+
+std::vector<LabeledStream> SmallMachineStreams(uint64_t seed) {
+  workload::MachineConfig config;
+  config.num_machines = 6;
+  config.num_sessions = 80;
+  config.max_session_length = 40;
+  config.restart_scope = 10;
+  config.session_interval = 5;
+  config.seed = seed;
+  workload::MachineStreams streams =
+      workload::GenerateMachineEvents(config);
+  return {{"INSTALL", streams.installs},
+          {"SHUTDOWN", streams.shutdowns},
+          {"RESTART", streams.restarts}};
+}
+
+std::vector<std::unique_ptr<CompiledQuery>> CompileSuite() {
+  std::vector<std::unique_ptr<CompiledQuery>> queries;
+  const std::string text = workload::Cidr07ExampleQuery();
+  for (ConsistencySpec spec :
+       {ConsistencySpec::Strong(), ConsistencySpec::Middle(),
+        ConsistencySpec::Weak(30), ConsistencySpec::Custom(0, 100)}) {
+    queries.push_back(CompiledQuery::Compile(text,
+                                             workload::MachineCatalog(),
+                                             spec)
+                          .ValueOrDie());
+  }
+  return queries;
+}
+
+TEST(ExecutorTest, FansOutToAllQueries) {
+  auto streams = SmallMachineStreams(21);
+  auto serial_suite = CompileSuite();
+  auto parallel_suite = CompileSuite();
+
+  Executor serial;
+  for (auto& q : serial_suite) serial.Register(q.get());
+  ASSERT_TRUE(serial.Run(streams).ok());
+
+  Executor parallel(ExecutorConfig{4, 64});
+  for (auto& q : parallel_suite) parallel.Register(q.get());
+  EXPECT_EQ(parallel.workers(), 4);
+  ASSERT_TRUE(parallel.Run(streams).ok());
+
+  for (size_t i = 0; i < serial_suite.size(); ++i) {
+    EXPECT_TRUE(testing::PhysicallyIdentical(
+        serial_suite[i]->sink().messages(),
+        parallel_suite[i]->sink().messages()))
+        << "query " << i;
+  }
+}
+
+TEST(ExecutorTest, SingleWorkerAndTinyBatchesMatchSerial) {
+  auto streams = SmallMachineStreams(5);
+  auto serial_suite = CompileSuite();
+  Executor serial;
+  for (auto& q : serial_suite) serial.Register(q.get());
+  ASSERT_TRUE(serial.Run(streams).ok());
+
+  for (const ExecutorConfig config :
+       {ExecutorConfig{1, 1024}, ExecutorConfig{2, 1},
+        ExecutorConfig{8, 7}}) {
+    auto suite = CompileSuite();
+    Executor parallel(config);
+    for (auto& q : suite) parallel.Register(q.get());
+    ASSERT_TRUE(parallel.Run(streams).ok());
+    for (size_t i = 0; i < suite.size(); ++i) {
+      EXPECT_TRUE(testing::PhysicallyIdentical(
+          serial_suite[i]->sink().messages(),
+          suite[i]->sink().messages()))
+          << "workers " << config.workers << " batch " << config.batch_size
+          << " query " << i;
+    }
+  }
+}
+
+TEST(ExecutorTest, IncrementalPushMatchesRun) {
+  auto streams = SmallMachineStreams(9);
+  auto run_suite = CompileSuite();
+  Executor run_exec(ExecutorConfig{4, 32});
+  for (auto& q : run_suite) run_exec.Register(q.get());
+  ASSERT_TRUE(run_exec.Run(streams).ok());
+
+  auto push_suite = CompileSuite();
+  Executor push_exec(ExecutorConfig{4, 32});
+  for (auto& q : push_suite) push_exec.Register(q.get());
+  for (const auto& [type, msg] : MergeByArrival(streams)) {
+    ASSERT_TRUE(push_exec.Push(type, msg).ok());
+  }
+  ASSERT_TRUE(push_exec.Finish().ok());
+
+  for (size_t i = 0; i < run_suite.size(); ++i) {
+    EXPECT_TRUE(testing::PhysicallyIdentical(
+        run_suite[i]->sink().messages(), push_suite[i]->sink().messages()))
+        << "query " << i;
+  }
+}
+
+TEST(ExecutorTest, ErrorFromAnyQueryPropagates) {
+  auto suite = CompileSuite();
+  Executor parallel(ExecutorConfig{4, 16});
+  for (auto& q : suite) parallel.Register(q.get());
+  ASSERT_TRUE(parallel.Finish().ok());
+  // Every query is finished; a further push must fail, not crash.
+  Status st = parallel.Push(
+      "INSTALL", InsertOf(MakeEvent(1, 1, kInfinity,
+                                    Row(workload::MachineEventSchema(),
+                                        {Value(1), Value("b")})),
+                          1));
+  EXPECT_FALSE(st.ok());
+}
+
+TEST(ExecutorTest, EmptyRunWithWorkersFinishesCleanly) {
+  auto suite = CompileSuite();
+  Executor parallel(ExecutorConfig{4, 16});
+  for (auto& q : suite) parallel.Register(q.get());
+  ASSERT_TRUE(parallel.Run({}).ok());
+  for (auto& q : suite) EXPECT_TRUE(q->sink().Ideal().empty());
+}
+
+/// A Cidr07 query whose every routed message fails (or throws) in the
+/// fault hook.
+std::unique_ptr<CompiledQuery> CompileVictim(CompiledQuery::FaultHook hook) {
+  auto victim = CompiledQuery::Compile(workload::Cidr07ExampleQuery(),
+                                       workload::MachineCatalog())
+                    .ValueOrDie();
+  victim->set_fault_hook(std::move(hook));
+  return victim;
+}
+
+TEST(ExecutorTest, FailingQueryDoesNotStarveLaterQueries) {
+  const std::vector<TypedMessage> merged =
+      MergeByArrival(SmallMachineStreams(3));
+  ASSERT_GE(merged.size(), 2u);
+  const std::string text = workload::Cidr07ExampleQuery();
+  auto solo =
+      CompiledQuery::Compile(text, workload::MachineCatalog()).ValueOrDie();
+  auto sibling =
+      CompiledQuery::Compile(text, workload::MachineCatalog()).ValueOrDie();
+  auto victim = CompileVictim([](const std::string&, const Message&) {
+    return Status::ExecutionError("poisoned");
+  });
+
+  Executor exec;
+  EXPECT_EQ(exec.workers(), 1);
+  exec.Register(victim.get());
+  exec.Register(sibling.get());
+  const std::span<const TypedMessage> all(merged);
+  const size_t half = merged.size() / 2;
+  Status first = exec.PushBatch(all.first(half));
+  EXPECT_EQ(first.code(), StatusCode::kExecutionError);
+  EXPECT_EQ(first.message(), "poisoned");
+  EXPECT_TRUE(exec.PushBatch(all.subspan(half)).ok());
+  EXPECT_TRUE(exec.Finish().ok());
+  EXPECT_EQ(exec.Quarantined(), std::vector<size_t>{0});
+
+  ASSERT_TRUE(solo->PushBatch(all).ok());
+  ASSERT_TRUE(solo->Finish().ok());
+  EXPECT_TRUE(testing::PhysicallyIdentical(solo->sink().messages(),
+                                           sibling->sink().messages()));
+}
+
+TEST(ExecutorTest, ThrowIsQuarantinedAtEveryWorkerCount) {
+  const std::vector<TypedMessage> merged =
+      MergeByArrival(SmallMachineStreams(4));
+  for (int workers : {1, 2, 4}) {
+    auto victim = CompileVictim(
+        [](const std::string&, const Message&) -> Status {
+          throw std::runtime_error("chaos");
+        });
+    auto sibling = CompiledQuery::Compile(workload::Cidr07ExampleQuery(),
+                                          workload::MachineCatalog())
+                       .ValueOrDie();
+    Executor exec(ExecutorConfig{workers, 64});
+    exec.Register(victim.get());
+    exec.Register(sibling.get());
+    Status st = exec.PushBatch(merged);
+    EXPECT_EQ(st.code(), StatusCode::kExecutionError) << workers;
+    EXPECT_EQ(st.message(), "query threw: chaos") << workers;
+    EXPECT_EQ(exec.Quarantined(), std::vector<size_t>{0}) << workers;
+    EXPECT_EQ(victim->sink().terminal().message(), "query threw: chaos");
+    EXPECT_TRUE(exec.Finish().ok()) << workers;
+  }
+}
+
+TEST(ExecutorTest, FailedFinishIsQuarantined) {
+  const std::string text = workload::Cidr07ExampleQuery();
+  auto closed =
+      CompiledQuery::Compile(text, workload::MachineCatalog()).ValueOrDie();
+  auto sibling =
+      CompiledQuery::Compile(text, workload::MachineCatalog()).ValueOrDie();
+  Executor exec;
+  exec.Register(closed.get());
+  exec.Register(sibling.get());
+  closed->CloseWithError(Status::ExecutionError("gone"));
+
+  Status st = exec.Finish();
+  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+  EXPECT_EQ(st.message(), "gone");
+  EXPECT_EQ(exec.Quarantined(), std::vector<size_t>{0});
+  EXPECT_EQ(exec.terminal(0).message(), "gone");
+  EXPECT_EQ(exec.num_quarantined(), 1u);
+
+  // The sibling finished normally: its output ends in the CTI(inf) of
+  // the end of input.
+  EXPECT_TRUE(exec.terminal(1).ok());
+  EXPECT_FALSE(sibling->sink().closed());
+  ASSERT_FALSE(sibling->sink().messages().empty());
+  EXPECT_EQ(sibling->sink().messages().back().kind, MessageKind::kCti);
+  EXPECT_EQ(sibling->sink().messages().back().time, kInfinity);
+  EXPECT_TRUE(exec.Finish().ok()) << "the fault is reported once";
 }
 
 }  // namespace

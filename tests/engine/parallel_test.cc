@@ -1,15 +1,10 @@
-// WorkerPool and ParallelExecutor mechanics: index distribution, pool
-// reuse, inline fallback, and serial-equivalent fan-out.
-#include "engine/parallel.h"
+// WorkerPool mechanics: index distribution, pool reuse and the inline
+// fallback.
+#include "engine/worker_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-
-#include "engine/executor.h"
-#include "testing/fault.h"
-#include "workload/machines.h"
 
 namespace cedr {
 namespace {
@@ -78,125 +73,6 @@ TEST(WorkerPoolTest, BalancesUnevenTasks) {
     done.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(done.load(), 64);
-}
-
-std::vector<LabeledStream> SmallMachineStreams(uint64_t seed) {
-  workload::MachineConfig config;
-  config.num_machines = 6;
-  config.num_sessions = 80;
-  config.max_session_length = 40;
-  config.restart_scope = 10;
-  config.session_interval = 5;
-  config.seed = seed;
-  workload::MachineStreams streams =
-      workload::GenerateMachineEvents(config);
-  return {{"INSTALL", streams.installs},
-          {"SHUTDOWN", streams.shutdowns},
-          {"RESTART", streams.restarts}};
-}
-
-std::vector<std::unique_ptr<CompiledQuery>> CompileSuite() {
-  std::vector<std::unique_ptr<CompiledQuery>> queries;
-  const std::string text = workload::Cidr07ExampleQuery();
-  for (ConsistencySpec spec :
-       {ConsistencySpec::Strong(), ConsistencySpec::Middle(),
-        ConsistencySpec::Weak(30), ConsistencySpec::Custom(0, 100)}) {
-    queries.push_back(CompiledQuery::Compile(text,
-                                             workload::MachineCatalog(),
-                                             spec)
-                          .ValueOrDie());
-  }
-  return queries;
-}
-
-TEST(ParallelExecutorTest, FansOutToAllQueries) {
-  auto streams = SmallMachineStreams(21);
-  auto serial_suite = CompileSuite();
-  auto parallel_suite = CompileSuite();
-
-  Executor serial;
-  for (auto& q : serial_suite) serial.Register(q.get());
-  ASSERT_TRUE(serial.Run(streams).ok());
-
-  ParallelExecutor parallel(ParallelConfig{4, 64});
-  for (auto& q : parallel_suite) parallel.Register(q.get());
-  EXPECT_EQ(parallel.workers(), 4);
-  ASSERT_TRUE(parallel.Run(streams).ok());
-
-  for (size_t i = 0; i < serial_suite.size(); ++i) {
-    EXPECT_TRUE(testing::PhysicallyIdentical(
-        serial_suite[i]->sink().messages(),
-        parallel_suite[i]->sink().messages()))
-        << "query " << i;
-  }
-}
-
-TEST(ParallelExecutorTest, SingleWorkerAndTinyBatchesMatchSerial) {
-  auto streams = SmallMachineStreams(5);
-  auto serial_suite = CompileSuite();
-  Executor serial;
-  for (auto& q : serial_suite) serial.Register(q.get());
-  ASSERT_TRUE(serial.Run(streams).ok());
-
-  for (const ParallelConfig config :
-       {ParallelConfig{1, 1024}, ParallelConfig{2, 1},
-        ParallelConfig{8, 7}}) {
-    auto suite = CompileSuite();
-    ParallelExecutor parallel(config);
-    for (auto& q : suite) parallel.Register(q.get());
-    ASSERT_TRUE(parallel.Run(streams).ok());
-    for (size_t i = 0; i < suite.size(); ++i) {
-      EXPECT_TRUE(testing::PhysicallyIdentical(
-          serial_suite[i]->sink().messages(),
-          suite[i]->sink().messages()))
-          << "workers " << config.workers << " batch " << config.batch_size
-          << " query " << i;
-    }
-  }
-}
-
-TEST(ParallelExecutorTest, IncrementalPushMatchesRun) {
-  auto streams = SmallMachineStreams(9);
-  auto run_suite = CompileSuite();
-  ParallelExecutor run_exec(ParallelConfig{4, 32});
-  for (auto& q : run_suite) run_exec.Register(q.get());
-  ASSERT_TRUE(run_exec.Run(streams).ok());
-
-  auto push_suite = CompileSuite();
-  ParallelExecutor push_exec(ParallelConfig{4, 32});
-  for (auto& q : push_suite) push_exec.Register(q.get());
-  for (const auto& [type, msg] : MergeByArrival(streams)) {
-    ASSERT_TRUE(push_exec.Push(type, msg).ok());
-  }
-  ASSERT_TRUE(push_exec.Finish().ok());
-
-  for (size_t i = 0; i < run_suite.size(); ++i) {
-    EXPECT_TRUE(testing::PhysicallyIdentical(
-        run_suite[i]->sink().messages(), push_suite[i]->sink().messages()))
-        << "query " << i;
-  }
-}
-
-TEST(ParallelExecutorTest, ErrorFromAnyQueryPropagates) {
-  auto suite = CompileSuite();
-  ParallelExecutor parallel(ParallelConfig{4, 16});
-  for (auto& q : suite) parallel.Register(q.get());
-  ASSERT_TRUE(parallel.Finish().ok());
-  // Every query is finished; a further push must fail, not crash.
-  Status st = parallel.Push(
-      "INSTALL", InsertOf(MakeEvent(1, 1, kInfinity,
-                                    Row(workload::MachineEventSchema(),
-                                        {Value(1), Value("b")})),
-                          1));
-  EXPECT_FALSE(st.ok());
-}
-
-TEST(ParallelExecutorTest, EmptyRunFinishesCleanly) {
-  auto suite = CompileSuite();
-  ParallelExecutor parallel(ParallelConfig{4, 16});
-  for (auto& q : suite) parallel.Register(q.get());
-  ASSERT_TRUE(parallel.Run({}).ok());
-  for (auto& q : suite) EXPECT_TRUE(q->sink().Ideal().empty());
 }
 
 }  // namespace

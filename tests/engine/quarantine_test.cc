@@ -5,7 +5,7 @@
 
 #include <stdexcept>
 
-#include "engine/parallel.h"
+#include "engine/executor.h"
 #include "engine/supervisor.h"
 #include "testing/fault.h"
 #include "workload/machines.h"
@@ -127,7 +127,7 @@ TEST(QuarantineTest, ParallelForGuardedCapturesThrowsPerIndex) {
   EXPECT_EQ(done.load(), 8);
 }
 
-TEST(QuarantineTest, ParallelExecutorIsolatesAThrowingQuery) {
+TEST(QuarantineTest, ExecutorIsolatesAThrowingQuery) {
   const std::string text = workload::Cidr07ExampleQuery();
   auto make = [&] {
     return CompiledQuery::Compile(text, workload::MachineCatalog())
@@ -141,7 +141,7 @@ TEST(QuarantineTest, ParallelExecutorIsolatesAThrowingQuery) {
         throw std::runtime_error("chaos");
       });
 
-  ParallelExecutor exec(ParallelConfig{4, 16});
+  Executor exec(ExecutorConfig{4, 16});
   exec.Register(victim.get());
   exec.Register(sibling.get());
 

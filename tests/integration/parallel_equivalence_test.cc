@@ -1,4 +1,4 @@
-// Serial-vs-parallel equivalence: the parallel executor and the
+// Serial-vs-parallel equivalence: the executor with workers and the
 // supervisor's parallel routing must produce per-query output
 // *bit-identical* to the serial path for every worker count, batch
 // size, and seed - parallelism is across queries, each of which
@@ -13,7 +13,6 @@
 
 #include "common/format.h"
 #include "engine/executor.h"
-#include "engine/parallel.h"
 #include "workload/adversarial.h"
 #include "workload/disorder.h"
 #include "workload/financial.h"
@@ -83,7 +82,7 @@ TEST(ParallelEquivalenceTest, ExecutorSweepWorkersBatchesSeeds) {
     for (int workers : {1, 2, 4, 8}) {
       for (size_t batch : {size_t{1}, size_t{64}, size_t{4096}}) {
         auto suite = MachineSuite();
-        ParallelExecutor parallel(ParallelConfig{workers, batch});
+        Executor parallel(ExecutorConfig{workers, batch});
         for (auto& q : suite) parallel.Register(q.get());
         ASSERT_TRUE(parallel.Run(streams).ok())
             << "seed " << seed << " workers " << workers;
@@ -134,7 +133,7 @@ TEST(ParallelEquivalenceTest, FinancialJoinSweep) {
 
   for (int workers : {2, 8}) {
     auto suite = make_suite();
-    ParallelExecutor parallel(ParallelConfig{workers, 128});
+    Executor parallel(ExecutorConfig{workers, 128});
     for (auto& q : suite) parallel.Register(q.get());
     ASSERT_TRUE(parallel.Run(streams).ok());
     for (size_t i = 0; i < suite.size(); ++i) {

@@ -120,16 +120,5 @@ TEST(MakePredicatesTest, NegationPredicateConjunction) {
   EXPECT_FALSE(pred(tuple, other));
 }
 
-TEST(MakePredicatesTest, IgnorePortsAdapter) {
-  Event a = MakeEvent(1, 1, 2, KV(0, 5));
-  std::vector<const Event*> tuple = {&a};
-  PatternTuplePredicate adapted =
-      IgnorePorts([](const std::vector<const Event*>& t) {
-        return t.size() == 1;
-      });
-  EXPECT_TRUE(adapted(tuple, {0}));
-  EXPECT_TRUE(adapted(tuple, {}));
-}
-
 }  // namespace
 }  // namespace cedr
