@@ -4,7 +4,13 @@
 // disorder.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "engine/query.h"
 #include "engine/sink.h"
+#include "engine/source.h"
 #include "ops/alter_lifetime.h"
 #include "ops/groupby.h"
 #include "ops/join.h"
@@ -14,6 +20,24 @@
 #include "pattern/sequence.h"
 #include "workload/disorder.h"
 #include "workload/machines.h"
+
+// Every allocation in this binary is counted, so a benchmark can report
+// allocations per input event over the part of its loop it brackets.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+// Not inlined, so the compiler pairs each delete with this new rather
+// than with the malloc inside it.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace cedr {
 namespace {
@@ -261,6 +285,50 @@ void BM_UnlessDetect(benchmark::State& state) {
       static_cast<int64_t>(positives.size() + blockers.size()));
 }
 BENCHMARK(BM_UnlessDetect)->DenseRange(0, 2)->ArgName("level");
+
+// The Section 3.1 query's shape as the planner builds it: UNLESS over a
+// SEQUENCE partitioned by Machine_Id, compiled from the language and fed
+// the disordered machine workload in arrival order. Reports allocations
+// per input message, counted over the pushes and the final drain.
+void BM_UnlessOfSequence(benchmark::State& state) {
+  workload::MachineConfig config;
+  config.num_machines = 12;
+  config.num_sessions = 800;
+  config.max_session_length = 60;
+  config.restart_scope = 12;
+  config.session_interval = 4;
+  workload::MachineStreams streams = workload::GenerateMachineEvents(config);
+  DisorderConfig disorder;
+  disorder.disorder_fraction = 0.25;
+  disorder.max_delay = 12;
+  disorder.cti_period = 20;
+  const std::vector<TypedMessage> input =
+      MergeByArrival({{"INSTALL", ApplyDisorder(streams.installs, disorder)},
+                      {"SHUTDOWN", ApplyDisorder(streams.shutdowns, disorder)},
+                      {"RESTART", ApplyDisorder(streams.restarts, disorder)}});
+  const std::string text =
+      "EVENT CIDR07_Example\n"
+      "WHEN UNLESS(SEQUENCE(INSTALL AS x, SHUTDOWN AS y, 80),\n"
+      "            RESTART AS z, 12)\n"
+      "WHERE {x.Machine_Id = y.Machine_Id} AND\n"
+      "      {x.Machine_Id = z.Machine_Id}";
+  const auto catalog = workload::MachineCatalog();
+  const ConsistencySpec spec = SpecFor(static_cast<int>(state.range(0)));
+  uint64_t allocations = 0;
+  for (auto _ : state) {
+    auto query = CompiledQuery::Compile(text, catalog, spec).ValueOrDie();
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    benchmark::DoNotOptimize(query->PushBatch(input));
+    benchmark::DoNotOptimize(query->Finish());
+    allocations += g_allocations.load(std::memory_order_relaxed) - before;
+  }
+  const double events = static_cast<double>(state.iterations()) *
+                        static_cast<double>(input.size());
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["allocs_per_event"] =
+      static_cast<double>(allocations) / events;
+}
+BENCHMARK(BM_UnlessOfSequence)->DenseRange(0, 1)->ArgName("level");
 
 }  // namespace
 }  // namespace cedr

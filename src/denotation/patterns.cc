@@ -26,10 +26,12 @@ Event MakeComposite(const std::vector<const Event*>& tuple, Duration w,
   out.vs = last.vs;
   out.ve = TimeAdd(first.vs, w);
   out.rt = kInfinity;
+  Lineage::List cbt;
   for (const Event* e : tuple) {
     out.rt = std::min(out.rt, e->rt);
-    out.cbt.push_back(std::make_shared<const Event>(*e));
+    cbt.push_back(std::make_shared<const Event>(*e));
   }
+  out.cbt = std::move(cbt);
   // Concatenate payload values; schema (if provided) describes the
   // concatenation.
   std::vector<Value> values;

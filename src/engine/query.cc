@@ -80,11 +80,13 @@ Status CompiledQuery::Finish() {
       CEDR_RETURN_NOT_OK(op->Push(port, end));
     }
   }
-  // Drain in construction order: parents were constructed before the
-  // children they consume from... construction pushes parent after its
-  // op? Children-first order holds: WirePositiveChild builds children
-  // inside BuildNode after creating the parent, so drain twice to settle
-  // any stragglers, then once more through the sink.
+  // The CTI(inf) pushed above already releases every alignment buffer on
+  // its way to the sink, so the drain rounds below are a backstop. They
+  // run in construction order, which is not children first: BuildNode
+  // appends a pattern node before the children it consumes from
+  // (plan/physical.cc), so a child drained after its parent can still
+  // hand the parent messages. The second round settles those, then the
+  // sink drains last.
   for (int round = 0; round < 2; ++round) {
     for (auto& op : physical_->operators) {
       CEDR_RETURN_NOT_OK(op->Drain());

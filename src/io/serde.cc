@@ -265,11 +265,13 @@ Result<Event> ReadEvent(BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(e.rt, r->GetTime());
   CEDR_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
   if (n > kMaxLength) return Status::Corruption("serde: cbt too long");
-  e.cbt.reserve(n);
+  Lineage::List cbt;
+  cbt.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     CEDR_ASSIGN_OR_RETURN(Event c, ReadEvent(r));
-    e.cbt.push_back(std::make_shared<const Event>(std::move(c)));
+    cbt.push_back(std::make_shared<const Event>(std::move(c)));
   }
+  e.cbt = std::move(cbt);
   CEDR_ASSIGN_OR_RETURN(e.payload, ReadRow(r));
   return e;
 }

@@ -60,27 +60,23 @@ void AtLeastOp::Extend(bool anchor_used, const EventRef& anchor,
     Time lo = tuple.empty() ? kMinTime : TimeAdd(tuple.back()->vs, 1);
     const Store& s = scan(p);
     const SelectionMode mode = ModeOf(p).selection;
-    auto begin = s.lower_bound(std::make_pair(lo, EventId{0}));
+    auto begin = s.lower_bound(lo);
     if (mode == SelectionMode::kLast) {
       Time hi = tuple.empty()
                     ? kInfinity
                     : TimeAdd(TimeAdd(tuple.front()->vs, scope_), 1);
-      auto end = hi == kInfinity
-                     ? s.end()
-                     : s.lower_bound(std::make_pair(hi, EventId{0}));
+      auto end = hi == kInfinity ? s.end() : s.lower_bound(hi);
       while (end != begin) {
         --end;
-        if (end->second->id == anchor->id) continue;
-        if (try_candidate(end->second, p, false)) break;
+        if (end->id == anchor->id) continue;
+        if (try_candidate(end->event, p, false)) break;
       }
       continue;
     }
     for (auto it = begin; it != s.end(); ++it) {
-      if (!tuple.empty() && it->first.first - tuple.front()->vs > scope_) {
-        break;
-      }
-      if (it->second->id == anchor->id) continue;
-      bool admissible = try_candidate(it->second, p, false);
+      if (!tuple.empty() && it->vs - tuple.front()->vs > scope_) break;
+      if (it->id == anchor->id) continue;
+      bool admissible = try_candidate(it->event, p, false);
       if (admissible && mode == SelectionMode::kFirst) break;
     }
   }

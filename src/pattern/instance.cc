@@ -5,21 +5,19 @@
 
 namespace cedr {
 
-Event MakeCompositeEvent(std::vector<EventRef> tuple, Duration w,
-                         const SchemaPtr& schema) {
+Event MakeCompositeEvent(Lineage tuple, Duration w, const SchemaPtr& schema) {
   const Event& first = *tuple.front();
   const Event& last = *tuple.back();
   Event out;
-  std::vector<EventId> ids;
-  ids.reserve(tuple.size());
+  IdGenMix id;
   size_t width = 0;
   out.rt = kInfinity;
   for (const EventRef& e : tuple) {
-    ids.push_back(e->id);
+    id.Add(e->id);
     width += e->payload.size();
     out.rt = std::min(out.rt, e->rt);
   }
-  out.id = IdGen(ids);
+  out.id = id.id();
   out.k = out.id;
   out.os = last.os;
   out.oe = last.oe;
@@ -37,7 +35,7 @@ Event MakeCompositeEvent(std::vector<EventRef> tuple, Duration w,
 }
 
 void CompositeIndex::Record(const Event& composite) {
-  composites_[composite.id] = composite;
+  composites_[composite.id] = Recorded{composite.ve, composite.cbt};
   for (const EventRef& c : composite.cbt) {
     by_contributor_[c->id].push_back(composite.id);
   }
@@ -50,7 +48,7 @@ std::vector<Event> CompositeIndex::TakeByContributor(EventId contributor) {
   for (EventId id : it->second) {
     auto cit = composites_.find(id);
     if (cit == composites_.end()) continue;
-    out.push_back(cit->second);
+    out.push_back(Rebuild(cit->second));
     composites_.erase(cit);
   }
   by_contributor_.erase(it);
@@ -83,10 +81,10 @@ void CompositeIndex::Trim(Time horizon) {
 void CompositeIndex::Snapshot(io::BinaryWriter* w) const {
   // Sorted by id for deterministic snapshot bytes; lookups are by key so
   // map order does not affect behavior.
-  std::map<EventId, const Event*> sorted;
-  for (const auto& [id, e] : composites_) sorted.emplace(id, &e);
+  std::map<EventId, const Recorded*> sorted;
+  for (const auto& [id, c] : composites_) sorted.emplace(id, &c);
   w->PutU64(sorted.size());
-  for (const auto& [id, e] : sorted) io::WriteEvent(w, *e);
+  for (const auto& [id, c] : sorted) io::WriteEvent(w, Rebuild(*c));
 
   std::map<EventId, const std::vector<EventId>*> index;
   for (const auto& [id, ids] : by_contributor_) index.emplace(id, &ids);
@@ -104,8 +102,11 @@ Status CompositeIndex::Restore(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(uint64_t num_composites, r->GetU64());
   for (uint64_t i = 0; i < num_composites; ++i) {
     CEDR_ASSIGN_OR_RETURN(Event e, io::ReadEvent(r));
-    EventId id = e.id;
-    composites_.emplace(id, std::move(e));
+    Recorded c{e.ve, std::move(e.cbt)};
+    if (c.cbt.empty() || Rebuild(c).id != e.id) {
+      return Status::Corruption("pattern snapshot: composite id mismatch");
+    }
+    composites_.emplace(e.id, std::move(c));
   }
   CEDR_ASSIGN_OR_RETURN(uint64_t num_contributors, r->GetU64());
   for (uint64_t i = 0; i < num_contributors; ++i) {

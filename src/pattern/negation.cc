@@ -29,6 +29,41 @@ Status ReadIndex(io::BinaryReader* r, std::multimap<Time, EventId>* index) {
 
 }  // namespace
 
+void DueQueue::Push(Time t, EventId key) {
+  heap_.push_back(Entry{t, next_seq_++, key});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
+}
+
+EventId DueQueue::Pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  EventId key = heap_.back().key;
+  heap_.pop_back();
+  return key;
+}
+
+void DueQueue::Write(io::BinaryWriter* w) const {
+  std::vector<Entry> sorted = heap_;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Entry& a, const Entry& b) { return Later(b, a); });
+  w->PutU64(sorted.size());
+  for (const Entry& e : sorted) {
+    w->PutTime(e.t);
+    w->PutU64(e.key);
+  }
+}
+
+Status DueQueue::Read(io::BinaryReader* r) {
+  heap_.clear();
+  next_seq_ = 0;
+  CEDR_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
+  for (uint64_t i = 0; i < n; ++i) {
+    CEDR_ASSIGN_OR_RETURN(Time t, r->GetTime());
+    CEDR_ASSIGN_OR_RETURN(EventId key, r->GetU64());
+    Push(t, key);
+  }
+  return Status::OK();
+}
+
 const char* NegationWindow::name() const {
   switch (kind) {
     case Kind::kUnless:
@@ -203,8 +238,8 @@ void NegationOp::AddCandidate(Candidate c) {
   auto [it, inserted] = candidates_.emplace(key, std::move(c));
   if (!inserted) return;  // duplicate key: first wins
   by_block_lo_.emplace(it->second.block_lo, key);
-  by_resolve_at_.emplace(it->second.resolve_at, key);
-  by_certain_at_.emplace(it->second.certain_at, key);
+  by_resolve_at_.Push(it->second.resolve_at, key);
+  by_certain_at_.Push(it->second.certain_at, key);
   // It may already be due.
   Advance(last_watermark_, last_guarantee_);
 }
@@ -271,8 +306,8 @@ void NegationOp::RemoveBlocker(const Event& e) {
       // Back to pending; its resolution index entries may already have
       // been consumed, so re-register.
       c->state = State::kPending;
-      by_resolve_at_.emplace(c->resolve_at, c->key);
-      by_certain_at_.emplace(c->certain_at, c->key);
+      by_resolve_at_.Push(c->resolve_at, c->key);
+      by_certain_at_.Push(c->certain_at, c->key);
     }
   });
 }
@@ -318,20 +353,16 @@ void NegationOp::Advance(Time watermark, Time guarantee) {
 
   // Certainty-based resolution (the only path when B = inf).
   while (!by_certain_at_.empty() &&
-         by_certain_at_.begin()->first <= last_guarantee_) {
-    EventId key = by_certain_at_.begin()->second;
-    by_certain_at_.erase(by_certain_at_.begin());
-    auto it = candidates_.find(key);
+         by_certain_at_.top_time() <= last_guarantee_) {
+    auto it = candidates_.find(by_certain_at_.Pop());
     if (it != candidates_.end()) Resolve(&it->second);
   }
   if (spec().max_blocking == kInfinity) return;
 
   // Optimistic resolution after at most B application-time units.
   while (!by_resolve_at_.empty() &&
-         by_resolve_at_.begin()->first <= last_watermark_) {
-    EventId key = by_resolve_at_.begin()->second;
-    by_resolve_at_.erase(by_resolve_at_.begin());
-    auto it = candidates_.find(key);
+         by_resolve_at_.top_time() <= last_watermark_) {
+    auto it = candidates_.find(by_resolve_at_.Pop());
     if (it != candidates_.end()) Resolve(&it->second);
   }
 }
@@ -364,23 +395,16 @@ void NegationOp::Trim(Time horizon, Time guarantee) {
   }
 
   // Compact stale index entries.
-  auto compact = [this](std::multimap<Time, EventId>* index) {
-    for (auto it = index->begin(); it != index->end();) {
-      if (candidates_.count(it->second) == 0) {
-        it = index->erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
+  auto live = [this](EventId key) { return candidates_.count(key) > 0; };
   if (by_block_lo_.size() > 2 * candidates_.size() + 16) {
-    compact(&by_block_lo_);
+    std::erase_if(by_block_lo_,
+                  [&](const auto& entry) { return !live(entry.second); });
   }
   if (by_resolve_at_.size() > 2 * candidates_.size() + 16) {
-    compact(&by_resolve_at_);
+    by_resolve_at_.Filter(live);
   }
   if (by_certain_at_.size() > 2 * candidates_.size() + 16) {
-    compact(&by_certain_at_);
+    by_certain_at_.Filter(live);
   }
 }
 
@@ -407,8 +431,8 @@ void NegationOp::SnapshotState(io::BinaryWriter* w) const {
     w->PutU64(c->generation);
   }
   WriteIndex(w, by_block_lo_);
-  WriteIndex(w, by_resolve_at_);
-  WriteIndex(w, by_certain_at_);
+  by_resolve_at_.Write(w);
+  by_certain_at_.Write(w);
   w->PutU64(blockers_.size());
   for (const auto& [key, e] : blockers_) io::WriteEvent(w, e);
   w->PutI64(max_window_);
@@ -425,9 +449,12 @@ Status NegationOp::RestoreState(io::BinaryReader* r) {
     CEDR_ASSIGN_OR_RETURN(c.key, r->GetU64());
     CEDR_ASSIGN_OR_RETURN(c.output, io::ReadEvent(r));
     CEDR_ASSIGN_OR_RETURN(std::vector<Event> tuple, io::ReadEvents(r));
+    Lineage::List refs;
+    refs.reserve(tuple.size());
     for (Event& e : tuple) {
-      c.tuple.push_back(std::make_shared<const Event>(std::move(e)));
+      refs.push_back(std::make_shared<const Event>(std::move(e)));
     }
+    c.tuple = std::move(refs);
     CEDR_ASSIGN_OR_RETURN(c.block_lo, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.block_hi, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.certain_at, r->GetTime());
@@ -442,8 +469,8 @@ Status NegationOp::RestoreState(io::BinaryReader* r) {
     candidates_.emplace(key, std::move(c));
   }
   CEDR_RETURN_NOT_OK(ReadIndex(r, &by_block_lo_));
-  CEDR_RETURN_NOT_OK(ReadIndex(r, &by_resolve_at_));
-  CEDR_RETURN_NOT_OK(ReadIndex(r, &by_certain_at_));
+  CEDR_RETURN_NOT_OK(by_resolve_at_.Read(r));
+  CEDR_RETURN_NOT_OK(by_certain_at_.Read(r));
   blockers_.clear();
   CEDR_ASSIGN_OR_RETURN(uint64_t num_blockers, r->GetU64());
   for (uint64_t i = 0; i < num_blockers; ++i) {

@@ -22,8 +22,10 @@
 #ifndef CEDR_PATTERN_NEGATION_H_
 #define CEDR_PATTERN_NEGATION_H_
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "ops/operator.h"
 #include "pattern/predicate.h"
@@ -78,6 +80,45 @@ struct NegationWindow {
   Duration lookback = 0;
 };
 
+/// Candidate keys due at a time: a flat binary heap ordered by (time,
+/// push order), so equal times pop first in, first out - the order of a
+/// std::multimap<Time, EventId> fed the same pushes.
+class DueQueue {
+ public:
+  void Push(Time t, EventId key);
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
+  /// The earliest entry's time; the queue must not be empty.
+  Time top_time() const { return heap_.front().t; }
+  /// Removes the earliest entry and returns its key.
+  EventId Pop();
+  /// Drops the entries whose key fails `keep`; the rest keep their order.
+  template <typename Keep>
+  void Filter(Keep keep) {
+    std::erase_if(heap_, [&](const Entry& e) { return !keep(e.key); });
+    std::make_heap(heap_.begin(), heap_.end(), Later);
+  }
+  /// Writes the entries in pop order: a count, then (time, key) pairs.
+  void Write(io::BinaryWriter* w) const;
+  /// Replaces the contents with entries read in the Write format; equal
+  /// times keep their read order.
+  Status Read(io::BinaryReader* r);
+
+ private:
+  struct Entry {
+    Time t = 0;
+    uint64_t seq = 0;
+    EventId key = 0;
+  };
+  /// The heap comparator: a pops after b.
+  static bool Later(const Entry& a, const Entry& b) {
+    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+  }
+
+  std::vector<Entry> heap_;
+  uint64_t next_seq_ = 0;
+};
+
 class NegationOp : public Operator {
  public:
   NegationOp(NegationWindow window, NegationPredicate predicate,
@@ -92,8 +133,8 @@ class NegationOp : public Operator {
   void TrimState(Time horizon) override;
   Time OutputGuarantee(Time input_guarantee) const override;
   /// Serializes candidates, resolution indexes, blockers, and frontier
-  /// bookkeeping. The indexes are written verbatim (not rebuilt) so the
-  /// equal-key insertion order - the resolution order - survives
+  /// bookkeeping. The indexes are written in pop order (not rebuilt) so
+  /// the equal-key insertion order - the resolution order - survives
   /// recovery.
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;
@@ -105,8 +146,8 @@ class NegationOp : public Operator {
     EventId key = 0;  // the positive event's id, for cancellation
     Event output;
     /// Exposed to the negation predicate: the positive event's
-    /// contributors, shared with its lineage (or the event itself).
-    std::vector<EventRef> tuple;
+    /// contributors, sharing its lineage (or the event itself).
+    Lineage tuple;
     Time block_lo = 0;
     Time block_hi = 0;
     Time certain_at = 0;  // the guarantee needed for finality
@@ -143,8 +184,8 @@ class NegationOp : public Operator {
 
   std::unordered_map<EventId, Candidate> candidates_;  // by key
   std::multimap<Time, EventId> by_block_lo_;
-  std::multimap<Time, EventId> by_resolve_at_;
-  std::multimap<Time, EventId> by_certain_at_;
+  DueQueue by_resolve_at_;
+  DueQueue by_certain_at_;
   std::map<std::pair<Time, EventId>, Event> blockers_;  // by (vs, id)
   Duration max_window_ = 0;  // kInfinity once an unbounded window is seen
   Time last_watermark_ = kMinTime;

@@ -29,6 +29,44 @@ bool IsNaN(const Value& key) {
 
 }  // namespace
 
+bool CandidateStore::Before(const Entry& a, Time vs, EventId id) {
+  return a.vs < vs || (a.vs == vs && a.id < id);
+}
+
+CandidateStore::iterator CandidateStore::Position(Time vs, EventId id) {
+  return std::partition_point(
+      entries_.begin(), entries_.end(),
+      [vs, id](const Entry& a) { return Before(a, vs, id); });
+}
+
+bool CandidateStore::Insert(EventRef e) {
+  const Time vs = e->vs;
+  const EventId id = e->id;
+  // In-order arrivals append; anything else goes through binary search.
+  auto it = entries_.empty() || Before(entries_.back(), vs, id)
+                ? entries_.end()
+                : Position(vs, id);
+  if (it != entries_.end() && it->vs == vs && it->id == id) return false;
+  entries_.insert(it, Entry{vs, id, std::move(e)});
+  return true;
+}
+
+void CandidateStore::Merge(CandidateStore&& other) {
+  for (Entry& entry : other.entries_) Insert(std::move(entry.event));
+  other.entries_.clear();
+}
+
+CandidateStore::const_iterator CandidateStore::lower_bound(Time vs) const {
+  return std::partition_point(entries_.begin(), entries_.end(),
+                              [vs](const Entry& a) { return a.vs < vs; });
+}
+
+CandidateStore::iterator CandidateStore::find(Time vs, EventId id) {
+  auto it = Position(vs, id);
+  return it != entries_.end() && it->vs == vs && it->id == id ? it
+                                                              : entries_.end();
+}
+
 PatternOpBase::PatternOpBase(int num_inputs, Duration scope,
                              PatternTuplePredicate predicate, ScModes sc_modes,
                              SchemaPtr output_schema, ConsistencySpec spec,
@@ -39,6 +77,7 @@ PatternOpBase::PatternOpBase(int num_inputs, Duration scope,
       predicate_(predicate ? std::move(predicate) : TruePatternPredicate()),
       sc_modes_(std::move(sc_modes)),
       output_schema_(std::move(output_schema)),
+      emitted_(scope_, output_schema_),
       stores_(num_inputs),
       partition_key_(std::move(partition_key)),
       scan_(num_inputs) {
@@ -77,7 +116,7 @@ Value PatternOpBase::StoreKey(const Event& e, int port) {
   partition_key_.clear();
   for (Partitions& parts : stores_) {
     Store merged;
-    for (auto& [k, s] : parts) merged.merge(s);
+    for (auto& [k, s] : parts) merged.Merge(std::move(s));
     parts.clear();
     if (!merged.empty()) parts.emplace(Value(), std::move(merged));
   }
@@ -86,15 +125,14 @@ Value PatternOpBase::StoreKey(const Event& e, int port) {
 
 PatternOpBase::Store* PatternOpBase::Find(const Event& e, int port,
                                           Store::iterator* it) {
-  const auto pos = std::make_pair(e.vs, e.id);
   Partitions& parts = stores_[port];
   auto home = parts.find(KeyOf(e, port));
   if (home != parts.end()) {
-    *it = home->second.find(pos);
+    *it = home->second.find(e.vs, e.id);
     if (*it != home->second.end()) return &home->second;
   }
   for (auto& [key, s] : parts) {
-    *it = s.find(pos);
+    *it = s.find(e.vs, e.id);
     if (*it != s.end()) return &s;
   }
   return nullptr;
@@ -118,7 +156,7 @@ Status PatternOpBase::ProcessInsert(const Event& e, int port) {
   // On a duplicate (Vs, id) the stored event stays and the arrival is
   // still enumerated as it came.
   EventRef ref = std::make_shared<const Event>(e);
-  stores_[port][key].emplace(std::make_pair(e.vs, e.id), ref);
+  stores_[port][key].Insert(ref);
   static const Store kEmpty;
   for (int p = 0; p < num_inputs(); ++p) {
     auto it = stores_[p].find(key);
@@ -143,12 +181,12 @@ Status PatternOpBase::ProcessRetract(const Event& e, Time new_ve, int port) {
   if (s != nullptr) {
     if (full_removal) {
       Erase(port, s, it);
-    } else if (new_ve < it->second->ve) {
+    } else if (new_ve < it->event->ve) {
       // Copy on write: composites already emitted keep the contributor
       // as it was when they were built.
-      auto shrunk = std::make_shared<Event>(*it->second);
+      auto shrunk = std::make_shared<Event>(*it->event);
       shrunk->ve = new_ve;
-      it->second = std::move(shrunk);
+      it->event = std::move(shrunk);
     }
   }
   if (full_removal) {
@@ -171,9 +209,9 @@ void PatternOpBase::TrimState(Time horizon) {
       // horizon) only while its Vs + scope reaches the horizon; the
       // partition is ordered by Vs.
       Store& s = pit->second;
-      while (!s.empty() && TimeAdd(s.begin()->first.first, scope_) <= horizon) {
-        s.erase(s.begin());
-      }
+      s.ErasePrefixWhile([&](const Store::Entry& entry) {
+        return TimeAdd(entry.vs, scope_) <= horizon;
+      });
       pit = s.empty() ? parts.erase(pit) : std::next(pit);
     }
   }
@@ -193,7 +231,7 @@ void PatternOpBase::Unbind() {
 }
 
 void PatternOpBase::EmitComposite() {
-  std::vector<EventRef> contributors;
+  Lineage::List contributors;
   contributors.reserve(refs_.size());
   for (const EventRef* ref : refs_) contributors.push_back(*ref);
   Event composite =
@@ -211,16 +249,17 @@ void PatternOpBase::EmitComposite() {
 
 void PatternOpBase::SnapshotState(io::BinaryWriter* w) const {
   w->PutU64(stores_.size());
-  std::vector<const Store::value_type*> merged;
+  std::vector<const Store::Entry*> merged;
   for (const Partitions& parts : stores_) {
     merged.clear();
     for (const auto& [key, s] : parts) {
       for (const auto& entry : s) merged.push_back(&entry);
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
+    std::sort(merged.begin(), merged.end(), [](const auto* a, const auto* b) {
+      return std::make_pair(a->vs, a->id) < std::make_pair(b->vs, b->id);
+    });
     w->PutU64(merged.size());
-    for (const auto* entry : merged) io::WriteEvent(w, *entry->second);
+    for (const auto* entry : merged) io::WriteEvent(w, *entry->event);
   }
   // Consumption is applied before ProcessInsert returns, so none is
   // pending between pushes; the count keeps the format.
@@ -239,9 +278,7 @@ Status PatternOpBase::RestoreState(io::BinaryReader* r) {
     for (uint64_t i = 0; i < n; ++i) {
       CEDR_ASSIGN_OR_RETURN(Event e, io::ReadEvent(r));
       Value key = StoreKey(e, port);
-      auto pos = std::make_pair(e.vs, e.id);
-      stores_[port][key].emplace(pos,
-                                 std::make_shared<const Event>(std::move(e)));
+      stores_[port][key].Insert(std::make_shared<const Event>(std::move(e)));
     }
   }
   CEDR_ASSIGN_OR_RETURN(uint64_t num_pending, r->GetU64());
@@ -299,7 +336,7 @@ void SequenceOp::Extend(int stage, const EventRef& anchor, int anchor_port) {
     lo = std::max(lo, TimeSub(anchor->vs, scope_));
   }
   const Store& s = scan(stage);
-  auto begin = s.lower_bound(std::make_pair(lo, EventId{0}));
+  auto begin = s.lower_bound(lo);
 
   const SelectionMode mode = ModeOf(stage).selection;
   if (mode == SelectionMode::kLast) {
@@ -310,21 +347,18 @@ void SequenceOp::Extend(int stage, const EventRef& anchor, int anchor_port) {
     if (!tuple.empty()) {
       hi = std::min(hi, TimeAdd(TimeAdd(tuple.front()->vs, scope_), 1));
     }
-    auto end = hi == kInfinity ? s.end()
-                               : s.lower_bound(std::make_pair(hi, EventId{0}));
+    auto end = hi == kInfinity ? s.end() : s.lower_bound(hi);
     while (end != begin) {
       --end;
-      if (try_candidate(end->second)) return;  // admissible: only the last
+      if (try_candidate(end->event)) return;  // admissible: only the last
     }
     return;
   }
 
   for (auto it = begin; it != s.end(); ++it) {
-    if (stage < anchor_port && it->first.first >= anchor->vs) break;
-    if (!tuple.empty() && it->first.first - tuple.front()->vs > scope_) {
-      break;
-    }
-    bool admissible = try_candidate(it->second);
+    if (stage < anchor_port && it->vs >= anchor->vs) break;
+    if (!tuple.empty() && it->vs - tuple.front()->vs > scope_) break;
+    bool admissible = try_candidate(it->event);
     if (admissible && mode == SelectionMode::kFirst) return;
   }
 }

@@ -13,8 +13,8 @@
 #ifndef CEDR_PATTERN_SEQUENCE_H_
 #define CEDR_PATTERN_SEQUENCE_H_
 
-#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "ops/operator.h"
 #include "pattern/instance.h"
@@ -22,6 +22,55 @@
 #include "pattern/sc_mode.h"
 
 namespace cedr {
+
+/// One port's candidates in one partition, ordered by (Vs, id): a flat
+/// vector, not a tree. Arrivals mostly come in Vs order, so an insert
+/// usually appends; any other is placed by binary search. Trimming
+/// erases a prefix.
+class CandidateStore {
+ public:
+  struct Entry {
+    Time vs = 0;
+    EventId id = 0;
+    EventRef event;
+  };
+  using iterator = std::vector<Entry>::iterator;
+  using const_iterator = std::vector<Entry>::const_iterator;
+
+  /// Stores `e` at its (Vs, id) position. On a duplicate (Vs, id) the
+  /// stored event stays and this returns false.
+  bool Insert(EventRef e);
+  /// Moves `other`'s entries in; on a duplicate (Vs, id) the entry
+  /// already here stays.
+  void Merge(CandidateStore&& other);
+  /// The first entry with Vs >= vs.
+  const_iterator lower_bound(Time vs) const;
+  /// The entry at (vs, id), or end().
+  iterator find(Time vs, EventId id);
+  void erase(iterator it) { entries_.erase(it); }
+  /// Erases the prefix of entries for which `pred` holds.
+  template <typename Pred>
+  void ErasePrefixWhile(Pred pred) {
+    auto it = entries_.begin();
+    while (it != entries_.end() && pred(*it)) ++it;
+    entries_.erase(entries_.begin(), it);
+  }
+
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+
+ private:
+  /// Whether `a` orders before (vs, id).
+  static bool Before(const Entry& a, Time vs, EventId id);
+  /// The first entry at or after (vs, id).
+  iterator Position(Time vs, EventId id);
+
+  std::vector<Entry> entries_;
+};
 
 /// Base for k-input pattern detectors with a time scope w: owns the
 /// per-port candidate stores, SC modes, lineage index, and the retraction
@@ -44,7 +93,7 @@ class PatternOpBase : public Operator {
   bool partitioned() const { return !partition_key_.empty(); }
 
  protected:
-  using Store = std::map<std::pair<Time, EventId>, EventRef>;
+  using Store = CandidateStore;
 
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;

@@ -1,7 +1,5 @@
 #include "stream/event.h"
 
-#include <algorithm>
-
 #include "common/format.h"
 #include "common/hash.h"
 
@@ -15,13 +13,19 @@ std::string Event::ToString() const {
 }
 
 EventId IdGen(const std::vector<EventId>& inputs) {
-  uint64_t h = 0x5EED5EEDULL;
-  for (EventId id : inputs) {
-    h = SplitMix64(h ^ SplitMix64(id + 0x1234));
-  }
+  IdGenMix mix;
+  for (EventId id : inputs) mix.Add(id);
+  return mix.id();
+}
+
+void IdGenMix::Add(EventId input) {
+  h_ = SplitMix64(h_ ^ SplitMix64(input + 0x1234));
+}
+
+EventId IdGenMix::id() const {
   // Keep the top bit set so generated ids never collide with small
   // hand-assigned primitive ids.
-  return h | (1ULL << 63);
+  return h_ | (1ULL << 63);
 }
 
 Event MakeEvent(EventId id, Time vs, Time ve, Row payload) {
@@ -44,12 +48,6 @@ Event MakeBitemporalEvent(EventId id, Time vs, Time ve, Time os, Time oe,
   e.oe = oe;
   e.rt = vs;
   return e;
-}
-
-Time MinRootTime(const std::vector<EventRef>& contributors, Time fallback) {
-  Time rt = fallback;
-  for (const EventRef& c : contributors) rt = std::min(rt, c->rt);
-  return rt;
 }
 
 }  // namespace cedr

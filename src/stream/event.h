@@ -17,6 +17,7 @@
 #define CEDR_STREAM_EVENT_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -29,6 +30,37 @@ using EventId = uint64_t;
 
 struct Event;
 using EventRef = std::shared_ptr<const Event>;
+
+/// A composite's contributor lineage ([e1, ..., en]): one immutable list
+/// that every copy of the event shares, so copying an Event copies one
+/// pointer. Reads mirror std::vector; it is built whole from a vector or
+/// a braced list and never mutated. An empty lineage holds no list.
+class Lineage {
+ public:
+  using List = std::vector<EventRef>;
+  using const_iterator = const EventRef*;
+
+  Lineage() = default;
+  Lineage(List refs)  // NOLINT implicit
+      : list_(refs.empty() ? nullptr
+                           : std::make_shared<const List>(std::move(refs))) {}
+  Lineage(std::initializer_list<EventRef> refs)
+      : list_(refs.size() == 0 ? nullptr
+                               : std::make_shared<const List>(refs)) {}
+
+  size_t size() const { return list_ ? list_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const EventRef& operator[](size_t i) const { return (*list_)[i]; }
+  const EventRef& front() const { return list_->front(); }
+  const EventRef& back() const { return list_->back(); }
+  /// The first element; copies of one lineage return the same address.
+  const EventRef* data() const { return list_ ? list_->data() : nullptr; }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size(); }
+
+ private:
+  std::shared_ptr<const List> list_;
+};
 
 struct Event {
   EventId id = 0;
@@ -52,7 +84,7 @@ struct Event {
 
   /// Contributor lineage for composite events ([e1, ..., en]); empty for
   /// primitive events (the paper's NULL).
-  std::vector<EventRef> cbt;
+  Lineage cbt;
 
   Row payload;
 
@@ -72,13 +104,21 @@ struct Event {
 /// for the id spaces used here).
 EventId IdGen(const std::vector<EventId>& inputs);
 
+/// IdGen one id at a time, for callers without an id vector: Add each
+/// input in order, then id() == IdGen(inputs).
+class IdGenMix {
+ public:
+  void Add(EventId input);
+  EventId id() const;
+
+ private:
+  uint64_t h_ = 0x5EED5EEDULL;
+};
+
 /// Convenience builders used pervasively in tests and benches.
 Event MakeEvent(EventId id, Time vs, Time ve, Row payload = Row());
 Event MakeBitemporalEvent(EventId id, Time vs, Time ve, Time os, Time oe,
                           Row payload = Row());
-
-/// Returns the minimum root time among contributors, or fallback if none.
-Time MinRootTime(const std::vector<EventRef>& contributors, Time fallback);
 
 }  // namespace cedr
 

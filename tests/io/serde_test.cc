@@ -9,6 +9,8 @@
 
 #include "io/journal.h"
 #include "io/snapshot.h"
+#include "pattern/instance.h"
+#include "testing/helpers.h"
 
 namespace cedr {
 namespace io {
@@ -165,6 +167,35 @@ TEST(SerdeTest, EventRoundtripWithLineage) {
   EXPECT_EQ(back.cbt[0]->id, a.id);
   EXPECT_EQ(back.cbt[1]->id, b.id);
   EXPECT_TRUE(back.payload.schema()->Equals(*composite.payload.schema()));
+}
+
+TEST(SerdeTest, NestedCompositeRoundtripIsIdentical) {
+  auto share = [](const Event& e) { return std::make_shared<const Event>(e); };
+  SchemaPtr pair = Schema::Make({{"a", ValueType::kString},
+                                 {"b", ValueType::kDouble},
+                                 {"c", ValueType::kInt64},
+                                 {"d", ValueType::kString},
+                                 {"e", ValueType::kDouble},
+                                 {"f", ValueType::kInt64}});
+  Event inner =
+      MakeCompositeEvent({share(TestEvent(1)), share(TestEvent(2))}, 60, pair);
+  Event leaf = TestEvent(3);
+  leaf.vs = 30;
+  Event outer = MakeCompositeEvent({share(inner), share(leaf)}, 90, nullptr);
+  outer.cs = 31;
+
+  BinaryWriter w;
+  WriteEvent(&w, outer);
+  BinaryReader r(w.bytes());
+  Event back = ReadEvent(&r).ValueOrDie();
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(testing::IdenticalEvents(back, outer));
+  ASSERT_EQ(back.cbt.size(), 2u);
+  EXPECT_EQ(back.cbt[0]->cbt.size(), 2u);  // the nested lineage survives
+
+  BinaryWriter again;
+  WriteEvent(&again, back);
+  EXPECT_EQ(again.bytes(), w.bytes());
 }
 
 TEST(SerdeTest, MessageRoundtrip) {

@@ -43,11 +43,34 @@ TEST(IdGenTest, HighBitSetAvoidsPrimitiveIdCollisions) {
   EXPECT_NE(IdGen({1, 2}) & (1ULL << 63), 0u);
 }
 
-TEST(MinRootTimeTest, TakesMinimumOverContributors) {
-  auto a = std::make_shared<const Event>(MakeEvent(1, 10, 20));
-  auto b = std::make_shared<const Event>(MakeEvent(2, 5, 20));
-  EXPECT_EQ(MinRootTime({a, b}, 100), 5);
-  EXPECT_EQ(MinRootTime({}, 100), 100);
+TEST(LineageTest, CopiesOfAnEventShareOneList) {
+  Event composite = MakeEvent(9, 4, 12);
+  composite.cbt = {std::make_shared<const Event>(MakeEvent(1, 2, 3)),
+                   std::make_shared<const Event>(MakeEvent(2, 4, 5))};
+  Event copy = composite;
+  ASSERT_EQ(copy.cbt.size(), 2u);
+  EXPECT_EQ(copy.cbt.data(), composite.cbt.data());  // one list, not two
+  EXPECT_EQ(copy.cbt.front()->id, 1u);
+  EXPECT_EQ(copy.cbt.back()->id, 2u);
+  EXPECT_FALSE(copy.is_primitive());
+}
+
+TEST(LineageTest, ReadsLikeTheVectorItWasBuiltFrom) {
+  Lineage::List refs = {std::make_shared<const Event>(MakeEvent(1, 2, 3)),
+                        std::make_shared<const Event>(MakeEvent(2, 4, 5)),
+                        std::make_shared<const Event>(MakeEvent(3, 6, 7))};
+  Lineage lineage = refs;
+  ASSERT_EQ(lineage.size(), 3u);
+  EXPECT_FALSE(lineage.empty());
+  std::vector<EventId> ids;
+  for (const EventRef& c : lineage) ids.push_back(c->id);
+  EXPECT_EQ(ids, (std::vector<EventId>{1, 2, 3}));
+  EXPECT_EQ(lineage[1], refs[1]);  // the same contributor, not a copy
+
+  Lineage none = Lineage::List{};
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.begin(), none.end());
+  EXPECT_TRUE(MakeEvent(4, 1, 2).is_primitive());
 }
 
 }  // namespace

@@ -138,5 +138,31 @@ std::string Describe(const EventList& events) {
   return denotation::ToTableString(events);
 }
 
+::testing::AssertionResult IdenticalEvents(const Event& a, const Event& b) {
+  auto differ = [&](const char* field) {
+    return ::testing::AssertionFailure()
+           << field << " differs: " << a.ToString() << " vs " << b.ToString();
+  };
+  if (a.id != b.id) return differ("id");
+  if (a.valid() != b.valid()) return differ("valid time");
+  if (a.occurrence() != b.occurrence()) return differ("occurrence time");
+  if (a.cedr() != b.cedr()) return differ("CEDR time");
+  if (a.k != b.k) return differ("k");
+  if (a.rt != b.rt) return differ("rt");
+  if (!(a.payload == b.payload)) return differ("payload");
+  const SchemaPtr& sa = a.payload.schema();
+  const SchemaPtr& sb = b.payload.schema();
+  if ((sa == nullptr) != (sb == nullptr) ||
+      (sa != nullptr && !sa->Equals(*sb))) {
+    return differ("payload schema");
+  }
+  if (a.cbt.size() != b.cbt.size()) return differ("lineage size");
+  for (size_t i = 0; i < a.cbt.size(); ++i) {
+    ::testing::AssertionResult inner = IdenticalEvents(*a.cbt[i], *b.cbt[i]);
+    if (!inner) return inner << " (contributor " << i << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace testing
 }  // namespace cedr

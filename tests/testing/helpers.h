@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/rng.h"
 #include "denotation/ideal.h"
 #include "engine/sink.h"
@@ -54,6 +56,10 @@ EventList RechopLifetimes(const EventList& events, Rng* rng);
 
 /// Asserts helper: renders an EventList compactly for failure messages.
 std::string Describe(const EventList& events);
+
+/// Whether two events agree in every header field, the payload values,
+/// the payload schema (structurally) and, recursively, the lineage.
+::testing::AssertionResult IdenticalEvents(const Event& a, const Event& b);
 
 }  // namespace testing
 }  // namespace cedr
