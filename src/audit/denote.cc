@@ -259,9 +259,9 @@ class Evaluator {
       }
       case LogicalKind::kAtMost: {
         // ATMOST's window count is over the *unfiltered* pool (the
-        // predicate only gates per-event eligibility, matching
-        // AtMostOp), so children must not be pre-filtered. The pool
-        // holds copies, so the eligibility predicate maps events to
+        // predicate only gates per-event eligibility, matching the
+        // pooled NegationOp), so children must not be pre-filtered. The
+        // pool holds copies, so the eligibility predicate maps events to
         // their originating child by id instead of by address.
         std::vector<EventList> child_events;
         child_events.reserve(k);

@@ -106,6 +106,10 @@ const std::vector<std::string>& QueryTemplates() {
       "WHERE {x.k = y.k} AND {y.k = z.k}",
       "EVENT Q WHEN SEQUENCE(A AS x, B AS y, C AS z, 30) "
       "WHERE {x.k = y.k} AND {y.k = z.k}",
+      // ATMOST pools its ports: every arrival counts against the window,
+      // and the predicate filters what the pool sees.
+      "EVENT Q WHEN ATMOST(1, A, B, 10)",
+      "EVENT Q WHEN ATMOST(1, A AS x, B AS y, 10) WHERE {x.k = 1}",
   };
   return templates;
 }

@@ -16,10 +16,9 @@ Event MakeComposite(const std::vector<const Event*>& tuple, Duration w,
   const Event& first = *tuple.front();
   const Event& last = *tuple.back();
   Event out;
-  std::vector<EventId> ids;
-  ids.reserve(tuple.size());
-  for (const Event* e : tuple) ids.push_back(e->id);
-  out.id = IdGen(ids);
+  IdGenMix id;
+  for (const Event* e : tuple) id.Add(e->id);
+  out.id = id.id();
   out.k = out.id;
   out.os = last.os;
   out.oe = last.oe;

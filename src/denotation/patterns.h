@@ -47,7 +47,8 @@ EventList Any(const std::vector<EventList>& inputs,
 /// ATMOST(n, E1, ..., Ek, w): the paper defines this as sugar over a
 /// sliding count aggregate. We realize it as: an output at each event e
 /// (over the union of inputs) such that the number of input events in
-/// (e.Vs - w, e.Vs] is at most n.
+/// (e.Vs - w, e.Vs] is at most n. The runtime operator is a NegationOp
+/// whose NegationWindow::AtMost window is that pool.
 EventList AtMost(size_t n, const std::vector<EventList>& inputs, Duration w,
                  const TuplePredicate& pred = TrueTuplePredicate());
 

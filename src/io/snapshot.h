@@ -22,7 +22,9 @@ namespace io {
 inline constexpr char kSnapshotMagic[] = "CEDRSNP1";  // 8 chars + NUL
 /// 3: a CedrService query frame holds plan state alone
 /// (CompiledQuery::SnapshotPlan), without the sink's output log.
-inline constexpr uint32_t kSnapshotVersion = 3;
+/// 4: a NegationOp candidate writes its lineage once, and ATMOST is a
+/// NegationOp.
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 /// Wraps a serialized payload in the versioned, checksummed envelope.
 std::string SealSnapshot(const std::string& payload);

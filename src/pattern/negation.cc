@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "pattern/instance.h"
+
 namespace cedr {
 
 namespace {
@@ -74,6 +76,8 @@ const char* NegationWindow::name() const {
       return "not";
     case Kind::kCancelWhen:
       return "cancel_when";
+    case Kind::kAtMost:
+      return "atmost";
   }
   return "negation";
 }
@@ -96,21 +100,27 @@ Duration NegationWindow::BlockerRetention() const {
       // A composite's window reaches back to its first contributor (the
       // inner scope; unbounded for CANCEL-WHEN's detection start).
       return lookback;
+    case Kind::kAtMost:
+      // A blocker counts for candidates up to w after it.
+      return w;
   }
   return kInfinity;
 }
 
 NegationOp::NegationOp(NegationWindow window, NegationPredicate predicate,
-                       ConsistencySpec spec)
-    : Operator(window.name(), spec, /*num_inputs=*/2),
+                       ConsistencySpec spec, int num_inputs,
+                       PatternTuplePredicate eligible)
+    : Operator(window.name(), spec, num_inputs),
       window_(window),
-      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()) {}
+      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()),
+      eligible_(eligible ? std::move(eligible) : TruePatternPredicate()) {}
 
 bool NegationOp::Draw(const Event& e, Candidate* c) const {
   const Duration w = window_.w;
   const Duration blocking = spec().max_blocking;
   c->key = e.id;
   c->output = e;
+  c->resolve_at = TimeAdd(e.vs, blocking);
   switch (window_.kind) {
     case NegationWindow::Kind::kUnless:
       // The UNLESS output row of the operator table: e's identity and
@@ -121,7 +131,6 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
       }
       c->block_lo = e.vs;
       c->block_hi = TimeAdd(e.vs, w);
-      c->certain_at = c->block_hi;
       c->resolve_at = TimeAdd(e.vs, std::min(w, blocking));
       break;
     case NegationWindow::Kind::kUnlessPrime: {
@@ -137,9 +146,6 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
       if (c->output.valid().empty()) return false;
       c->block_lo = anchor->vs;
       c->block_hi = TimeAdd(anchor->vs, w);
-      // The window can end before e.Vs, but e itself can still be fully
-      // retracted (sync time e.Vs) until the guarantee passes e.Vs.
-      c->certain_at = std::max(c->block_hi, TimeAdd(e.vs, 1));
       c->resolve_at = TimeAdd(e.vs, std::min(w, blocking));
       break;
     }
@@ -147,34 +153,38 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
       // Strictly between the first and last contributor.
       c->block_lo = e.cbt.empty() ? e.vs : e.cbt.front()->vs;
       c->block_hi = e.cbt.empty() ? e.vs : e.cbt.back()->vs;
-      c->certain_at = e.vs;
-      c->resolve_at = TimeAdd(e.vs, blocking);
       break;
     case NegationWindow::Kind::kCancelWhen:
       // Between the start of the partial detection and its completion.
       c->block_lo = e.rt;
       c->block_hi = e.vs;
-      c->certain_at = e.vs;
-      c->resolve_at = TimeAdd(e.vs, blocking);
+      break;
+    case NegationWindow::Kind::kAtMost:
+      // The pool (e.Vs - w, e.Vs], e included.
+      c->output = MakeCompositeEvent({std::make_shared<const Event>(e)}, w,
+                                     nullptr);
+      c->block_lo = TimeSub(e.vs, w);
+      c->block_hi = TimeAdd(e.vs, 1);
       break;
   }
+  // The window can end at or before e.Vs, but e itself can still be
+  // fully retracted (sync time e.Vs) until the guarantee passes e.Vs.
+  c->certain_at = std::max(c->block_hi, TimeAdd(e.vs, 1));
   // The predicate tuple exposes e's contributors so injected WHERE
-  // predicates can correlate them with the negated event.
-  if (!e.cbt.empty()) {
-    c->tuple = e.cbt;
-  } else if (!c->output.cbt.empty()) {
-    c->tuple = c->output.cbt;  // UNLESS: e itself, already shared
-  } else {
-    c->tuple = {std::make_shared<const Event>(e)};
-  }
+  // predicates can correlate them with the negated event. The output
+  // carries them (or e itself) whenever it has a lineage, and snapshots
+  // rely on sharing it.
+  c->tuple = c->output.cbt.empty()
+                 ? Lineage{std::make_shared<const Event>(e)}
+                 : c->output.cbt;
   return true;
 }
 
 Status NegationOp::ProcessInsert(const Event& e, int port) {
-  if (port == 1) {
-    AddBlocker(e);
-    return Status::OK();
-  }
+  const bool pooled = window_.pooled();
+  // A pooled arrival is a blocker first, so its candidate counts itself.
+  if (pooled || port == 1) AddBlocker(e);
+  if (pooled ? !eligible_({&e}, {port}) : port == 1) return Status::OK();
   Candidate c;
   if (!Draw(e, &c)) return Status::OK();
   AddCandidate(std::move(c));
@@ -184,7 +194,12 @@ Status NegationOp::ProcessInsert(const Event& e, int port) {
 
 Status NegationOp::ProcessRetract(const Event& e, Time new_ve, int port) {
   if (new_ve > e.vs) return Status::OK();  // partial shrink: Vs intact
-  if (port == 1) {
+  if (window_.pooled()) {
+    // Retract e's own output before freeing its slot in the pool, so the
+    // removal cannot resurrect it; an ineligible e has no candidate.
+    if (candidates_.count(e.id) > 0) CancelCandidate(e.id);
+    RemoveBlocker(e);
+  } else if (port == 1) {
     RemoveBlocker(e);
   } else {
     CancelCandidate(e.id);
@@ -220,9 +235,12 @@ bool NegationOp::IsBlocked(const Candidate& c) const {
   auto begin = blockers_.lower_bound(
       std::make_pair(TimeAdd(c.block_lo, 1), EventId{0}));
   const std::vector<const Event*>& tuple = View(c);
+  size_t matches = 0;
   for (auto it = begin; it != blockers_.end(); ++it) {
     if (it->first.first >= c.block_hi) break;
-    if (predicate_(tuple, it->second)) return true;
+    if (predicate_(tuple, it->second) && ++matches > window_.bound()) {
+      return true;
+    }
   }
   return false;
 }
@@ -274,9 +292,11 @@ void NegationOp::AddBlocker(const Event& e) {
     return;
   }
   blockers_.emplace(std::make_pair(e.vs, e.id), e);
+  // With bound 0 one match blocks; a larger bound needs a recount.
+  const bool counted = window_.bound() > 0;
   ForEachAffected(e.vs, [&](Candidate* c) {
     if (c->state != State::kEmitted) return;
-    if (!predicate_(View(*c), e)) return;
+    if (counted ? !IsBlocked(*c) : !predicate_(View(*c), e)) return;
     EmitRetract(c->output, c->output.vs);
     c->state = State::kRetracted;
   });
@@ -420,9 +440,9 @@ void NegationOp::SnapshotState(io::BinaryWriter* w) const {
   w->PutU64(sorted.size());
   for (const auto& [key, c] : sorted) {
     w->PutU64(c->key);
+    // The tuple is the output's lineage when it has one (Draw).
     io::WriteEvent(w, c->output);
-    w->PutU64(c->tuple.size());
-    for (const EventRef& e : c->tuple) io::WriteEvent(w, *e);
+    if (c->output.cbt.empty()) io::WriteEvent(w, *c->tuple.front());
     w->PutTime(c->block_lo);
     w->PutTime(c->block_hi);
     w->PutTime(c->certain_at);
@@ -448,13 +468,12 @@ Status NegationOp::RestoreState(io::BinaryReader* r) {
     Candidate c;
     CEDR_ASSIGN_OR_RETURN(c.key, r->GetU64());
     CEDR_ASSIGN_OR_RETURN(c.output, io::ReadEvent(r));
-    CEDR_ASSIGN_OR_RETURN(std::vector<Event> tuple, io::ReadEvents(r));
-    Lineage::List refs;
-    refs.reserve(tuple.size());
-    for (Event& e : tuple) {
-      refs.push_back(std::make_shared<const Event>(std::move(e)));
+    if (c.output.cbt.empty()) {
+      CEDR_ASSIGN_OR_RETURN(Event positive, io::ReadEvent(r));
+      c.tuple = {std::make_shared<const Event>(std::move(positive))};
+    } else {
+      c.tuple = c.output.cbt;
     }
-    c.tuple = std::move(refs);
     CEDR_ASSIGN_OR_RETURN(c.block_lo, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.block_hi, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.certain_at, r->GetTime());

@@ -1,9 +1,9 @@
-// Negation (Section 3.3.2): UNLESS, UNLESS', NOT(..., SEQUENCE(...)) and
-// CANCEL-WHEN are one operator. Each positive event (port 0) becomes a
-// candidate output that survives iff no negated event (port 1) matching
-// the negation predicate has Vs strictly inside the candidate's window;
-// the four constructs differ only in how the NegationWindow draws that
-// window.
+// Anti-monotonic patterns (Section 3.3.2): UNLESS, UNLESS', NOT(...,
+// SEQUENCE(...)), CANCEL-WHEN and ATMOST are one operator. Each positive
+// event becomes a candidate output that survives iff at most the
+// window's bound of matching blocking events have Vs strictly inside the
+// candidate's window; the five constructs differ only in how the
+// NegationWindow draws that window and its bound.
 //
 // Negation is where the consistency spectrum bites hardest: an output
 // asserting the *non-occurrence* of events can only be certain once the
@@ -35,20 +35,24 @@ namespace cedr {
 /// How a negation draws the window of a positive event e:
 ///
 ///   Unless(w)          output e over [e.Vs, e.Vs + w); window
-///                      (e.Vs, e.Vs + w); certain at e.Vs + w.
+///                      (e.Vs, e.Vs + w).
 ///   UnlessPrime(n, w)  anchored at the n-th (1-based) contributor a of
 ///                      e: output e over [max(e.Vs, a.Vs + w), e.Vs + w);
-///                      window (a.Vs, a.Vs + w); certain once the
-///                      guarantee reaches a.Vs + w and passes e.Vs.
+///                      window (a.Vs, a.Vs + w).
 ///   Not(lookback)      output e; window strictly between its first and
-///                      last contributor; certain at e.Vs.
+///                      last contributor.
 ///   CancelWhen()       output e; window (e.Rt, e.Vs), the detection
-///                      itself; certain at e.Vs.
+///                      itself.
+///   AtMost(n, w)       output the composite of e alone; window
+///                      (e.Vs - w, e.Vs + 1), i.e. the pool (e.Vs - w,
+///                      e.Vs], holding at most n events.
 ///
-/// UNLESS and UNLESS' also lag the output guarantee by w, since a late
-/// blocker retracts output that started up to w earlier.
+/// Every candidate is certain once the guarantee reaches the end of its
+/// window and passes e.Vs, since a full retraction of e has sync time
+/// e.Vs. UNLESS and UNLESS' also lag the output guarantee by w, since a
+/// late blocker retracts output that started up to w earlier.
 struct NegationWindow {
-  enum class Kind { kUnless, kUnlessPrime, kNot, kCancelWhen };
+  enum class Kind { kUnless, kUnlessPrime, kNot, kCancelWhen, kAtMost };
 
   static NegationWindow Unless(Duration w) {
     return {Kind::kUnless, 0, w, 0};
@@ -67,6 +71,16 @@ struct NegationWindow {
   static NegationWindow CancelWhen() {
     return {Kind::kCancelWhen, 0, 0, kInfinity};
   }
+  /// Every arrival, on any port, is both a blocker and a candidate.
+  static NegationWindow AtMost(size_t n, Duration w) {
+    return {Kind::kAtMost, n, w, 0};
+  }
+
+  /// ATMOST pools its ports; the other kinds take positives on port 0
+  /// and blockers on port 1.
+  bool pooled() const { return kind == Kind::kAtMost; }
+  /// How many matching blockers a window holds without blocking.
+  size_t bound() const { return pooled() ? n : 0; }
 
   /// The operator name, serialized in snapshots.
   const char* name() const;
@@ -121,8 +135,12 @@ class DueQueue {
 
 class NegationOp : public Operator {
  public:
+  /// A pooled window takes `num_inputs` ports, and an arrival becomes a
+  /// candidate iff `eligible` accepts it alone; the other kinds take two
+  /// ports and ignore `eligible`.
   NegationOp(NegationWindow window, NegationPredicate predicate,
-             ConsistencySpec spec);
+             ConsistencySpec spec, int num_inputs = 2,
+             PatternTuplePredicate eligible = nullptr);
 
   size_t StateSize() const override;
 
@@ -145,8 +163,8 @@ class NegationOp : public Operator {
   struct Candidate {
     EventId key = 0;  // the positive event's id, for cancellation
     Event output;
-    /// Exposed to the negation predicate: the positive event's
-    /// contributors, sharing its lineage (or the event itself).
+    /// Exposed to the negation predicate: the output's lineage, or the
+    /// positive event itself when the output has none.
     Lineage tuple;
     Time block_lo = 0;
     Time block_hi = 0;
@@ -179,6 +197,7 @@ class NegationOp : public Operator {
 
   NegationWindow window_;
   NegationPredicate predicate_;
+  PatternTuplePredicate eligible_;
   /// The predicate's view of a candidate's tuple, refilled per call.
   mutable std::vector<const Event*> view_;
 

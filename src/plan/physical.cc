@@ -355,8 +355,9 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
       break;
     }
     case LogicalKind::kAtMost: {
-      op = Own(std::make_unique<AtMostOp>(static_cast<size_t>(node.count), k,
-                                          node.scope, tuple_pred, q_.spec));
+      op = Own(std::make_unique<NegationOp>(
+          NegationWindow::AtMost(static_cast<size_t>(node.count), node.scope),
+          /*predicate=*/nullptr, q_.spec, k, tuple_pred));
       break;
     }
     case LogicalKind::kUnless:

@@ -12,12 +12,6 @@ std::string Event::ToString() const {
   return out;
 }
 
-EventId IdGen(const std::vector<EventId>& inputs) {
-  IdGenMix mix;
-  for (EventId id : inputs) mix.Add(id);
-  return mix.id();
-}
-
 void IdGenMix::Add(EventId input) {
   h_ = SplitMix64(h_ ^ SplitMix64(input + 0x1234));
 }

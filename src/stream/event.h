@@ -101,11 +101,7 @@ struct Event {
 /// The paper's idgen pairing function: maps any list of contributor IDs to
 /// an output ID such that different input sets give different outputs
 /// (realized as an order-sensitive 64-bit mix; collisions are negligible
-/// for the id spaces used here).
-EventId IdGen(const std::vector<EventId>& inputs);
-
-/// IdGen one id at a time, for callers without an id vector: Add each
-/// input in order, then id() == IdGen(inputs).
+/// for the id spaces used here). Add each input in order, then read id().
 class IdGenMix {
  public:
   void Add(EventId input);
@@ -114,6 +110,13 @@ class IdGenMix {
  private:
   uint64_t h_ = 0x5EED5EEDULL;
 };
+
+/// IdGenMix over a fixed list of ids, without allocating.
+inline EventId IdGen(std::initializer_list<EventId> inputs) {
+  IdGenMix mix;
+  for (EventId id : inputs) mix.Add(id);
+  return mix.id();
+}
 
 /// Convenience builders used pervasively in tests and benches.
 Event MakeEvent(EventId id, Time vs, Time ve, Row payload = Row());

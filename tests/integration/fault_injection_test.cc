@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "io/snapshot.h"
 #include "stream/equivalence.h"
 #include "workload/disorder.h"
 #include "workload/machines.h"
@@ -233,9 +234,9 @@ TEST(FaultInjectionTest, MismatchedJournalEpochIsDataLoss) {
 }
 
 TEST(FaultInjectionTest, PreviousSnapshotVersionIsCorruption) {
-  // Version 2 snapshots held each query's whole output log; version 3
-  // holds plan state alone, so a version-2 snapshot is refused rather
-  // than misread.
+  // Each version changes the plan-state layout (version 4 writes a
+  // negation candidate's lineage once), so a snapshot of the previous
+  // version is refused rather than misread.
   ServiceScenario scenario =
       MachineScenario(7, ConsistencySpec::Middle(), /*disorder=*/0.0);
   std::string snapshot;
@@ -244,7 +245,7 @@ TEST(FaultInjectionTest, PreviousSnapshotVersionIsCorruption) {
   ASSERT_TRUE(CedrService::Recover(snapshot, journal).ok());
 
   io::BinaryWriter version;
-  version.PutU32(2);
+  version.PutU32(io::kSnapshotVersion - 1);
   snapshot.replace(/*magic*/ 8, 4, version.bytes());
   Result<std::unique_ptr<CedrService>> got =
       CedrService::Recover(snapshot, journal);

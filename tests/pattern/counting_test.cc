@@ -1,4 +1,4 @@
-// ATLEAST / ALL / ANY / ATMOST runtime detectors.
+// ATLEAST / ALL / ANY runtime detectors.
 #include "pattern/counting.h"
 
 #include <gtest/gtest.h>
@@ -89,57 +89,6 @@ TEST(AnyOpTest, FiresPerEvent) {
                ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   EXPECT_EQ(result.Ideal().size(), 3u);
-}
-
-TEST(AtMostOpTest, MatchesDenotationInOrder) {
-  EventList a = {E(1, 1), E(2, 2), E(3, 3)};
-  AtMostOp op(1, 1, /*scope=*/2, nullptr, ConsistencySpec::Middle());
-  auto result = RunMultiPort(&op, {Stream(a)});
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_TRUE(StarEqual(result.Ideal(), denotation::AtMost(1, {a}, 2)));
-}
-
-TEST(AtMostOpTest, StragglerBumpsCountAndRetracts) {
-  // Event at 5 emitted (count 1 <= 1); a straggler at 4 makes the
-  // window (3, 5] hold two events: the emitted composite is retracted.
-  Event on_time = E(1, 5);
-  Event straggler = E(2, 4);
-  AtMostOp op(1, 1, 2, nullptr, ConsistencySpec::Middle());
-  auto result = RunMultiPort(
-      &op, {{InsertOf(on_time, 5), InsertOf(straggler, 6)}});
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_GE(result.retracts(), 1u);
-  EXPECT_TRUE(StarEqual(result.Ideal(),
-                        denotation::AtMost(1, {{straggler, on_time}}, 2)));
-}
-
-TEST(AtMostOpTest, RemovalResurrectsSuppressedOutput) {
-  // Two events in one window suppress each other (n=1); removing one
-  // resurrects the other.
-  Event a = E(1, 4);
-  Event b = E(2, 5);
-  AtMostOp op(1, 1, 2, nullptr, ConsistencySpec::Middle());
-  auto result = RunMultiPort(
-      &op, {{InsertOf(a, 4), InsertOf(b, 5), RetractOf(a, 4, 6)}});
-  ASSERT_TRUE(result.status.ok());
-  EventList ideal = result.Ideal();
-  ASSERT_EQ(ideal.size(), 1u);
-  EXPECT_EQ(ideal[0].vs, 5);
-  EXPECT_TRUE(StarEqual(ideal, denotation::AtMost(1, {{b}}, 2)));
-}
-
-TEST(AtMostOpTest, StrongBlocksUntilCertain) {
-  // Under strong consistency the alignment buffer orders input, so no
-  // retraction is ever emitted even with disorder.
-  Event on_time = E(1, 5);
-  Event straggler = E(2, 4);
-  AtMostOp op(1, 1, 2, nullptr, ConsistencySpec::Strong());
-  auto result = RunMultiPort(
-      &op, {{InsertOf(on_time, 5), InsertOf(straggler, 6)}});
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.retracts(), 0u);
-  EXPECT_TRUE(StarEqual(result.Ideal(),
-                        denotation::AtMost(1, {{straggler, on_time}}, 2)));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Negation operators at different consistency levels: UNLESS, NOT,
-// CANCEL-WHEN, including optimistic retraction and resurrection.
+// CANCEL-WHEN and ATMOST, including optimistic retraction and
+// resurrection.
 #include "pattern/negation.h"
 
 #include <gtest/gtest.h>
@@ -225,6 +226,128 @@ TEST(CancelWhenOpTest, StrongWaitsAndSuppressesCleanly) {
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.retracts(), 0u);
   EXPECT_TRUE(result.Ideal().empty());
+}
+
+TEST(NegationOpTest, FullRetractionAtTheGuaranteeIsNotLost) {
+  // The composite (x@7, y@22) has sync time 22, so it can still be fully
+  // retracted while the guarantee is 22: its candidate must outlive that
+  // guarantee to be cancelled.
+  EventList seq = denotation::Sequence({{E(1, 7)}, {E(2, 22)}}, 20);
+  ASSERT_EQ(seq.size(), 1u);
+  for (NegationWindow window :
+       {NegationWindow::Not(/*lookback=*/20), NegationWindow::CancelWhen()}) {
+    SCOPED_TRACE(window.name());
+    NegationOp op(window, nullptr, ConsistencySpec::Strong());
+    auto result = RunMultiPort(
+        &op,
+        {{CtiOf(22, 20), InsertOf(seq[0], 22), RetractOf(seq[0], 22, 23)},
+         {CtiOf(22, 19)}});
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_TRUE(result.Ideal().empty());
+    EXPECT_EQ(op.stats().lost_corrections, 0u);
+  }
+}
+
+// ATMOST(n, ..., w) is a pooled NegationOp: every arrival blocks, and
+// counts itself.
+NegationOp MakeAtMost(size_t n, int num_inputs, Duration scope,
+                      ConsistencySpec spec) {
+  return NegationOp(NegationWindow::AtMost(n, scope), nullptr, spec,
+                    num_inputs);
+}
+
+TEST(AtMostOpTest, MatchesDenotationInOrder) {
+  EventList a = {E(1, 1), E(2, 2), E(3, 3)};
+  NegationOp op = MakeAtMost(1, 1, /*scope=*/2, ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a)});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_TRUE(StarEqual(result.Ideal(), denotation::AtMost(1, {a}, 2)));
+}
+
+TEST(AtMostOpTest, StragglerBumpsCountAndRetracts) {
+  // Event at 5 emitted (count 1 <= 1); a straggler at 4 makes the
+  // window (3, 5] hold two events: the emitted composite is retracted.
+  Event on_time = E(1, 5);
+  Event straggler = E(2, 4);
+  NegationOp op = MakeAtMost(1, 1, 2, ConsistencySpec::Middle());
+  auto result = RunMultiPort(
+      &op, {{InsertOf(on_time, 5), InsertOf(straggler, 6)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_GE(result.retracts(), 1u);
+  EXPECT_TRUE(StarEqual(result.Ideal(),
+                        denotation::AtMost(1, {{straggler, on_time}}, 2)));
+}
+
+TEST(AtMostOpTest, RemovalResurrectsSuppressedOutput) {
+  // Two events in one window suppress each other (n=1); removing one
+  // resurrects the other.
+  Event a = E(1, 4);
+  Event b = E(2, 5);
+  NegationOp op = MakeAtMost(1, 1, 2, ConsistencySpec::Middle());
+  auto result = RunMultiPort(
+      &op, {{InsertOf(a, 4), InsertOf(b, 5), RetractOf(a, 4, 6)}});
+  ASSERT_TRUE(result.status.ok());
+  EventList ideal = result.Ideal();
+  ASSERT_EQ(ideal.size(), 1u);
+  EXPECT_EQ(ideal[0].vs, 5);
+  EXPECT_TRUE(StarEqual(ideal, denotation::AtMost(1, {{b}}, 2)));
+}
+
+TEST(AtMostOpTest, StrongBlocksUntilCertain) {
+  // Under strong consistency the alignment buffer orders input, so no
+  // retraction is ever emitted even with disorder.
+  Event on_time = E(1, 5);
+  Event straggler = E(2, 4);
+  NegationOp op = MakeAtMost(1, 1, 2, ConsistencySpec::Strong());
+  auto result = RunMultiPort(
+      &op, {{InsertOf(on_time, 5), InsertOf(straggler, 6)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.retracts(), 0u);
+  EXPECT_TRUE(StarEqual(result.Ideal(),
+                        denotation::AtMost(1, {{straggler, on_time}}, 2)));
+}
+
+TEST(AtMostOpTest, StrongHoldsEqualVsArrivalsUntilTheGuaranteePasses) {
+  // After CTI 5, two events at Vs 5 arrive one at a time. The first
+  // alone fits the pool (3, 5], but the second, still legal at
+  // guarantee 5, crowds it: strong must not emit the first and then
+  // retract it.
+  Event e1 = E(1, 5);
+  Event e2 = E(2, 5);
+  NegationOp op = MakeAtMost(1, 1, 2, ConsistencySpec::Strong());
+  auto result = RunMultiPort(
+      &op, {{CtiOf(5, 1), InsertOf(e1, 2), InsertOf(e2, 3)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.retracts(), 0u);
+  EXPECT_TRUE(
+      StarEqual(result.Ideal(), denotation::AtMost(1, {{e1, e2}}, 2)));
+}
+
+TEST(AtMostOpTest, PoolsPortsAndGatesCandidatesByEligibility) {
+  // Port 1's events only count against port 0's (key 1 is ineligible);
+  // retracting one of them resurrects the output it crowded out.
+  Event a = E(1, 4, /*key=*/0);
+  Event crowd = E(2, 5, /*key=*/1);
+  Event b = E(3, 6, /*key=*/0);
+  PatternTuplePredicate key0 = [](const std::vector<const Event*>& tuple,
+                                  const std::vector<int>&) {
+    return tuple[0]->payload.at(0) == Value(int64_t{0});
+  };
+  NegationOp op(NegationWindow::AtMost(1, 2), nullptr,
+                ConsistencySpec::Middle(), /*num_inputs=*/2, key0);
+  auto result = RunMultiPort(
+      &op, {{InsertOf(a, 4), InsertOf(b, 6)},
+            {InsertOf(crowd, 5), RetractOf(crowd, 5, 7)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(op.stats().lost_corrections, 0u);
+  EXPECT_TRUE(StarEqual(
+      result.Ideal(),
+      denotation::AtMost(1, {{a, b}}, 2,
+                         [](const std::vector<const Event*>& tuple) {
+                           return tuple[0]->payload.at(0) ==
+                                  Value(int64_t{0});
+                         })));
+  EXPECT_EQ(result.Ideal().size(), 2u);
 }
 
 class UnlessDisorderTest : public ::testing::TestWithParam<uint64_t> {};
