@@ -286,6 +286,25 @@ void BM_UnlessDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_UnlessDetect)->DenseRange(0, 2)->ArgName("level");
 
+// ATMOST(10, A, 10): every arrival is both a blocker and a candidate,
+// and about ten events share a window, so adding or removing one
+// recounts its neighbours' pools.
+void BM_AtMostDetect(benchmark::State& state) {
+  auto input = MakeStream(4096, 8, 0.3, 31);
+  for (auto _ : state) {
+    NegationOp op(NegationWindow::AtMost(10, 10), nullptr,
+                  SpecFor(static_cast<int>(state.range(0))),
+                  /*num_inputs=*/1);
+    CollectingSink sink;
+    op.ConnectTo(&sink, 0);
+    for (const Message& m : input) benchmark::DoNotOptimize(op.Push(0, m));
+    benchmark::DoNotOptimize(op.Drain());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_AtMostDetect)->DenseRange(0, 2)->ArgName("level");
+
 // The Section 3.1 query's shape as the planner builds it: UNLESS over a
 // SEQUENCE partitioned by Machine_Id, compiled from the language and fed
 // the disordered machine workload in arrival order. Reports allocations

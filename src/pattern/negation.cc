@@ -108,12 +108,10 @@ Duration NegationWindow::BlockerRetention() const {
 }
 
 NegationOp::NegationOp(NegationWindow window, NegationPredicate predicate,
-                       ConsistencySpec spec, int num_inputs,
-                       PatternTuplePredicate eligible)
+                       ConsistencySpec spec, int num_inputs)
     : Operator(window.name(), spec, num_inputs),
       window_(window),
-      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()),
-      eligible_(eligible ? std::move(eligible) : TruePatternPredicate()) {}
+      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()) {}
 
 bool NegationOp::Draw(const Event& e, Candidate* c) const {
   const Duration w = window_.w;
@@ -181,10 +179,15 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
 }
 
 Status NegationOp::ProcessInsert(const Event& e, int port) {
-  const bool pooled = window_.pooled();
-  // A pooled arrival is a blocker first, so its candidate counts itself.
-  if (pooled || port == 1) AddBlocker(e);
-  if (pooled ? !eligible_({&e}, {port}) : port == 1) return Status::OK();
+  if (window_.pooled()) {
+    // The pool, like the ideal, holds no empty lifetime. An arrival is a
+    // blocker first, so its candidate counts itself; one dropped behind
+    // the trim frontier has no candidate either.
+    if (e.valid().empty() || !AddBlocker(e)) return Status::OK();
+  } else if (port == 1) {
+    AddBlocker(e);
+    return Status::OK();
+  }
   Candidate c;
   if (!Draw(e, &c)) return Status::OK();
   AddCandidate(std::move(c));
@@ -196,7 +199,7 @@ Status NegationOp::ProcessRetract(const Event& e, Time new_ve, int port) {
   if (new_ve > e.vs) return Status::OK();  // partial shrink: Vs intact
   if (window_.pooled()) {
     // Retract e's own output before freeing its slot in the pool, so the
-    // removal cannot resurrect it; an ineligible e has no candidate.
+    // removal cannot resurrect it; a final or dropped e has no candidate.
     if (candidates_.count(e.id) > 0) CancelCandidate(e.id);
     RemoveBlocker(e);
   } else if (port == 1) {
@@ -284,12 +287,12 @@ void NegationOp::EmitCandidate(Candidate* c) {
   EmitInsert(c->output);
 }
 
-void NegationOp::AddBlocker(const Event& e) {
+bool NegationOp::AddBlocker(const Event& e) {
   if (e.vs < trim_frontier_) {
     // The region this blocker falls in is frozen: any output it should
     // have suppressed is beyond repair (weak consistency).
     CountLostCorrection();
-    return;
+    return false;
   }
   blockers_.emplace(std::make_pair(e.vs, e.id), e);
   // With bound 0 one match blocks; a larger bound needs a recount.
@@ -300,6 +303,7 @@ void NegationOp::AddBlocker(const Event& e) {
     EmitRetract(c->output, c->output.vs);
     c->state = State::kRetracted;
   });
+  return true;
 }
 
 void NegationOp::RemoveBlocker(const Event& e) {

@@ -135,12 +135,9 @@ class DueQueue {
 
 class NegationOp : public Operator {
  public:
-  /// A pooled window takes `num_inputs` ports, and an arrival becomes a
-  /// candidate iff `eligible` accepts it alone; the other kinds take two
-  /// ports and ignore `eligible`.
+  /// A pooled window takes `num_inputs` ports; the other kinds take two.
   NegationOp(NegationWindow window, NegationPredicate predicate,
-             ConsistencySpec spec, int num_inputs = 2,
-             PatternTuplePredicate eligible = nullptr);
+             ConsistencySpec spec, int num_inputs = 2);
 
   size_t StateSize() const override;
 
@@ -177,7 +174,8 @@ class NegationOp : public Operator {
   /// Draws e's candidate through the window; false if e has none.
   bool Draw(const Event& e, Candidate* c) const;
   void AddCandidate(Candidate c);
-  void AddBlocker(const Event& e);
+  /// False if e falls behind the trim frontier and is dropped.
+  bool AddBlocker(const Event& e);
   void RemoveBlocker(const Event& e);
   void CancelCandidate(EventId key);
   bool IsBlocked(const Candidate& c) const;
@@ -197,7 +195,6 @@ class NegationOp : public Operator {
 
   NegationWindow window_;
   NegationPredicate predicate_;
-  PatternTuplePredicate eligible_;
   /// The predicate's view of a candidate's tuple, refilled per call.
   mutable std::vector<const Event*> view_;
 

@@ -357,7 +357,7 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
     case LogicalKind::kAtMost: {
       op = Own(std::make_unique<NegationOp>(
           NegationWindow::AtMost(static_cast<size_t>(node.count), node.scope),
-          /*predicate=*/nullptr, q_.spec, k, tuple_pred));
+          /*predicate=*/nullptr, q_.spec, k));
       break;
     }
     case LogicalKind::kUnless:

@@ -286,27 +286,26 @@ TEST(OperatorCheckpointTest, CancelWhenRoundtrip) {
   });
 }
 
-// ATMOST(1, A, B, 3) feed, where only key-0 events are candidates: a
-// crowded window, a blocker removal that resurrects, a late arrival that
-// retracts and whose removal re-issues the output's id, and CTIs on
-// both ports.
+// ATMOST(1, A, B, 3) feed over two pooled ports: a crowded window, a
+// removal that resurrects, a late arrival that retracts and whose
+// removal re-issues the output's id, and CTIs on both ports.
 Feed AtMostFeed() {
-  auto ev = [](EventId id, Time vs, int64_t key) {
-    return MakeEvent(id, vs, TimeAdd(vs, 1), KV(key, static_cast<int64_t>(id)));
+  auto ev = [](EventId id, Time vs) {
+    return MakeEvent(id, vs, TimeAdd(vs, 1), KV(0, static_cast<int64_t>(id)));
   };
-  Event removed = ev(101, 5, 1);
-  Event late = ev(103, 11, 1);
+  Event removed = ev(101, 5);
+  Event late = ev(103, 11);
   Feed feed;
   Time cs = 1;
-  feed.push_back({0, InsertOf(ev(1, 2, 0), cs++)});
+  feed.push_back({0, InsertOf(ev(1, 2), cs++)});
   feed.push_back({1, InsertOf(removed, cs++)});
-  feed.push_back({0, InsertOf(ev(2, 6, 0), cs++)});
-  feed.push_back({0, InsertOf(ev(3, 8, 0), cs++)});
+  feed.push_back({0, InsertOf(ev(2, 6), cs++)});
+  feed.push_back({0, InsertOf(ev(3, 8), cs++)});
   feed.push_back({0, CtiOf(5, cs++)});
   feed.push_back({1, CtiOf(5, cs++)});
   feed.push_back({1, RetractOf(removed, removed.vs, cs++)});
-  feed.push_back({1, InsertOf(ev(102, 7, 1), cs++)});
-  feed.push_back({0, InsertOf(ev(4, 12, 0), cs++)});
+  feed.push_back({1, InsertOf(ev(102, 7), cs++)});
+  feed.push_back({0, InsertOf(ev(4, 12), cs++)});
   feed.push_back({1, InsertOf(late, cs++)});
   feed.push_back({0, CtiOf(10, cs++)});
   feed.push_back({1, CtiOf(10, cs++)});
@@ -317,10 +316,6 @@ Feed AtMostFeed() {
 }
 
 TEST(OperatorCheckpointTest, AtMostRoundtrip) {
-  PatternTuplePredicate key0 = [](const std::vector<const Event*>& tuple,
-                                  const std::vector<int>&) {
-    return tuple[0]->payload.at(0) == Value(int64_t{0});
-  };
   for (ConsistencySpec spec :
        {ConsistencySpec::Strong(), ConsistencySpec::Middle()}) {
     SCOPED_TRACE(spec.ToString());
@@ -328,7 +323,7 @@ TEST(OperatorCheckpointTest, AtMostRoundtrip) {
         [&] {
           return std::make_unique<NegationOp>(NegationWindow::AtMost(1, 3),
                                               nullptr, spec,
-                                              /*num_inputs=*/2, key0);
+                                              /*num_inputs=*/2);
         },
         AtMostFeed());
   }

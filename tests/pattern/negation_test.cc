@@ -323,31 +323,53 @@ TEST(AtMostOpTest, StrongHoldsEqualVsArrivalsUntilTheGuaranteePasses) {
       StarEqual(result.Ideal(), denotation::AtMost(1, {{e1, e2}}, 2)));
 }
 
-TEST(AtMostOpTest, PoolsPortsAndGatesCandidatesByEligibility) {
-  // Port 1's events only count against port 0's (key 1 is ineligible);
-  // retracting one of them resurrects the output it crowded out.
-  Event a = E(1, 4, /*key=*/0);
-  Event crowd = E(2, 5, /*key=*/1);
-  Event b = E(3, 6, /*key=*/0);
-  PatternTuplePredicate key0 = [](const std::vector<const Event*>& tuple,
-                                  const std::vector<int>&) {
-    return tuple[0]->payload.at(0) == Value(int64_t{0});
-  };
+TEST(AtMostOpTest, PoolsPortsAndRetractsPooledEvents) {
+  // Port 1's event crowds port 0's window (4, 6] and is crowded in its
+  // own; its full retraction cancels its candidate and resurrects b.
+  Event a = E(1, 4);
+  Event crowd = E(2, 5);
+  Event b = E(3, 6);
   NegationOp op(NegationWindow::AtMost(1, 2), nullptr,
-                ConsistencySpec::Middle(), /*num_inputs=*/2, key0);
+                ConsistencySpec::Middle(), /*num_inputs=*/2);
   auto result = RunMultiPort(
       &op, {{InsertOf(a, 4), InsertOf(b, 6)},
             {InsertOf(crowd, 5), RetractOf(crowd, 5, 7)}});
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(op.stats().lost_corrections, 0u);
-  EXPECT_TRUE(StarEqual(
-      result.Ideal(),
-      denotation::AtMost(1, {{a, b}}, 2,
-                         [](const std::vector<const Event*>& tuple) {
-                           return tuple[0]->payload.at(0) ==
-                                  Value(int64_t{0});
-                         })));
+  EXPECT_TRUE(
+      StarEqual(result.Ideal(), denotation::AtMost(1, {{a}, {b}}, 2)));
   EXPECT_EQ(result.Ideal().size(), 2u);
+}
+
+TEST(AtMostOpTest, EmptyLifetimeArrivalNeitherCountsNorEmits) {
+  // The input's ideal drops an event with an empty lifetime and holds
+  // only a, so the empty one must not crowd a's pool (3, 5] nor have an
+  // output of its own.
+  Event empty = MakeEvent(1, 4, 4, KV(0, 1));
+  Event a = E(2, 5);
+  NegationOp op = MakeAtMost(1, 1, 2, ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {{InsertOf(empty, 4), InsertOf(a, 5)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.sink->inserts(), 1u);
+  EXPECT_TRUE(
+      StarEqual(result.Ideal(), denotation::AtMost(1, {{a}}, 2)));
+  EXPECT_EQ(result.Ideal().size(), 1u);
+}
+
+TEST(AtMostOpTest, WeakDropsAnArrivalBehindTheFrontier) {
+  // ATMOST(0, ...) never holds: each event counts itself. Weak with no
+  // memory trims up to Vs 30, so the straggler at Vs 5 is dropped as a
+  // lost correction; it must not become an output that counts nothing.
+  Event e1 = E(1, 10);
+  Event e2 = E(2, 30);
+  Event straggler = E(3, 5);
+  NegationOp op = MakeAtMost(0, 1, 10, ConsistencySpec::Weak(0));
+  auto result = RunMultiPort(
+      &op, {{InsertOf(e1, 10), InsertOf(e2, 30), InsertOf(straggler, 31)}});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.sink->inserts(), 0u);
+  EXPECT_TRUE(result.Ideal().empty());
+  EXPECT_GT(op.stats().lost_corrections, 0u);
 }
 
 class UnlessDisorderTest : public ::testing::TestWithParam<uint64_t> {};
