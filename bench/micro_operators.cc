@@ -230,12 +230,13 @@ void BM_SequenceDetect(benchmark::State& state) {
     return t[0]->payload.at(0) == t[1]->payload.at(0);
   };
   // Partitioned by Machine_Id on both ports, as the planner builds a
-  // correlated SEQUENCE.
+  // correlated SEQUENCE (construct 0) or ALL (construct 1).
   const FieldSlot machine(workload::MachineEventSchema(), "Machine_Id");
+  const bool ordered = state.range(2) == 0;
   for (auto _ : state) {
-    SequenceOp op(2, 30, pred, {}, nullptr,
-                  SpecFor(static_cast<int>(state.range(1))),
-                  {machine, machine});
+    PatternOp op(2, ordered, 2, 30, pred, {}, nullptr,
+                 SpecFor(static_cast<int>(state.range(1))),
+                 {machine, machine});
     CollectingSink sink;
     op.ConnectTo(&sink, 0);
     size_t li = 0, ri = 0;
@@ -256,8 +257,8 @@ void BM_SequenceDetect(benchmark::State& state) {
       static_cast<int64_t>(installs.size() + shutdowns.size()));
 }
 BENCHMARK(BM_SequenceDetect)
-    ->ArgsProduct({{0, 50}, {0, 1}})
-    ->ArgNames({"disorder%", "level"});
+    ->ArgsProduct({{0, 50}, {0, 1}, {0, 1}})
+    ->ArgNames({"disorder%", "level", "construct"});
 
 void BM_UnlessDetect(benchmark::State& state) {
   auto positives = MakeStream(2048, 8, 0.3, 23);

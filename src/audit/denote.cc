@@ -258,53 +258,16 @@ class Evaluator {
         return denotation::Any(child_events);
       }
       case LogicalKind::kAtMost: {
-        // ATMOST's window count is over the *unfiltered* pool (the
-        // predicate only gates per-event eligibility, matching the
-        // pooled NegationOp), so children must not be pre-filtered. The
-        // pool holds copies, so the eligibility predicate maps events to
-        // their originating child by id instead of by address.
+        // The binder routes every single-contributor predicate to a leaf
+        // filter and rejects the rest, so ATMOST has no node predicate.
         std::vector<EventList> child_events;
         child_events.reserve(k);
         for (const auto& child : node.children) {
           CEDR_ASSIGN_OR_RETURN(EventList events, EvalPositiveChild(*child));
           child_events.push_back(std::move(events));
         }
-        TuplePredicate pred = TrueTuplePredicate();
-        if (!node.tuple_comparisons.empty()) {
-          std::vector<AttributeComparison> comparisons =
-              Rebase(node.tuple_comparisons, node.flat_lo);
-          const int width = node.flat_hi - node.flat_lo;
-          auto offsets = std::make_shared<std::unordered_map<EventId, int>>();
-          for (size_t i = 0; i < k; ++i) {
-            int off = node.children[i]->flat_lo - node.flat_lo;
-            for (const Event& e : child_events[i]) {
-              offsets->emplace(e.id, off);
-            }
-          }
-          pred = [comparisons = std::move(comparisons), offsets,
-                  width](const std::vector<const Event*>& tuple) {
-            std::vector<const Event*> flat(static_cast<size_t>(width),
-                                           nullptr);
-            for (const Event* e : tuple) {
-              auto it = offsets->find(e->id);
-              if (it == offsets->end()) continue;
-              std::vector<const Event*> leaves;
-              FlattenInto(e, &leaves);
-              size_t base = static_cast<size_t>(it->second);
-              for (size_t j = 0; j < leaves.size() &&
-                                 base + j < static_cast<size_t>(width);
-                   ++j) {
-                flat[base + j] = leaves[j];
-              }
-            }
-            for (const AttributeComparison& c : comparisons) {
-              if (!c.Evaluate(flat)) return false;
-            }
-            return true;
-          };
-        }
         return denotation::AtMost(static_cast<size_t>(node.count),
-                                  child_events, node.scope, pred);
+                                  child_events, node.scope);
       }
       case LogicalKind::kUnless:
       case LogicalKind::kNot:

@@ -312,6 +312,11 @@ Status Binder::RouteComparison(AttributeComparison comparison,
   for (int id : leaf_ids) {
     (out_.leaves[id].negated ? negated : positive).push_back(id);
   }
+  // A predicate over two attributes of one contributor is a single-leaf
+  // predicate.
+  std::sort(positive.begin(), positive.end());
+  positive.erase(std::unique(positive.begin(), positive.end()),
+                 positive.end());
   if (negated.size() > 1) {
     return Status::BindError(StrCat(
         "a predicate may reference at most one negated contributor ",

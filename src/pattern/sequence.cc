@@ -67,12 +67,13 @@ CandidateStore::iterator CandidateStore::find(Time vs, EventId id) {
                                                               : entries_.end();
 }
 
-PatternOpBase::PatternOpBase(int num_inputs, Duration scope,
-                             PatternTuplePredicate predicate, ScModes sc_modes,
-                             SchemaPtr output_schema, ConsistencySpec spec,
-                             std::string name,
-                             std::vector<FieldSlot> partition_key)
-    : Operator(std::move(name), spec, num_inputs),
+PatternOp::PatternOp(size_t n, bool ordered, int num_inputs, Duration scope,
+                     PatternTuplePredicate predicate, ScModes sc_modes,
+                     SchemaPtr output_schema, ConsistencySpec spec,
+                     std::vector<FieldSlot> partition_key)
+    : Operator(ordered ? "sequence" : "atleast", spec, num_inputs),
+      n_(n),
+      ordered_(ordered),
       scope_(scope),
       predicate_(predicate ? std::move(predicate) : TruePatternPredicate()),
       sc_modes_(std::move(sc_modes)),
@@ -80,20 +81,21 @@ PatternOpBase::PatternOpBase(int num_inputs, Duration scope,
       emitted_(scope_, output_schema_),
       stores_(num_inputs),
       partition_key_(std::move(partition_key)),
-      scan_(num_inputs) {
+      scan_(num_inputs),
+      used_(num_inputs, false) {
   sc_modes_.resize(num_inputs);
   if (partition_key_.size() != static_cast<size_t>(num_inputs)) {
     partition_key_.clear();
   }
-  tuple_.reserve(num_inputs);
-  refs_.reserve(num_inputs);
-  ports_.reserve(num_inputs);
+  tuple_.reserve(n);
+  refs_.reserve(n);
+  ports_.reserve(n);
   // TrimState here is a pure trim keyed on (Vs + scope, horizon): safe
   // to run only when the horizon advances.
   trim_on_advance_ = true;
 }
 
-size_t PatternOpBase::StateSize() const {
+size_t PatternOp::StateSize() const {
   size_t n = emitted_.size();
   for (const Partitions& parts : stores_) {
     for (const auto& [key, s] : parts) n += s.size();
@@ -101,16 +103,12 @@ size_t PatternOpBase::StateSize() const {
   return n;
 }
 
-const ScMode& PatternOpBase::ModeOf(int port) const {
-  return sc_modes_[port];
-}
-
-Value PatternOpBase::KeyOf(const Event& e, int port) const {
+Value PatternOp::KeyOf(const Event& e, int port) const {
   if (partition_key_.empty()) return Value();
   return PartitionKey(partition_key_[port].Fetch(e.payload));
 }
 
-Value PatternOpBase::StoreKey(const Event& e, int port) {
+Value PatternOp::StoreKey(const Event& e, int port) {
   Value key = KeyOf(e, port);
   if (!IsNaN(key)) return key;
   partition_key_.clear();
@@ -123,8 +121,8 @@ Value PatternOpBase::StoreKey(const Event& e, int port) {
   return Value();
 }
 
-PatternOpBase::Store* PatternOpBase::Find(const Event& e, int port,
-                                          Store::iterator* it) {
+PatternOp::Store* PatternOp::Find(const Event& e, int port,
+                                  Store::iterator* it) {
   Partitions& parts = stores_[port];
   auto home = parts.find(KeyOf(e, port));
   if (home != parts.end()) {
@@ -138,7 +136,7 @@ PatternOpBase::Store* PatternOpBase::Find(const Event& e, int port,
   return nullptr;
 }
 
-void PatternOpBase::Erase(int port, Store* s, Store::iterator it) {
+void PatternOp::Erase(int port, Store* s, Store::iterator it) {
   s->erase(it);
   if (!s->empty()) return;
   Partitions& parts = stores_[port];
@@ -150,7 +148,7 @@ void PatternOpBase::Erase(int port, Store* s, Store::iterator it) {
   }
 }
 
-Status PatternOpBase::ProcessInsert(const Event& e, int port) {
+Status PatternOp::ProcessInsert(const Event& e, int port) {
   if (e.valid().empty()) return Status::OK();
   Value key = StoreKey(e, port);
   // On a duplicate (Vs, id) the stored event stays and the arrival is
@@ -162,7 +160,7 @@ Status PatternOpBase::ProcessInsert(const Event& e, int port) {
     auto it = stores_[p].find(key);
     scan_[p] = it == stores_[p].end() ? &kEmpty : &it->second;
   }
-  Status st = OnNewCandidate(ref, port);
+  Extend(ref, port);
   // Consumption is applied after enumeration so one arrival sees a
   // consistent candidate snapshot.
   for (const auto& [p, consumed] : pending_consumption_) {
@@ -171,10 +169,10 @@ Status PatternOpBase::ProcessInsert(const Event& e, int port) {
     if (s != nullptr) Erase(p, s, it);
   }
   pending_consumption_.clear();
-  return st;
+  return Status::OK();
 }
 
-Status PatternOpBase::ProcessRetract(const Event& e, Time new_ve, int port) {
+Status PatternOp::ProcessRetract(const Event& e, Time new_ve, int port) {
   const bool full_removal = new_ve <= e.vs;
   Store::iterator it;
   Store* s = Find(e, port, &it);
@@ -202,7 +200,7 @@ Status PatternOpBase::ProcessRetract(const Event& e, Time new_ve, int port) {
   return Status::OK();
 }
 
-void PatternOpBase::TrimState(Time horizon) {
+void PatternOp::TrimState(Time horizon) {
   for (Partitions& parts : stores_) {
     for (auto pit = parts.begin(); pit != parts.end();) {
       // A candidate can still combine with future events (sync >=
@@ -218,19 +216,69 @@ void PatternOpBase::TrimState(Time horizon) {
   emitted_.Trim(horizon);
 }
 
-void PatternOpBase::Bind(const EventRef& e, int port) {
+void PatternOp::Extend(const EventRef& anchor, int anchor_port) {
+  const size_t depth = tuple_.size();
+  const bool anchor_placed = used_[anchor_port];
+  if (depth == n_) {
+    if (anchor_placed) EmitComposite();
+    return;
+  }
+  // The candidate range [lo, hi): [anchor.Vs - w, anchor.Vs) while the
+  // anchor is unplaced, (prev.Vs, first.Vs + w] once it is placed.
+  Time lo = depth == 0 ? kMinTime : TimeAdd(tuple_.back()->vs, 1);
+  Time hi = anchor->vs;
+  if (anchor_placed) {
+    hi = TimeAdd(TimeAdd(tuple_.front()->vs, scope_), 1);
+  } else if (scope_ != kInfinity) {
+    lo = std::max(lo, TimeSub(anchor->vs, scope_));
+  }
+  // An unplaced anchor must take the last free position.
+  const bool anchor_only = !anchor_placed && depth + 1 == n_;
+  const int first = ordered_ ? static_cast<int>(depth) : 0;
+  const int last = ordered_ ? first + 1 : num_inputs();
+  for (int p = first; p < last; ++p) {
+    if (used_[p]) continue;
+    if (p == anchor_port) {
+      Try(anchor, p, anchor, anchor_port);
+      continue;
+    }
+    if (anchor_only) continue;
+    const Store& s = *scan_[p];
+    auto it = s.lower_bound(lo);
+    switch (sc_modes_[p].selection) {
+      case SelectionMode::kFirst:
+        if (it != s.end() && it->vs < hi) {
+          Try(it->event, p, anchor, anchor_port);
+        }
+        break;
+      case SelectionMode::kLast: {
+        auto end = s.lower_bound(hi);
+        if (end != it) Try(std::prev(end)->event, p, anchor, anchor_port);
+        break;
+      }
+      case SelectionMode::kEach:
+        for (; it != s.end() && it->vs < hi; ++it) {
+          Try(it->event, p, anchor, anchor_port);
+        }
+        break;
+    }
+  }
+}
+
+void PatternOp::Try(const EventRef& e, int port, const EventRef& anchor,
+                    int anchor_port) {
   tuple_.push_back(e.get());
   refs_.push_back(&e);
   ports_.push_back(port);
-}
-
-void PatternOpBase::Unbind() {
-  tuple_.pop_back();
-  refs_.pop_back();
+  used_[port] = true;
+  if (predicate_(tuple_, ports_)) Extend(anchor, anchor_port);
+  used_[port] = false;
   ports_.pop_back();
+  refs_.pop_back();
+  tuple_.pop_back();
 }
 
-void PatternOpBase::EmitComposite() {
+void PatternOp::EmitComposite() {
   Lineage::List contributors;
   contributors.reserve(refs_.size());
   for (const EventRef* ref : refs_) contributors.push_back(*ref);
@@ -240,14 +288,14 @@ void PatternOpBase::EmitComposite() {
   if (composite.valid().empty()) return;
   emitted_.Record(composite);
   for (size_t i = 0; i < refs_.size(); ++i) {
-    if (ModeOf(ports_[i]).consumption == ConsumptionMode::kConsume) {
+    if (sc_modes_[ports_[i]].consumption == ConsumptionMode::kConsume) {
       pending_consumption_.emplace_back(ports_[i], *refs_[i]);
     }
   }
   EmitInsert(std::move(composite));
 }
 
-void PatternOpBase::SnapshotState(io::BinaryWriter* w) const {
+void PatternOp::SnapshotState(io::BinaryWriter* w) const {
   w->PutU64(stores_.size());
   std::vector<const Store::Entry*> merged;
   for (const Partitions& parts : stores_) {
@@ -267,7 +315,7 @@ void PatternOpBase::SnapshotState(io::BinaryWriter* w) const {
   emitted_.Snapshot(w);
 }
 
-Status PatternOpBase::RestoreState(io::BinaryReader* r) {
+Status PatternOp::RestoreState(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(uint64_t num_stores, r->GetU64());
   if (num_stores != stores_.size()) {
     return Status::Corruption("pattern snapshot: store count mismatch");
@@ -286,81 +334,6 @@ Status PatternOpBase::RestoreState(io::BinaryReader* r) {
     return Status::Corruption("pattern snapshot: consumption left pending");
   }
   return emitted_.Restore(r);
-}
-
-SequenceOp::SequenceOp(int num_inputs, Duration scope,
-                       PatternTuplePredicate predicate, ScModes sc_modes,
-                       SchemaPtr output_schema, ConsistencySpec spec,
-                       std::vector<FieldSlot> partition_key, std::string name)
-    : PatternOpBase(num_inputs, scope, std::move(predicate),
-                    std::move(sc_modes), std::move(output_schema), spec,
-                    std::move(name), std::move(partition_key)) {}
-
-Status SequenceOp::OnNewCandidate(const EventRef& e, int port) {
-  Extend(/*stage=*/0, e, port);
-  return Status::OK();
-}
-
-void SequenceOp::Extend(int stage, const EventRef& anchor, int anchor_port) {
-  const int k = num_inputs();
-  if (stage == k) {
-    EmitComposite();
-    return;
-  }
-  const std::vector<const Event*>& tuple = this->tuple();
-
-  auto try_candidate = [&](const EventRef& candidate) -> bool {
-    if (!tuple.empty()) {
-      if (candidate->vs <= tuple.back()->vs) return false;
-      if (candidate->vs - tuple.front()->vs > scope_) return false;
-    }
-    if (stage < anchor_port) {
-      if (candidate->vs >= anchor->vs) return false;
-      if (anchor->vs - candidate->vs > scope_) return false;
-    }
-    Bind(candidate, stage);
-    if (MatchSoFar()) Extend(stage + 1, anchor, anchor_port);
-    Unbind();
-    return true;
-  };
-
-  if (stage == anchor_port) {
-    try_candidate(anchor);
-    return;
-  }
-
-  // Range of admissible Vs in this port's partition.
-  Time lo = kMinTime;
-  if (!tuple.empty()) lo = std::max(lo, TimeAdd(tuple.back()->vs, 1));
-  if (stage < anchor_port && scope_ != kInfinity) {
-    lo = std::max(lo, TimeSub(anchor->vs, scope_));
-  }
-  const Store& s = scan(stage);
-  auto begin = s.lower_bound(lo);
-
-  const SelectionMode mode = ModeOf(stage).selection;
-  if (mode == SelectionMode::kLast) {
-    // Walk backwards from the end of the admissible range (exclusive
-    // upper bound on Vs).
-    Time hi = kInfinity;
-    if (stage < anchor_port) hi = anchor->vs;
-    if (!tuple.empty()) {
-      hi = std::min(hi, TimeAdd(TimeAdd(tuple.front()->vs, scope_), 1));
-    }
-    auto end = hi == kInfinity ? s.end() : s.lower_bound(hi);
-    while (end != begin) {
-      --end;
-      if (try_candidate(end->event)) return;  // admissible: only the last
-    }
-    return;
-  }
-
-  for (auto it = begin; it != s.end(); ++it) {
-    if (stage < anchor_port && it->vs >= anchor->vs) break;
-    if (!tuple.empty() && it->vs - tuple.front()->vs > scope_) break;
-    bool admissible = try_candidate(it->event);
-    if (admissible && mode == SelectionMode::kFirst) return;
-  }
 }
 
 }  // namespace cedr

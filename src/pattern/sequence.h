@@ -1,6 +1,6 @@
-// Runtime pattern detectors for the positive (monotonic) WHEN-clause
-// operators: SEQUENCE, and the shared machinery reused by the counting
-// family (pattern/counting.h).
+// The runtime detector for the positive (monotonic) WHEN-clause
+// operators: one PatternOp runs SEQUENCE, ALL, ATLEAST and ANY. The
+// anti-monotonic ATMOST is a NegationWindow (pattern/negation.h).
 //
 // Out-of-order handling: positive pattern operators are monotonic - a
 // straggler can only *add* matches, never invalidate one - so the
@@ -72,68 +72,60 @@ class CandidateStore {
   std::vector<Entry> entries_;
 };
 
-/// Base for k-input pattern detectors with a time scope w: owns the
-/// per-port candidate stores, SC modes, lineage index, and the retraction
-/// and trimming logic.
+/// SEQUENCE, ALL, ATLEAST and ANY (Section 3.3.2): n contributors from
+/// n distinct inputs with strictly increasing Vs spanning at most the
+/// scope w. ALL(E1, ..., Ek, w) is n = k, ANY(E1, ..., Ek) is n = 1 with
+/// w = 1, and SEQUENCE(E1, ..., Ek, w) is ALL with its contributors
+/// bound in port order (`ordered`, which requires n = k).
+///
+/// An arrival (the anchor) is completed by one enumeration. At match
+/// position d an ordered operator tries only port d, an unordered one
+/// every unused port; the anchor's port takes only the anchor. While the
+/// anchor is unplaced a candidate lies in [anchor.Vs - w, anchor.Vs);
+/// once it is placed, in (prev.Vs, first.Vs + w]. Within that range a
+/// port's SC mode picks: FIRST the first candidate, LAST the last one,
+/// EACH every one. The bounds never admit a stored copy of the anchor.
 ///
 /// Each port's store is partitioned by a correlation key, one field per
-/// port in `partition_key` (any other size: a single partition). The planner gives
-/// a key only when every match binds equal key values, so an arrival
-/// scans only its own key's partition; the full predicate still runs.
-/// Stores hold shared, immutable contributors that composites point at.
-class PatternOpBase : public Operator {
+/// port in `partition_key` (any other size: a single partition). The
+/// planner gives a key only when every match binds equal key values, so
+/// an arrival scans only its own key's partition; the full predicate
+/// still runs. Stores hold shared, immutable contributors that
+/// composites point at.
+class PatternOp : public Operator {
  public:
-  PatternOpBase(int num_inputs, Duration scope, PatternTuplePredicate predicate,
-                ScModes sc_modes, SchemaPtr output_schema,
-                ConsistencySpec spec, std::string name,
-                std::vector<FieldSlot> partition_key);
+  PatternOp(size_t n, bool ordered, int num_inputs, Duration scope,
+            PatternTuplePredicate predicate, ScModes sc_modes,
+            SchemaPtr output_schema, ConsistencySpec spec,
+            std::vector<FieldSlot> partition_key = {});
 
   size_t StateSize() const override;
   /// Whether candidates are partitioned by a correlation key.
   bool partitioned() const { return !partition_key_.empty(); }
 
  protected:
-  using Store = CandidateStore;
-
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
   void TrimState(Time horizon) override;
   /// Serializes the candidate stores (each port's partitions merged in
   /// (Vs, id) order), pending consumptions, and lineage index.
-  /// SequenceOp/AtLeastOp add no further state, so this covers the whole
-  /// positive-pattern family.
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;
 
-  /// Enumerate and emit the new matches created by `e` arriving on
-  /// `port`. Called after `e` has been stored and scan() points at its
-  /// key's partitions.
-  virtual Status OnNewCandidate(const EventRef& e, int port) = 0;
+ private:
+  using Store = CandidateStore;
+  using Partitions = std::unordered_map<Value, Store>;
 
-  /// Appends `e`, from `port`, to the match being enumerated; Unbind
-  /// drops the last contributor.
-  void Bind(const EventRef& e, int port);
-  void Unbind();
-  /// The predicate over the match being enumerated.
-  bool MatchSoFar() const { return predicate_(tuple_, ports_); }
+  /// Binds the next contributor of the match completing `anchor`, and
+  /// emits each match of n contributors that holds the anchor.
+  void Extend(const EventRef& anchor, int anchor_port);
+  /// Binds `e` from `port`, extends the match if the predicate holds,
+  /// and unbinds.
+  void Try(const EventRef& e, int port, const EventRef& anchor,
+           int anchor_port);
   /// Emits a composite of the match being enumerated, records lineage,
   /// applies consumption modes.
   void EmitComposite();
-
-  const ScMode& ModeOf(int port) const;
-  /// The partition of `port` holding the current arrival's key.
-  const Store& scan(int port) const { return *scan_[port]; }
-  /// Contributors bound so far, in match order.
-  const std::vector<const Event*>& tuple() const { return tuple_; }
-
-  Duration scope_;
-  PatternTuplePredicate predicate_;
-  ScModes sc_modes_;
-  SchemaPtr output_schema_;
-  CompositeIndex emitted_;
-
- private:
-  using Partitions = std::unordered_map<Value, Store>;
 
   /// The partition key of `e` on `port`; null when unpartitioned.
   Value KeyOf(const Event& e, int port) const;
@@ -145,30 +137,25 @@ class PatternOpBase : public Operator {
   Store* Find(const Event& e, int port, Store::iterator* it);
   void Erase(int port, Store* s, Store::iterator it);
 
+  size_t n_;
+  bool ordered_;
+  Duration scope_;
+  PatternTuplePredicate predicate_;
+  ScModes sc_modes_;
+  SchemaPtr output_schema_;
+  CompositeIndex emitted_;
+
   std::vector<Partitions> stores_;
   std::vector<FieldSlot> partition_key_;
+  /// Each port's partition holding the current arrival's key.
   std::vector<const Store*> scan_;
-  // The match being enumerated: contributors, their refs, their ports.
+  // The match being enumerated: contributors, their refs, their ports,
+  // and which ports are bound.
   std::vector<const Event*> tuple_;
   std::vector<const EventRef*> refs_;
   std::vector<int> ports_;
+  std::vector<bool> used_;
   std::vector<std::pair<int, EventRef>> pending_consumption_;
-};
-
-/// SEQUENCE(E1, ..., Ek, w): one contributor per input, strictly
-/// increasing Vs, spanning at most w.
-class SequenceOp : public PatternOpBase {
- public:
-  SequenceOp(int num_inputs, Duration scope, PatternTuplePredicate predicate,
-             ScModes sc_modes, SchemaPtr output_schema, ConsistencySpec spec,
-             std::vector<FieldSlot> partition_key = {},
-             std::string name = "sequence");
-
- protected:
-  Status OnNewCandidate(const EventRef& e, int port) override;
-
- private:
-  void Extend(int stage, const EventRef& anchor, int anchor_port);
 };
 
 }  // namespace cedr

@@ -6,7 +6,6 @@
 #include "ops/alter_lifetime.h"
 #include "ops/project.h"
 #include "ops/select.h"
-#include "pattern/counting.h"
 #include "pattern/negation.h"
 #include "pattern/sequence.h"
 
@@ -328,30 +327,25 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
   const int k = static_cast<int>(node.children.size());
   Operator* op = nullptr;
   switch (node.kind) {
-    case LogicalKind::kSequence: {
-      op = Own(std::make_unique<SequenceOp>(
-          k, node.scope, tuple_pred, node.child_modes,
-          SchemaSlice(node.flat_lo, node.flat_hi), q_.spec,
-          PartitionKey(node, static_cast<size_t>(k))));
-      break;
-    }
+    case LogicalKind::kSequence:
     case LogicalKind::kAll:
-    case LogicalKind::kAtLeast: {
-      size_t n = node.kind == LogicalKind::kAll
-                     ? static_cast<size_t>(k)
-                     : static_cast<size_t>(node.count);
+    case LogicalKind::kAtLeast:
+    case LogicalKind::kAny: {
+      // ALL is ATLEAST(k), ANY is ATLEAST(1) with scope 1, and SEQUENCE
+      // is ALL with contributors bound in port order.
+      size_t n = static_cast<size_t>(k);
+      if (node.kind == LogicalKind::kAtLeast) {
+        n = static_cast<size_t>(node.count);
+      } else if (node.kind == LogicalKind::kAny) {
+        n = 1;
+      }
       SchemaPtr schema = n == static_cast<size_t>(k)
                              ? SchemaSlice(node.flat_lo, node.flat_hi)
                              : nullptr;
-      op = Own(std::make_unique<AtLeastOp>(
-          n, k, node.scope, tuple_pred, node.child_modes, std::move(schema),
-          q_.spec, PartitionKey(node, n)));
-      break;
-    }
-    case LogicalKind::kAny: {
-      op = Own(std::make_unique<AtLeastOp>(1, k, /*scope=*/1, tuple_pred,
-                                           node.child_modes, nullptr,
-                                           q_.spec, PartitionKey(node, 1)));
+      op = Own(std::make_unique<PatternOp>(
+          n, node.kind == LogicalKind::kSequence, k, node.scope, tuple_pred,
+          node.child_modes, std::move(schema), q_.spec,
+          PartitionKey(node, n)));
       break;
     }
     case LogicalKind::kAtMost: {

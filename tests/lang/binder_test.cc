@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "denotation/ideal.h"
+#include "denotation/patterns.h"
+#include "engine/query.h"
 #include "lang/parser.h"
+#include "testing/helpers.h"
 #include "workload/machines.h"
 
 namespace cedr {
@@ -185,6 +189,34 @@ TEST(BinderTest, AtMostMultiLeafPredicateRejected) {
       "EVENT Q WHEN ATMOST(2, A AS a, B AS b, 10) WHERE {a.id = b.id}");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("ATMOST"), std::string::npos);
+}
+
+TEST(BinderTest, AtMostSingleLeafTwoAttributePredicateIsAFilter) {
+  // {x.key = x.value} names one contributor twice: it filters A before
+  // the pool is counted, as a single-attribute predicate would.
+  SchemaPtr kv = testing::KeyValueSchema();
+  const Catalog catalog = {{"A", kv}, {"B", kv}};
+  const std::string text =
+      "EVENT Q WHEN ATMOST(1, A AS x, B AS y, 10) WHERE {x.key = x.value}";
+  ast::Query parsed = ParseQuery(text).ValueOrDie();
+  Result<plan::BoundQuery> bound = Bind(parsed, catalog);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  EXPECT_EQ(bound.ValueOrDie().leaves[0].local_filter.size(), 1u);
+  EXPECT_TRUE(bound.ValueOrDie().root->tuple_comparisons.empty());
+
+  auto query = CompiledQuery::Compile(text, catalog, ConsistencySpec::Middle())
+                   .ValueOrDie();
+  const Event a1 = MakeEvent(1, 1, 2, testing::KV(3, 3));
+  const Event a2 = MakeEvent(2, 5, 6, testing::KV(3, 4));  // filtered out
+  const Event b3 = MakeEvent(3, 12, 13, testing::KV(0, 0));
+  ASSERT_TRUE(query->Push("A", InsertOf(a1, 1)).ok());
+  ASSERT_TRUE(query->Push("A", InsertOf(a2, 5)).ok());
+  ASSERT_TRUE(query->Push("B", InsertOf(b3, 12)).ok());
+  ASSERT_TRUE(query->Finish().ok());
+  // Unfiltered, a2 would share b3's window and suppress it.
+  EventList expected = denotation::AtMost(1, {{a1}, {b3}}, 10);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_TRUE(denotation::StarEqual(query->sink().Ideal(), expected));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // (FIRST | LAST | EACH, CONSUME | REUSE) on contributor parameters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "engine/query.h"
 
@@ -18,9 +20,10 @@ Row P(int64_t id) {
   return Row(Schema::Make({{"id", ValueType::kInt64}}), {Value(id)});
 }
 
-std::unique_ptr<CompiledQuery> Compile(const std::string& when) {
-  return CompiledQuery::Compile("EVENT Q WHEN " + when, TestCatalog(),
-                                ConsistencySpec::Middle())
+std::unique_ptr<CompiledQuery> Compile(
+    const std::string& when,
+    ConsistencySpec spec = ConsistencySpec::Middle()) {
+  return CompiledQuery::Compile("EVENT Q WHEN " + when, TestCatalog(), spec)
       .ValueOrDie();
 }
 
@@ -112,6 +115,58 @@ TEST(ScModeLangTest, LastSelectionIgnoresCorrelationWhenChoosing) {
       "SEQUENCE(A AS x WITH (LAST), B AS y, 10) WHERE {x.id = y.id}");
   FeedCorrelated(query.get(), /*first_id=*/2, /*second_id=*/1);
   EXPECT_TRUE(query->sink().Ideal().empty());
+}
+
+// ALL binds its contributors in any order, but FIRST and LAST choose
+// within the same time bounds as SEQUENCE: a candidate placed before the
+// arrival it completes lies within the scope before it, and one placed
+// after lies within the scope of the match's first contributor. What is
+// chosen does not depend on when sync points trim the stores.
+std::vector<std::vector<EventId>> Matches(const CompiledQuery& query) {
+  std::vector<std::vector<EventId>> out;
+  for (const Event& e : query.sink().Ideal()) {
+    std::vector<EventId> ids;
+    for (const EventRef& c : e.cbt) ids.push_back(c->id);
+    out.push_back(std::move(ids));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void FeedAt(CompiledQuery* query, const std::string& type, EventId id,
+            Time vs) {
+  ASSERT_TRUE(
+      query->Push(type, InsertOf(MakeEvent(id, vs, vs + 1, P(id)), vs))
+          .ok());
+}
+
+TEST(ScModeLangTest, AllFirstChoosesWithinTheArrivalsScope) {
+  for (ConsistencySpec spec :
+       {ConsistencySpec::Strong(), ConsistencySpec::Middle()}) {
+    auto query = Compile("ALL(A AS x WITH (FIRST), B AS y, 10)", spec);
+    FeedAt(query.get(), "A", 1, 1);
+    FeedAt(query.get(), "A", 2, 15);
+    FeedAt(query.get(), "B", 3, 20);
+    ASSERT_TRUE(query->Finish().ok());
+    // A@1 is out of scope for B@20, so FIRST takes A@15.
+    EXPECT_EQ(Matches(*query), (std::vector<std::vector<EventId>>{{2, 3}}))
+        << spec.ToString();
+  }
+}
+
+TEST(ScModeLangTest, AllLastChoosesOnEachSideOfTheArrival) {
+  for (ConsistencySpec spec :
+       {ConsistencySpec::Strong(), ConsistencySpec::Middle()}) {
+    auto query = Compile("ALL(A AS x WITH (LAST), B AS y, 10)", spec);
+    FeedAt(query.get(), "A", 1, 1);
+    FeedAt(query.get(), "A", 2, 8);
+    FeedAt(query.get(), "B", 3, 5);
+    ASSERT_TRUE(query->Finish().ok());
+    // (A@1, B@5), the last A before B@5, and (B@5, A@8).
+    EXPECT_EQ(Matches(*query),
+              (std::vector<std::vector<EventId>>{{1, 3}, {3, 2}}))
+        << spec.ToString();
+  }
 }
 
 }  // namespace

@@ -36,9 +36,9 @@ std::unique_ptr<CompiledQuery> Compile(const std::string& when,
       .ValueOrDie();
 }
 
-const PatternOpBase* PatternOp(const CompiledQuery& query) {
+const PatternOp* FindPatternOp(const CompiledQuery& query) {
   for (const auto& op : query.physical().operators) {
-    if (auto* pattern = dynamic_cast<const PatternOpBase*>(op.get())) {
+    if (auto* pattern = dynamic_cast<const PatternOp*>(op.get())) {
       return pattern;
     }
   }
@@ -59,7 +59,7 @@ TEST(PartitionTest, AtLeastWithAnUnlinkedPairIsNotPartitioned) {
   auto query = Compile(
       "ATLEAST(2, A AS x, B AS y, C AS z, 10) "
       "WHERE {x.id = y.id} AND {y.id = z.id}");
-  EXPECT_FALSE(PatternOp(*query)->partitioned());
+  EXPECT_FALSE(FindPatternOp(*query)->partitioned());
   Insert(query.get(), "A", 1, 1, Id(1));
   Insert(query.get(), "A", 2, 2, Id(2));
   Insert(query.get(), "C", 3, 3, Id(2));
@@ -72,7 +72,7 @@ TEST(PartitionTest, AtLeastWithEveryPairLinkedIsPartitioned) {
   auto query = Compile(
       "ATLEAST(2, A AS x, B AS y, C AS z, 10) "
       "WHERE {x.id = y.id} AND {y.id = z.id} AND {x.id = z.id}");
-  EXPECT_TRUE(PatternOp(*query)->partitioned());
+  EXPECT_TRUE(FindPatternOp(*query)->partitioned());
   Insert(query.get(), "A", 1, 1, Id(1));
   Insert(query.get(), "A", 2, 2, Id(2));
   Insert(query.get(), "C", 3, 3, Id(2));
@@ -89,7 +89,7 @@ TEST(PartitionTest, AllAndSequenceChainsArePartitioned) {
         "SEQUENCE(A AS x, B AS y, C AS z, 10) WHERE {x.id = y.id} AND "
         "{y.id = z.id}"}) {
     auto query = Compile(when);
-    EXPECT_TRUE(PatternOp(*query)->partitioned()) << when;
+    EXPECT_TRUE(FindPatternOp(*query)->partitioned()) << when;
     Insert(query.get(), "A", 1, 1, Id(1));
     Insert(query.get(), "A", 2, 2, Id(2));
     Insert(query.get(), "B", 3, 3, Id(2));
@@ -105,7 +105,7 @@ TEST(PartitionTest, AllAndSequenceChainsArePartitioned) {
 TEST(PartitionTest, IntKeyMatchesEqualDoubleKey) {
   auto query = Compile("SEQUENCE(A AS x, B AS y, 10) WHERE {x.id = y.id}",
                        IdCatalog(ValueType::kDouble));
-  EXPECT_TRUE(PatternOp(*query)->partitioned());
+  EXPECT_TRUE(FindPatternOp(*query)->partitioned());
   Insert(query.get(), "A", 1, 1, Id(1));
   Insert(query.get(), "B", 2, 3, Id(1.0, ValueType::kDouble));
   Insert(query.get(), "B", 3, 4, Id(1.5, ValueType::kDouble));
@@ -124,7 +124,7 @@ TEST(PartitionTest, NaNKeyMatchesEveryNumber) {
   Insert(query.get(), "A", 1, 1, Id(1));
   Insert(query.get(), "A", 2, 2, Id(2));
   Insert(query.get(), "B", 3, 3, Id(nan, ValueType::kDouble));
-  EXPECT_FALSE(PatternOp(*query)->partitioned());
+  EXPECT_FALSE(FindPatternOp(*query)->partitioned());
   Insert(query.get(), "B", 4, 4, Id(2.0, ValueType::kDouble));
   ASSERT_TRUE(query->Finish().ok());
   EXPECT_EQ(query->sink().Ideal().size(), 3u);  // NaN with both, 2 with 2
@@ -134,9 +134,9 @@ TEST(PartitionTest, NullKeyIsStoredAndRetractedWithoutLoss) {
   auto query = Compile("SEQUENCE(A AS x, B AS y, 10) WHERE {x.id = y.id}");
   Event a = MakeEvent(1, 1, 21, Id(Value::Null()));
   ASSERT_TRUE(query->Push("A", InsertOf(a, 1)).ok());
-  EXPECT_EQ(PatternOp(*query)->StateSize(), 1u);
+  EXPECT_EQ(FindPatternOp(*query)->StateSize(), 1u);
   ASSERT_TRUE(query->Push("A", RetractOf(a, a.vs, 2)).ok());
-  EXPECT_EQ(PatternOp(*query)->StateSize(), 0u);
+  EXPECT_EQ(FindPatternOp(*query)->StateSize(), 0u);
   Insert(query.get(), "B", 2, 3, Id(Value::Null()));
   ASSERT_TRUE(query->Finish().ok());
   EXPECT_TRUE(query->sink().Ideal().empty());
@@ -150,7 +150,7 @@ TEST(PartitionTest, RetractionWithoutPayloadFindsItsCandidate) {
   Insert(query.get(), "A", 1, 1, Id(7));
   Insert(query.get(), "B", 2, 3, Id(7));
   ASSERT_TRUE(query->Push("A", RetractOf(MakeEvent(1, 1, 21), 1, 4)).ok());
-  EXPECT_EQ(PatternOp(*query)->StateSize(), 1u);  // B alone
+  EXPECT_EQ(FindPatternOp(*query)->StateSize(), 1u);  // B alone
   ASSERT_TRUE(query->Finish().ok());
   EXPECT_TRUE(query->sink().Ideal().empty());
   EXPECT_EQ(query->Stats().lost_corrections, 0u);
@@ -200,7 +200,7 @@ void CheckSnapshotResume(const std::string& when) {
         .ValueOrDie();
   };
   auto reference = compile();
-  ASSERT_TRUE(PatternOp(*reference)->partitioned());
+  ASSERT_TRUE(FindPatternOp(*reference)->partitioned());
   size_t cut = feed.size() / 2;
   while (cut < feed.size() && feed[cut - 1].second.kind != MessageKind::kCti) {
     ++cut;

@@ -1,5 +1,6 @@
-// Runtime SEQUENCE detector vs the denotational semantics: ordered,
-// disordered, retracted, and SC-mode behaviour.
+// The positive pattern detector (SEQUENCE, ALL, ATLEAST, ANY) vs the
+// denotational semantics: ordered, disordered, retracted, and SC-mode
+// behaviour.
 #include "pattern/sequence.h"
 
 #include <gtest/gtest.h>
@@ -28,7 +29,7 @@ std::vector<Message> Stream(const EventList& events) {
 TEST(SequenceOpTest, MatchesDenotationInOrder) {
   EventList a = {E(1, 1), E(2, 10)};
   EventList b = {E(3, 5), E(4, 20)};
-  SequenceOp op(2, /*scope=*/6, nullptr, {}, nullptr,
+  PatternOp op(2, /*ordered=*/true, 2, /*scope=*/6, nullptr, {}, nullptr,
                 ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   ASSERT_TRUE(result.status.ok());
@@ -40,7 +41,8 @@ TEST(SequenceOpTest, OutOfOrderArrivalStillMatches) {
   // the match appears late, no retraction needed).
   Event first = E(1, 1);
   Event second = E(2, 3);
-  SequenceOp op(2, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op, {{InsertOf(first, 5)}, {InsertOf(second, 4)}});
   ASSERT_TRUE(result.status.ok());
@@ -53,7 +55,8 @@ TEST(SequenceOpTest, OutOfOrderArrivalStillMatches) {
 TEST(SequenceOpTest, ContributorRemovalRetractsComposite) {
   Event a = E(1, 1);
   Event b = E(2, 3);
-  SequenceOp op(2, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op, {{InsertOf(a, 1), RetractOf(a, 1, 5)}, {InsertOf(b, 3)}});
   ASSERT_TRUE(result.status.ok());
@@ -65,7 +68,8 @@ TEST(SequenceOpTest, ContributorRemovalRetractsComposite) {
 TEST(SequenceOpTest, PartialShrinkDoesNotRetract) {
   Event a = MakeEvent(1, 1, 100, KV(0, 1));
   Event b = E(2, 3);
-  SequenceOp op(2, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(
       &op, {{InsertOf(a, 1), RetractOf(a, 50, 5)}, {InsertOf(b, 3)}});
   EXPECT_EQ(result.retracts(), 0u);
@@ -80,7 +84,8 @@ TEST(SequenceOpTest, PredicateFiltersAcrossContributors) {
     if (tuple.size() < 2) return true;
     return tuple[0]->payload.at(0) == tuple[1]->payload.at(0);
   };
-  SequenceOp op(2, 10, pred, {}, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, pred, {}, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   EXPECT_EQ(result.Ideal().size(), 2u);  // key-equal pairs only
 }
@@ -92,7 +97,8 @@ TEST(SequenceOpTest, ConsumptionPreventsReuse) {
   EventList b = {E(2, 3), E(3, 5)};
   ScModes modes(2);
   modes[0].consumption = ConsumptionMode::kConsume;
-  SequenceOp op(2, 10, nullptr, modes, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, nullptr, modes, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   EXPECT_EQ(result.Ideal().size(), 1u);
 }
@@ -100,7 +106,8 @@ TEST(SequenceOpTest, ConsumptionPreventsReuse) {
 TEST(SequenceOpTest, ReuseAllowsMultipleMatches) {
   EventList a = {E(1, 1)};
   EventList b = {E(2, 3), E(3, 5)};
-  SequenceOp op(2, 10, nullptr, {}, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   EXPECT_EQ(result.Ideal().size(), 2u);
 }
@@ -110,7 +117,8 @@ TEST(SequenceOpTest, FirstSelectionPicksEarliest) {
   EventList b = {E(3, 5)};
   ScModes modes(2);
   modes[0].selection = SelectionMode::kFirst;
-  SequenceOp op(2, 10, nullptr, modes, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, nullptr, modes, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   EventList ideal = result.Ideal();
   ASSERT_EQ(ideal.size(), 1u);
@@ -122,23 +130,102 @@ TEST(SequenceOpTest, LastSelectionPicksLatest) {
   EventList b = {E(3, 5)};
   ScModes modes(2);
   modes[0].selection = SelectionMode::kLast;
-  SequenceOp op(2, 10, nullptr, modes, nullptr, ConsistencySpec::Middle());
+  PatternOp op(2, /*ordered=*/true, 2, 10, nullptr, modes, nullptr,
+               ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
   EventList ideal = result.Ideal();
   ASSERT_EQ(ideal.size(), 1u);
   EXPECT_EQ(ideal[0].cbt[0]->id, 2u);  // latest A
 }
 
+TEST(AtLeastOpTest, MatchesDenotation) {
+  EventList a = {E(1, 1)};
+  EventList b = {E(2, 3)};
+  EventList c = {E(3, 5)};
+  PatternOp op(2, /*ordered=*/false, 3, /*scope=*/10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b), Stream(c)});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_TRUE(
+      StarEqual(result.Ideal(), denotation::AtLeast(2, {a, b, c}, 10)));
+}
+
+TEST(AtLeastOpTest, ScopeRespected) {
+  EventList a = {E(1, 1)};
+  EventList b = {E(2, 3)};
+  EventList c = {E(3, 50)};
+  PatternOp op(2, /*ordered=*/false, 3, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b), Stream(c)});
+  EXPECT_TRUE(
+      StarEqual(result.Ideal(), denotation::AtLeast(2, {a, b, c}, 10)));
+  EXPECT_EQ(result.Ideal().size(), 1u);
+}
+
+TEST(AtLeastOpTest, OutOfOrderCompletion) {
+  // The earlier event arrives second; the match must still fire once.
+  PatternOp op(2, /*ordered=*/false, 2, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(
+      &op, {{InsertOf(E(1, 5), 10)}, {InsertOf(E(2, 7), 9)}});
+  EXPECT_EQ(result.Ideal().size(), 1u);
+}
+
+TEST(AtLeastOpTest, ContributorRemovalRetracts) {
+  Event a = E(1, 1);
+  Event b = E(2, 3);
+  PatternOp op(2, /*ordered=*/false, 2, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(
+      &op, {{InsertOf(a, 1), RetractOf(a, 1, 4)}, {InsertOf(b, 3)}});
+  EXPECT_TRUE(result.Ideal().empty());
+  EXPECT_EQ(result.retracts(), 1u);
+}
+
+TEST(AllOpTest, RequiresEveryInput) {
+  EventList a = {E(1, 1)};
+  EventList b = {E(2, 3)};
+  EventList c = {E(3, 5)};
+  PatternOp op(3, /*ordered=*/false, 3, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b), Stream(c)});
+  EXPECT_TRUE(StarEqual(result.Ideal(), denotation::All({a, b, c}, 10)));
+  EXPECT_EQ(result.Ideal().size(), 1u);
+}
+
+TEST(AllOpTest, MissingInputProducesNothing) {
+  EventList a = {E(1, 1)};
+  EventList b = {E(2, 3)};
+  PatternOp op(3, /*ordered=*/false, 3, 10, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b), {}});
+  EXPECT_TRUE(result.Ideal().empty());
+}
+
+TEST(AnyOpTest, FiresPerEvent) {
+  EventList a = {E(1, 1), E(2, 3)};
+  EventList b = {E(3, 5)};
+  PatternOp op(1, /*ordered=*/false, 2, /*scope=*/1, nullptr, {}, nullptr,
+               ConsistencySpec::Middle());
+  auto result = RunMultiPort(&op, {Stream(a), Stream(b)});
+  EXPECT_EQ(result.Ideal().size(), 3u);
+}
+
+// Every positive construct over the same disordered streams: the
+// converged output is the denotation's at strong and middle.
 class SequenceDisorderTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SequenceDisorderTest, WellBehavedUnderDisorder) {
   Rng rng(GetParam());
-  EventList a, b;
+  EventList a, b, c;
   for (int i = 0; i < 30; ++i) {
     a.push_back(E(static_cast<EventId>(i * 2 + 1), rng.NextInt(0, 100),
                   rng.NextInt(0, 2)));
     b.push_back(E(static_cast<EventId>(i * 2 + 2), rng.NextInt(0, 100),
                   rng.NextInt(0, 2)));
+  }
+  for (int i = 0; i < 30; ++i) {
+    c.push_back(E(static_cast<EventId>(61 + i), rng.NextInt(0, 100)));
   }
   auto order = [](EventList* list) {
     std::sort(list->begin(), list->end(),
@@ -146,6 +233,7 @@ TEST_P(SequenceDisorderTest, WellBehavedUnderDisorder) {
   };
   order(&a);
   order(&b);
+  order(&c);
 
   DisorderConfig config;
   config.disorder_fraction = 0.5;
@@ -155,18 +243,37 @@ TEST_P(SequenceDisorderTest, WellBehavedUnderDisorder) {
   std::vector<Message> da = ApplyDisorder(Stream(a), config);
   config.seed = GetParam() + 8;
   std::vector<Message> db = ApplyDisorder(Stream(b), config);
+  config.seed = GetParam() + 9;
+  std::vector<Message> dc = ApplyDisorder(Stream(c), config);
 
-  EventList expected = denotation::Sequence({a, b}, 12);
-
-  for (ConsistencySpec spec :
-       {ConsistencySpec::Strong(), ConsistencySpec::Middle()}) {
-    SequenceOp op(2, 12, nullptr, {}, nullptr, spec);
-    auto result = RunMultiPort(&op, {da, db});
-    ASSERT_TRUE(result.status.ok());
-    EXPECT_TRUE(StarEqual(result.Ideal(), expected))
-        << "spec " << spec.ToString() << "\ngot:\n"
-        << testing::Describe(result.Ideal()) << "want:\n"
-        << testing::Describe(expected);
+  struct Construct {
+    const char* name;
+    size_t n;
+    bool ordered;
+    Duration scope;
+    std::vector<std::vector<Message>> inputs;
+    EventList expected;
+  };
+  const std::vector<Construct> constructs = {
+      {"SEQUENCE", 2, true, 12, {da, db}, denotation::Sequence({a, b}, 12)},
+      {"ALL", 2, false, 12, {da, db}, denotation::All({a, b}, 12)},
+      {"ATLEAST(2 of 3)", 2, false, 12, {da, db, dc},
+       denotation::AtLeast(2, {a, b, c}, 12)},
+      {"ANY", 1, false, 1, {da, db}, denotation::Any({a, b})},
+  };
+  for (const Construct& construct : constructs) {
+    for (ConsistencySpec spec :
+         {ConsistencySpec::Strong(), ConsistencySpec::Middle()}) {
+      PatternOp op(construct.n, construct.ordered,
+                   static_cast<int>(construct.inputs.size()), construct.scope,
+                   nullptr, {}, nullptr, spec);
+      auto result = RunMultiPort(&op, construct.inputs);
+      ASSERT_TRUE(result.status.ok());
+      EXPECT_TRUE(StarEqual(result.Ideal(), construct.expected))
+          << construct.name << " spec " << spec.ToString() << "\ngot:\n"
+          << testing::Describe(result.Ideal()) << "want:\n"
+          << testing::Describe(construct.expected);
+    }
   }
 }
 
