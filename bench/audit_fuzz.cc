@@ -1,11 +1,11 @@
 // Differential fuzz driver (DESIGN.md, "Differential auditing"): runs
 // seeded random audit cases - registry operators and pattern queries
 // under mutated schedules - against the denotational oracle, minimizes
-// any failure to a reproducer, and emits machine-readable throughput
-// JSON (BENCH_audit.json).
+// any failure to a reproducer, and, given --out, writes machine-readable
+// throughput JSON (the committed BENCH_audit.json).
 //
 //   audit_fuzz [--seed=N] [--iters=N] [--minimize] [--corpus=DIR]
-//              [--replay=DIR] [--out=BENCH_audit.json] [--verbose]
+//              [--replay=DIR] [--out=FILE] [--verbose]
 //
 //   --seed/--iters  the seeded case range to run (default 1 x 200);
 //   --minimize      shrink failing cases before reporting (default on;
@@ -13,6 +13,7 @@
 //   --corpus=DIR    write minimized reproducers to DIR as .case files;
 //   --replay=DIR    first replay every .case file in DIR (regression
 //                   corpus) and count its failures too;
+//   --out=FILE      write the metrics JSON to FILE (default: none);
 //   exit status     0 iff every replayed and generated case passed.
 #include <chrono>
 #include <cstring>
@@ -44,13 +45,13 @@ struct Options {
   bool verbose = false;
   std::string corpus_dir;
   std::string replay_dir;
-  std::string out = "BENCH_audit.json";
+  std::string out;  // empty: no JSON
 };
 
 void Usage(std::ostream& os) {
   os << "usage: audit_fuzz [--seed=N] [--iters=N] [--minimize[=0]]\n"
         "                  [--corpus=DIR] [--replay=DIR]\n"
-        "                  [--out=BENCH_audit.json] [--verbose]\n"
+        "                  [--out=FILE] [--verbose]\n"
         "Runs seeded audit cases against the denotational oracle and\n"
         "writes throughput metrics to --out; exit 0 iff every case "
         "passed.\n";

@@ -10,17 +10,19 @@
 //     without faults, and every revived query's output is bit-identical
 //     to a run in which it never faulted.
 //
-// Emits machine-readable resilience metrics (BENCH_resilience.json):
-// time-to-quarantine, recovery time, and degraded-throughput ratio.
+// Given --out, writes machine-readable resilience metrics (the committed
+// BENCH_resilience.json): time-to-quarantine, recovery time, and
+// degraded-throughput ratio.
 //
 //   chaos [--seed=N] [--schedules=N] [--workers=N] [--only=K]
-//         [--out=BENCH_resilience.json] [--verbose]
+//         [--out=FILE] [--verbose]
 //
 //   --seed=N       base seed; schedule k runs with seed N+k (default 1)
 //   --schedules=N  number of fault schedules to run (default 200)
 //   --workers=N    route_workers of the supervisor (default 4: the
 //                  parallel routing path; 1 = serial)
 //   --only=K       run only schedule K (reproduce one failure)
+//   --out=FILE     write the metrics JSON to FILE (default: none)
 //   exit status    0 iff every schedule passed every assertion.
 #include <chrono>
 #include <cstring>
@@ -58,13 +60,13 @@ struct Options {
   int workers = 4;
   int64_t only = -1;
   bool verbose = false;
-  std::string out = "BENCH_resilience.json";
+  std::string out;  // empty: no JSON
 };
 
 void Usage(std::ostream& os) {
   os << "usage: chaos [--seed=N] [--schedules=N] [--workers=N] "
         "[--only=K]\n"
-        "             [--out=BENCH_resilience.json] [--verbose]\n"
+        "             [--out=FILE] [--verbose]\n"
         "Runs seeded fault schedules against the supervised runtime and\n"
         "asserts quarantine isolation, bit-identical healthy output, and\n"
         "recovery; writes resilience metrics to --out.\n";

@@ -16,16 +16,18 @@
 //     every surplus delivery accounted as a session-level duplicate
 //     drop or an out-of-order/stale-epoch rejection.
 //
-// Emits machine-readable delivery metrics (BENCH_delivery.json).
+// Given --out, writes machine-readable delivery metrics (the committed
+// BENCH_delivery.json).
 //
 //   netchaos [--seed=N] [--schedules=N] [--sessions=N]
-//            [--only=K] [--out=BENCH_delivery.json] [--verbose]
+//            [--only=K] [--out=FILE] [--verbose]
 //
 //   --seed=N       base seed; schedule k runs with seed N+k (default 1)
 //   --schedules=N  schedules to run, cycling through the fault profiles
 //                  (default 200, i.e. 25 seeds x 8 profiles)
 //   --sessions=N   workload size per schedule (default 60)
 //   --only=K       run only schedule K (reproduce one failure)
+//   --out=FILE     write the metrics JSON to FILE (default: none)
 //   exit status    0 iff every schedule passed every assertion.
 #include <algorithm>
 #include <chrono>
@@ -58,13 +60,13 @@ struct Options {
   uint64_t sessions = 60;
   int64_t only = -1;
   bool verbose = false;
-  std::string out = "BENCH_delivery.json";
+  std::string out;  // empty: no JSON
 };
 
 void Usage(std::ostream& os) {
   os << "usage: netchaos [--seed=N] [--schedules=N] [--sessions=N] "
         "[--only=K]\n"
-        "                [--out=BENCH_delivery.json] [--verbose]\n"
+        "                [--out=FILE] [--verbose]\n"
         "Drives the supervised runtime through resilient source clients\n"
         "over a seeded faulty transport (loss/dup/reorder/reset/partition/"
         "throttle),\n"

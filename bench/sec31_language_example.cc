@@ -1,6 +1,6 @@
-// Section 3.1: the CIDR07_Example query end to end - parse, bind,
-// optimize, plan, execute on the machine workload at each consistency
-// level, and validate against the denotational oracle.
+// Section 3.1: the CIDR07_Example query end to end - parse, bind, plan,
+// execute on the machine workload at each consistency level, and
+// validate against the denotational oracle.
 #include <cstdio>
 
 #include "denotation/patterns.h"

@@ -110,6 +110,12 @@ const std::vector<std::string>& QueryTemplates() {
       // and the predicate filters what the pool sees.
       "EVENT Q WHEN ATMOST(1, A, B, 10)",
       "EVENT Q WHEN ATMOST(1, A AS x, B AS y, 10) WHERE {x.k = 1}",
+      // Nested positive arms: a negation's window reaches back as far as
+      // its whole arm does (plan::Reach), not its child's own scope.
+      "EVENT Q WHEN UNLESS(UNLESS(SEQUENCE(A AS x, B AS y, 25), C AS z, 5), "
+      "C AS w, 1, 10) WHERE {x.k = w.k}",
+      "EVENT Q WHEN NOT(C AS z, SEQUENCE(SEQUENCE(A AS x, B AS y, 10), "
+      "B AS u, 20)) WHERE {x.k = z.k}",
   };
   return templates;
 }

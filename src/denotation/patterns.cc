@@ -180,10 +180,12 @@ EventList Unless(const EventList& e1s, const EventList& e2s, Duration w,
     }
     if (blocked) continue;
     // Output fields per the UNLESS row of the operator table: identity,
-    // times and payload of e1, lifetime extended to e1.Vs + w.
+    // times and payload of e1, lifetime extended to e1.Vs + w. Like
+    // UNLESS', it keeps e1's lineage (e1 itself when primitive), which an
+    // enclosing UNLESS' anchors on and NOT draws its window from.
     Event o = e1;
     o.ve = TimeAdd(e1.vs, w);
-    o.cbt = {std::make_shared<const Event>(e1)};
+    if (o.cbt.empty()) o.cbt = {std::make_shared<const Event>(e1)};
     out.push_back(std::move(o));
   }
   return SortedByVs(std::move(out));

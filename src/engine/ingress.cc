@@ -76,9 +76,14 @@ Status IngressCore::CheckSyncAdvance(const std::string& type, Time t,
 
 Result<Message> IngressCore::Stamp(const io::JournalRecord& call) {
   switch (call.op) {
-    case io::JournalOp::kPublish:
+    case io::JournalOp::kPublish: {
       published_[call.name].insert(call.event.id);
-      return InsertOf(call.event, next_cs_++);
+      // A primitive's root time is its Vs (stream/event.h), whatever the
+      // provider sent: negation windows are bounded on that.
+      Event e = call.event;
+      e.rt = e.vs;
+      return InsertOf(std::move(e), next_cs_++);
+    }
     case io::JournalOp::kRetract: {
       auto pub = published_.find(call.name);
       if (pub == published_.end() || pub->second.count(call.event.id) == 0) {

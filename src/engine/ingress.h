@@ -39,7 +39,7 @@ class IngressCore {
   /// Checks the call against ingress history - a retraction must
   /// reference an id published on its type (kNotFound), a sync point
   /// must advance (kInvalidArgument) - then stamps the next arrival time
-  /// and records the call.
+  /// and records the call. A published event's root time becomes its Vs.
   Result<Message> Stamp(const io::JournalRecord& call);
 
   /// kInvalidArgument unless sync point `t` on `type` advances past

@@ -14,7 +14,6 @@ Result<std::unique_ptr<CompiledQuery>> CompiledQuery::Compile(
   auto query = std::unique_ptr<CompiledQuery>(new CompiledQuery());
   query->text_ = text;
   query->bound_ = std::move(bound);
-  plan::Optimize(&query->bound_);
   CEDR_ASSIGN_OR_RETURN(query->physical_,
                         plan::BuildPhysicalPlan(query->bound_));
   query->sink_ = std::make_unique<CollectingSink>(

@@ -1,4 +1,4 @@
-// CompiledQuery: a registered standing query - parsed, bound, optimized,
+// CompiledQuery: a registered standing query - parsed, bound,
 // compiled to a physical operator graph and wired to a collecting sink.
 #ifndef CEDR_ENGINE_QUERY_H_
 #define CEDR_ENGINE_QUERY_H_
@@ -14,7 +14,6 @@
 #include "engine/sink.h"
 #include "engine/stats.h"
 #include "lang/binder.h"
-#include "plan/optimizer.h"
 #include "plan/physical.h"
 
 namespace cedr {
@@ -57,7 +56,7 @@ class CompiledQuery {
   using FaultHook =
       std::function<Status(const std::string& type, const Message& msg)>;
 
-  /// Parses, binds, optimizes and builds `text` against `catalog`.
+  /// Parses, binds and builds `text` against `catalog`.
   /// `spec_override` replaces the query's CONSISTENCY clause (used by the
   /// benches to sweep the consistency spectrum over one query).
   static Result<std::unique_ptr<CompiledQuery>> Compile(

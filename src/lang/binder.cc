@@ -220,7 +220,6 @@ Result<std::unique_ptr<LogicalNode>> Binder::BindPattern(
       CEDR_ASSIGN_OR_RETURN(std::unique_ptr<LogicalNode> sequence,
                             BindPattern(*node.children[1], negated_position));
       bound->negated_leaf_id = negated_leaf;
-      bound->lookback = sequence->scope;
       bound->children.push_back(std::move(sequence));
       bound->flat_hi = next_flat_;
       return bound;
@@ -282,6 +281,16 @@ Result<std::pair<int, std::string>> Binder::ResolveRef(
   return std::make_pair(it->second, attribute);
 }
 
+/// Appends `comparison` unless an equal one was routed there already:
+/// CorrelationKey expansion can repeat a user predicate.
+void AddUnique(std::vector<AttributeComparison>* comparisons,
+               AttributeComparison comparison) {
+  if (std::find(comparisons->begin(), comparisons->end(), comparison) ==
+      comparisons->end()) {
+    comparisons->push_back(std::move(comparison));
+  }
+}
+
 LogicalNode* Binder::FindLca(LogicalNode* node, int lo, int hi) {
   if (node->kind == LogicalKind::kLeaf) return nullptr;
   for (auto& child : node->children) {
@@ -327,7 +336,7 @@ Status Binder::RouteComparison(AttributeComparison comparison,
     if (owner == nullptr) {
       return Status::Internal("negated leaf has no owning operator");
     }
-    owner->negation_comparisons.push_back(std::move(comparison));
+    AddUnique(&owner->negation_comparisons, std::move(comparison));
     return Status::OK();
   }
   if (positive.size() == 1) {
@@ -337,7 +346,7 @@ Status Binder::RouteComparison(AttributeComparison comparison,
     AttributeComparison local = comparison;
     local.left_contributor = 0;
     if (local.right_contributor >= 0) local.right_contributor = 0;
-    leaf.local_filter.push_back(std::move(local));
+    AddUnique(&leaf.local_filter, std::move(local));
     return Status::OK();
   }
   int lo = plan::kNegatedIndexBase, hi = -1;
@@ -354,7 +363,7 @@ Status Binder::RouteComparison(AttributeComparison comparison,
         "ATMOST does not support multi-contributor predicates (offset ",
         offset, ")"));
   }
-  lca->tuple_comparisons.push_back(std::move(comparison));
+  AddUnique(&lca->tuple_comparisons, std::move(comparison));
   return Status::OK();
 }
 

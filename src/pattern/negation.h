@@ -36,16 +36,22 @@ namespace cedr {
 ///
 ///   Unless(w)          output e over [e.Vs, e.Vs + w); window
 ///                      (e.Vs, e.Vs + w).
-///   UnlessPrime(n, w)  anchored at the n-th (1-based) contributor a of
+///   UnlessPrime(n, w, lookback)
+///                      anchored at the n-th (1-based) contributor a of
 ///                      e: output e over [max(e.Vs, a.Vs + w), e.Vs + w);
 ///                      window (a.Vs, a.Vs + w).
 ///   Not(lookback)      output e; window strictly between its first and
 ///                      last contributor.
-///   CancelWhen()       output e; window (e.Rt, e.Vs), the detection
+///   CancelWhen(lookback)
+///                      output e; window (e.Rt, e.Vs), the detection
 ///                      itself.
 ///   AtMost(n, w)       output the composite of e alone; window
 ///                      (e.Vs - w, e.Vs + 1), i.e. the pool (e.Vs - w,
 ///                      e.Vs], holding at most n events.
+///
+/// `lookback` bounds how far before e.Vs the anchor, first contributor
+/// or root time lies: the positive arm's reach (plan::Reach). UNLESS and
+/// ATMOST draw their windows from e.Vs and take 0.
 ///
 /// Every candidate is certain once the guarantee reaches the end of its
 /// window and passes e.Vs, since a full retraction of e has sync time
@@ -57,19 +63,14 @@ struct NegationWindow {
   static NegationWindow Unless(Duration w) {
     return {Kind::kUnless, 0, w, 0};
   }
-  /// `lookback` bounds how far the anchor precedes the composite's Vs:
-  /// the scope of the positive input.
   static NegationWindow UnlessPrime(size_t n, Duration w, Duration lookback) {
     return {Kind::kUnlessPrime, n, w, lookback};
   }
-  /// `lookback` bounds how far a composite's window reaches behind its
-  /// own Vs: the inner sequence's scope.
   static NegationWindow Not(Duration lookback) {
     return {Kind::kNot, 0, 0, lookback};
   }
-  /// A detection's window reaches back to its start, without bound.
-  static NegationWindow CancelWhen() {
-    return {Kind::kCancelWhen, 0, 0, kInfinity};
+  static NegationWindow CancelWhen(Duration lookback) {
+    return {Kind::kCancelWhen, 0, 0, lookback};
   }
   /// Every arrival, on any port, is both a blocker and a candidate.
   static NegationWindow AtMost(size_t n, Duration w) {
@@ -85,8 +86,10 @@ struct NegationWindow {
   /// The operator name, serialized in snapshots.
   const char* name() const;
   /// How long a blocker must outlive the repair horizon: as far as a
-  /// candidate still to come (or still pending) can reach behind it.
-  Duration BlockerRetention() const;
+  /// candidate still to come (its Vs at or past the horizon) or still
+  /// pending (its window ends at most w after its start, at or past the
+  /// horizon) can reach behind it.
+  Duration BlockerRetention() const { return TimeAdd(w, lookback); }
 
   Kind kind = Kind::kUnless;
   size_t n = 0;

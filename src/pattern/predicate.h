@@ -61,6 +61,8 @@ struct AttributeComparison {
   /// `negated_index`.
   bool EvaluateWithNegated(const std::vector<const Event*>& tuple,
                            const Event& negated, int negated_index) const;
+
+  bool operator==(const AttributeComparison&) const = default;
 };
 
 /// Applies `op` to two values as AttributeComparison does: nulls and

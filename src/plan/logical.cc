@@ -1,5 +1,7 @@
 #include "plan/logical.h"
 
+#include <algorithm>
+
 #include "common/format.h"
 
 namespace cedr {
@@ -27,6 +29,34 @@ const char* LogicalKindToString(LogicalKind kind) {
       return "cancel-when";
   }
   return "?";
+}
+
+Duration Reach(const LogicalNode& node) {
+  switch (node.kind) {
+    case LogicalKind::kLeaf:
+    case LogicalKind::kAtMost:
+      // A primitive, or the composite of one arrival.
+      return 0;
+    case LogicalKind::kSequence:
+    case LogicalKind::kAll:
+    case LogicalKind::kAtLeast:
+    case LogicalKind::kAny: {
+      // Contributors lie within the scope of one another.
+      Duration reach = 0;
+      for (const auto& child : node.children) {
+        reach = std::max(reach, Reach(*child));
+      }
+      return TimeAdd(node.scope, reach);
+    }
+    case LogicalKind::kUnless:
+      // UNLESS' starts its output up to w after its anchor.
+      return node.count > 0 ? TimeAdd(Reach(*node.children[0]), node.scope)
+                            : Reach(*node.children[0]);
+    case LogicalKind::kNot:
+    case LogicalKind::kCancelWhen:
+      return Reach(*node.children[0]);
+  }
+  return kInfinity;
 }
 
 std::string LogicalNode::ToString(const std::vector<BoundLeaf>& leaves,

@@ -1,5 +1,5 @@
-// Bound logical plans: the output of the binder, the input of the
-// optimizer, and the blueprint for physical operator construction.
+// Bound logical plans: the output of the binder and the blueprint for
+// physical operator construction.
 #ifndef CEDR_PLAN_LOGICAL_H_
 #define CEDR_PLAN_LOGICAL_H_
 
@@ -58,9 +58,6 @@ struct LogicalNode {
   /// Predicates involving this node's negated leaf (negation ops only).
   std::vector<AttributeComparison> negation_comparisons;
   int negated_leaf_id = -1;  // negation ops: index into leaves
-  /// kNot: the inner sequence scope (how far the negation window can
-  /// reach behind a composite's Vs).
-  Duration lookback = 0;
   /// Positive children; negation ops keep the negated leaf separately.
   std::vector<std::unique_ptr<LogicalNode>> children;
   /// Range [flat_lo, flat_hi) of positive flat indices under this node.
@@ -70,6 +67,12 @@ struct LogicalNode {
   std::string ToString(const std::vector<BoundLeaf>& leaves,
                        int indent = 0) const;
 };
+
+/// The most an output of `node` can have its Vs, or any contributor's
+/// Vs, after its root time, given rt = Vs for primitive events: how far
+/// a negation over `node` must look back (Section 3.3.2). Saturates at
+/// kInfinity.
+Duration Reach(const LogicalNode& node);
 
 struct OutputColumn {
   /// Index into the flattened composite payload.

@@ -357,17 +357,17 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
     case LogicalKind::kUnless:
     case LogicalKind::kNot:
     case LogicalKind::kCancelWhen: {
-      NegationWindow window = NegationWindow::CancelWhen();
+      // A positive arrival's window, or its UNLESS' anchor, lies at
+      // most the positive arm's reach behind its Vs.
+      const Duration lookback = Reach(*node.children[0]);
+      NegationWindow window = NegationWindow::CancelWhen(lookback);
       if (node.kind == LogicalKind::kNot) {
-        window = NegationWindow::Not(node.lookback);
+        window = NegationWindow::Not(lookback);
       } else if (node.kind == LogicalKind::kUnless) {
-        // The UNLESS' anchor is a contributor of the positive child's
-        // output; for a SEQUENCE, ALL or ATLEAST child it lies at most
-        // that child's scope before the output's Vs.
         window = node.count > 0
                      ? NegationWindow::UnlessPrime(
                            static_cast<size_t>(node.count), node.scope,
-                           node.children[0]->scope)
+                           lookback)
                      : NegationWindow::Unless(node.scope);
       }
       op = Own(std::make_unique<NegationOp>(window, neg_pred, q_.spec));

@@ -140,6 +140,20 @@ TEST(UnlessTest, OutOfScopeBlockerIgnored) {
   EXPECT_EQ(Unless(e1, early, 5).size(), 1u);
 }
 
+TEST(UnlessTest, KeepsTheCompositeLineage) {
+  // An enclosing UNLESS' anchors on the n-th contributor of the UNLESS
+  // output, so UNLESS passes its composite's lineage through, as UNLESS'
+  // and the runtime operator do. A blocker 3 after x (but before the
+  // composite) then blocks UNLESS'(UNLESS(...), 1, 5).
+  EventList seq = Sequence({{E(1, 2)}, {E(2, 10)}}, 20);
+  EventList out = Unless(seq, {}, 5);
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].cbt.size(), 2u);
+  EXPECT_EQ(out[0].cbt[0]->id, 1u);
+  EXPECT_EQ(out[0].cbt[1]->id, 2u);
+  EXPECT_TRUE(UnlessPrime(out, {E(3, 5)}, 1, 5).empty());
+}
+
 TEST(UnlessTest, NegationPredicateInjection) {
   // Only blockers with the same key suppress (the paper's
   // x.Machine_Id = z.Machine_Id).

@@ -281,8 +281,8 @@ TEST(OperatorCheckpointTest, NotRoundtrip) {
 
 TEST(OperatorCheckpointTest, CancelWhenRoundtrip) {
   ExpectNegationRoundtrip([](ConsistencySpec spec) {
-    return std::make_unique<NegationOp>(NegationWindow::CancelWhen(), SameKey,
-                                        spec);
+    return std::make_unique<NegationOp>(
+        NegationWindow::CancelWhen(/*lookback=*/10), SameKey, spec);
   });
 }
 

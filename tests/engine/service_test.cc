@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "denotation/ideal.h"
+#include "denotation/patterns.h"
+#include "testing/helpers.h"
 #include "workload/machines.h"
 
 namespace cedr {
@@ -85,6 +88,37 @@ TEST(ServiceTest, EndToEndRoutingAndResults) {
   EXPECT_EQ(pair->sink().Ideal().size(), 1u);
   const CompiledQuery* alert = service.GetQuery("Alert").ValueOrDie();
   EXPECT_TRUE(alert->sink().Ideal().empty());  // restart suppressed it
+}
+
+TEST(ServiceTest, PublishedRootTimeIsTheValidStart) {
+  // A primitive's root time is its Vs whatever the provider sent, so a
+  // canceling event before the detection started does not cancel it.
+  CedrService service;
+  for (const char* type : {"A", "B", "C"}) {
+    ASSERT_TRUE(
+        service.RegisterEventType(type, testing::KeyValueSchema()).ok());
+  }
+  ASSERT_TRUE(service
+                  .RegisterQuery("EVENT Q WHEN CANCEL-WHEN(SEQUENCE(A AS x, "
+                                 "B AS y, 10), C AS z)",
+                                 ConsistencySpec::Middle())
+                  .ok());
+  Event a = MakeEvent(1, 40, 41, testing::KV(0, 1));
+  a.rt = 0;
+  const Event b = MakeEvent(2, 45, 46, testing::KV(0, 2));
+  const Event c = MakeEvent(3, 5, 6, testing::KV(0, 3));
+  ASSERT_TRUE(service.Publish("C", c).ok());
+  ASSERT_TRUE(service.Publish("A", a).ok());
+  ASSERT_TRUE(service.Publish("B", b).ok());
+  ASSERT_TRUE(service.Finish().ok());
+
+  a.rt = a.vs;
+  EventList ideal =
+      denotation::CancelWhen(denotation::Sequence({{a}, {b}}, 10), {c});
+  ASSERT_EQ(ideal.size(), 1u);
+  const CompiledQuery* q = service.GetQuery("Q").ValueOrDie();
+  EXPECT_TRUE(denotation::StarEqual(q->sink().Ideal(), ideal))
+      << denotation::ToTableString(q->sink().Ideal());
 }
 
 TEST(ServiceTest, PublishValidation) {

@@ -181,7 +181,17 @@ TEST(BinderTest, NotBindsNegatedFirstChild) {
   EXPECT_GE(bound.root->negated_leaf_id, 0);
   EXPECT_TRUE(bound.leaves[bound.root->negated_leaf_id].negated);
   EXPECT_EQ(bound.root->negation_comparisons.size(), 1u);
-  EXPECT_EQ(bound.root->lookback, 10);
+  EXPECT_EQ(plan::Reach(*bound.root->children[0]), 10);
+}
+
+TEST(BinderTest, DuplicateComparisonsRemoved) {
+  auto bound = BindText(
+                   "EVENT Q WHEN SEQUENCE(A AS a, B AS b, 10)\n"
+                   "WHERE {a.id = b.id} AND {a.id = b.id} AND "
+                   "CorrelationKey(id, EQUAL)")
+                   .ValueOrDie();
+  // Three ways of writing the same test collapse to one.
+  EXPECT_EQ(bound.root->tuple_comparisons.size(), 1u);
 }
 
 TEST(BinderTest, AtMostMultiLeafPredicateRejected) {

@@ -198,7 +198,7 @@ TEST(NotSequenceOpTest, LateBlockerRetractsOptimisticOutput) {
 TEST(CancelWhenOpTest, MatchesDenotation) {
   EventList seq = denotation::Sequence({{E(1, 1)}, {E(2, 10)}}, 20);
   EventList cancel = {E(3, 5)};
-  NegationOp op(NegationWindow::CancelWhen(), nullptr,
+  NegationOp op(NegationWindow::CancelWhen(/*lookback=*/20), nullptr,
                 ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(seq), Stream(cancel)});
   ASSERT_TRUE(result.status.ok());
@@ -210,7 +210,7 @@ TEST(CancelWhenOpTest, MatchesDenotation) {
 TEST(CancelWhenOpTest, OutsideDetectionWindowPasses) {
   EventList seq = denotation::Sequence({{E(1, 1)}, {E(2, 10)}}, 20);
   EventList before = {E(3, 1)};  // not strictly inside (rt, vs)
-  NegationOp op(NegationWindow::CancelWhen(), nullptr,
+  NegationOp op(NegationWindow::CancelWhen(/*lookback=*/20), nullptr,
                 ConsistencySpec::Middle());
   auto result = RunMultiPort(&op, {Stream(seq), Stream(before)});
   EXPECT_EQ(result.Ideal().size(), 1u);
@@ -219,7 +219,7 @@ TEST(CancelWhenOpTest, OutsideDetectionWindowPasses) {
 TEST(CancelWhenOpTest, StrongWaitsAndSuppressesCleanly) {
   EventList seq = denotation::Sequence({{E(1, 1)}, {E(2, 10)}}, 20);
   Event cancel = E(3, 5);
-  NegationOp op(NegationWindow::CancelWhen(), nullptr,
+  NegationOp op(NegationWindow::CancelWhen(/*lookback=*/20), nullptr,
                 ConsistencySpec::Strong());
   // The canceling event arrives late in CEDR time.
   auto result = RunMultiPort(&op, {Stream(seq), {InsertOf(cancel, 40)}});
@@ -235,7 +235,8 @@ TEST(NegationOpTest, FullRetractionAtTheGuaranteeIsNotLost) {
   EventList seq = denotation::Sequence({{E(1, 7)}, {E(2, 22)}}, 20);
   ASSERT_EQ(seq.size(), 1u);
   for (NegationWindow window :
-       {NegationWindow::Not(/*lookback=*/20), NegationWindow::CancelWhen()}) {
+       {NegationWindow::Not(/*lookback=*/20),
+        NegationWindow::CancelWhen(/*lookback=*/20)}) {
     SCOPED_TRACE(window.name());
     NegationOp op(window, nullptr, ConsistencySpec::Strong());
     auto result = RunMultiPort(

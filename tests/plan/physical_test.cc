@@ -4,7 +4,6 @@
 
 #include "lang/binder.h"
 #include "lang/parser.h"
-#include "plan/optimizer.h"
 #include "workload/machines.h"
 
 namespace cedr {
@@ -23,7 +22,6 @@ Result<std::unique_ptr<plan::PhysicalPlan>> BuildText(
     const std::string& text) {
   CEDR_ASSIGN_OR_RETURN(ast::Query query, ParseQuery(text));
   CEDR_ASSIGN_OR_RETURN(plan::BoundQuery bound, Bind(query, TestCatalog()));
-  plan::Optimize(&bound);
   return plan::BuildPhysicalPlan(bound);
 }
 
