@@ -1,6 +1,7 @@
 #include "audit/auditor.h"
 
 #include <algorithm>
+#include <set>
 
 #include "audit/denote.h"
 #include "audit/generate.h"
@@ -372,6 +373,38 @@ AuditResult RunSingleOp(const AuditCase& c, const OpSpec& spec,
   return result;
 }
 
+/// The layout check, which the oracle cannot share since it builds
+/// composites as the runtime does: under a positional root, flat index i
+/// of every output's flattened lineage holds an input event of positive
+/// leaf i's type. The first output that breaks it; empty if none.
+std::string CheckLayout(const AuditCase& c, const EventList& outputs) {
+  auto query = CompiledQuery::Compile(c.query_text, c.catalog,
+                                      ConsistencySpec::Middle());
+  if (!query.ok()) return query.status().ToString();
+  const plan::BoundQuery& bound = query.ValueOrDie()->bound();
+  if (!plan::Positional(*bound.root)) return "";
+  std::set<std::pair<EventId, std::string>> inputs;
+  for (const LabeledStream& s : c.inputs) {
+    for (const Message& m : s.messages) {
+      inputs.emplace(m.event.id, s.event_type);
+    }
+  }
+  for (const Event& out : outputs) {
+    std::vector<const Event*> flat;
+    FlattenInto(&out, &flat);
+    bool holds = static_cast<int>(flat.size()) == bound.root->flat_hi;
+    for (const plan::BoundLeaf& leaf : bound.leaves) {
+      holds = holds && (leaf.negated || inputs.count({flat[leaf.flat_index]->id,
+                                                      leaf.event_type}) > 0);
+    }
+    if (!holds) {
+      return StrCat("output e", out.id,
+                    " does not list its contributors in declaration order");
+    }
+  }
+  return "";
+}
+
 AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
   AuditResult result;
   std::vector<LabeledStream> arrival = DifferentialAuditor::ArrivalStreams(c);
@@ -501,6 +534,8 @@ AuditResult RunWholeQuery(const AuditCase& c, const EventList& oracle) {
     result.detail = StrCat("runtime error: ", st.ToString());
     return result;
   }
+  result.detail = CheckLayout(c, actual);
+  if (!result.detail.empty()) return result;
 
   if (c.spec.IsWeak() && result.lost_corrections > 0) {
     result.pass = true;

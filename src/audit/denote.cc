@@ -17,15 +17,6 @@ using plan::kNegatedIndexBase;
 using plan::LogicalKind;
 using plan::LogicalNode;
 
-void FlattenInto(const Event* e, std::vector<const Event*>* out) {
-  if (e == nullptr) return;
-  if (e->cbt.empty()) {
-    out->push_back(e);
-    return;
-  }
-  for (const EventRef& c : e->cbt) FlattenInto(c.get(), out);
-}
-
 /// Rebases positive contributor indices by -flat_lo; negated markers
 /// (>= kNegatedIndexBase) are left untouched. Mirrors
 /// plan/physical.cc's Rebase so injected predicates see identical
@@ -81,26 +72,6 @@ class Evaluator {
   }
 
  private:
-  /// Payload-value offset of a positive flat index within the composite.
-  int FieldOffset(int flat_index) const {
-    int offset = 0;
-    for (const BoundLeaf& leaf : q_.leaves) {
-      if (!leaf.negated && leaf.flat_index < flat_index) {
-        offset += static_cast<int>(leaf.schema->num_fields());
-      }
-    }
-    return offset;
-  }
-
-  SchemaPtr SchemaSlice(int lo, int hi) const {
-    if (q_.composite_schema == nullptr) return nullptr;
-    int from = FieldOffset(lo);
-    int to = FieldOffset(hi);
-    std::vector<Field> fields(q_.composite_schema->fields().begin() + from,
-                              q_.composite_schema->fields().begin() + to);
-    return Schema::Make(std::move(fields));
-  }
-
   /// The ideal input of a leaf: the event type's ideal table filtered by
   /// the leaf-local pushed-down predicate.
   EventList EvalLeaf(int leaf_id) const {
@@ -233,15 +204,15 @@ class Evaluator {
           child_lists.push_back(&events);
         }
         TuplePredicate pred = MakeNodePredicate(node, child_lists);
+        SchemaPtr slice = plan::SchemaSlice(q_, node.flat_lo, node.flat_hi);
         if (node.kind == LogicalKind::kSequence) {
           return denotation::Sequence(child_events, node.scope, pred,
-                                      SchemaSlice(node.flat_lo, node.flat_hi));
+                                      std::move(slice));
         }
         size_t n = node.kind == LogicalKind::kAll
                        ? k
                        : static_cast<size_t>(node.count);
-        SchemaPtr schema =
-            n == k ? SchemaSlice(node.flat_lo, node.flat_hi) : nullptr;
+        SchemaPtr schema = n == k ? std::move(slice) : nullptr;
         return denotation::AtLeast(n, child_events, node.scope, pred,
                                    std::move(schema));
       }
@@ -300,6 +271,15 @@ class Evaluator {
 };
 
 }  // namespace
+
+void FlattenInto(const Event* e, std::vector<const Event*>* out) {
+  if (e == nullptr) return;
+  if (e->cbt.empty()) {
+    out->push_back(e);
+    return;
+  }
+  for (const EventRef& c : e->cbt) FlattenInto(c.get(), out);
+}
 
 Result<EventList> DenoteQuery(const BoundQuery& query,
                               const std::map<std::string, EventList>& inputs) {

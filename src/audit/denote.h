@@ -14,6 +14,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "denotation/ideal.h"
@@ -29,6 +30,10 @@ namespace audit {
 /// cover.
 Result<EventList> DenoteQuery(const plan::BoundQuery& query,
                               const std::map<std::string, EventList>& inputs);
+
+/// Appends the primitive events of `e`'s lineage, depth first; a
+/// primitive appends itself.
+void FlattenInto(const Event* e, std::vector<const Event*>* out);
 
 }  // namespace audit
 }  // namespace cedr

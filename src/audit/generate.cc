@@ -78,7 +78,7 @@ std::vector<Message> GenerateStream(Rng* rng, const StreamConfig& config,
 namespace {
 
 /// Query templates over event types A, B, C (each with the kv schema)
-/// covering SEQUENCE, NOT, ATLEAST, ALL, ANY, UNLESS, UNLESS',
+/// covering SEQUENCE, NOT, ATLEAST, ALL, ANY, ATMOST, UNLESS, UNLESS',
 /// CANCEL-WHEN plus predicates, output projection and temporal slices.
 const std::vector<std::string>& QueryTemplates() {
   static const std::vector<std::string> templates = {
@@ -116,6 +116,16 @@ const std::vector<std::string>& QueryTemplates() {
       "C AS w, 1, 10) WHERE {x.k = w.k}",
       "EVENT Q WHEN NOT(C AS z, SEQUENCE(SEQUENCE(A AS x, B AS y, 10), "
       "B AS u, 20)) WHERE {x.k = z.k}",
+      // Contributors sit in declaration order, whichever arrives first:
+      // OUTPUT, an enclosing predicate and an UNLESS' anchor read them
+      // by position.
+      "EVENT Q WHEN ALL(A AS x, B AS y, 20) OUTPUT x.k AS xk, y.v AS yv",
+      "EVENT Q WHEN SEQUENCE(ALL(A AS x, B AS y, 10), C AS z, 30) "
+      "WHERE {x.k = z.k}",
+      "EVENT Q WHEN UNLESS(ATLEAST(2, A AS x, B AS y, 20), C AS z, 2, 10) "
+      "WHERE {y.k = z.k}",
+      "EVENT Q WHEN UNLESS(UNLESS(SEQUENCE(A AS x, B AS y, C AS u, 30), "
+      "C AS z, 5), C AS w, 2, 10) WHERE {y.k = w.k}",
   };
   return templates;
 }

@@ -7,14 +7,15 @@ namespace denotation {
 
 namespace {
 
-/// Builds the composite event of the Section 3.3.2 tables from an ordered
-/// contributor tuple: id = idgen(...), Os/Oe from the last contributor,
-/// Vs = last.Vs, Ve = first.Vs + w, rt = min root time, lineage [e1..en],
-/// payload = concatenation of contributor payloads.
+/// Builds the composite event of the Section 3.3.2 tables from a
+/// contributor tuple in declaration order: id = idgen(...), Os/Oe/Vs from
+/// the latest contributor, Ve = earliest.Vs + w, rt = min root time,
+/// lineage [e1..en], payload = concatenation of contributor payloads.
 Event MakeComposite(const std::vector<const Event*>& tuple, Duration w,
                     const SchemaPtr& output_schema) {
-  const Event& first = *tuple.front();
-  const Event& last = *tuple.back();
+  auto by_vs = [](const Event* a, const Event* b) { return a->vs < b->vs; };
+  const Event& first = **std::min_element(tuple.begin(), tuple.end(), by_vs);
+  const Event& last = **std::max_element(tuple.begin(), tuple.end(), by_vs);
   Event out;
   IdGenMix id;
   for (const Event* e : tuple) id.Add(e->id);
@@ -91,29 +92,34 @@ EventList AtLeast(size_t n, const std::vector<EventList>& inputs, Duration w,
   if (n == 0 || n > k) return out;
 
   // Enumerate ordered tuples of n events drawn from n distinct inputs
-  // with strictly increasing Vs within the scope. `used` tracks which
-  // input each chosen event came from.
+  // with strictly increasing Vs within the scope. `chosen` holds each
+  // input's event, or null while the input is unused.
   std::vector<const Event*> tuple;
-  std::vector<bool> used(k, false);
+  std::vector<const Event*> chosen(k, nullptr);
 
   std::function<void()> extend = [&]() {
     if (tuple.size() == n) {
-      Event composite = MakeComposite(tuple, w, output_schema);
+      // The composite lists its contributors in input order.
+      std::vector<const Event*> by_input;
+      for (const Event* e : chosen) {
+        if (e != nullptr) by_input.push_back(e);
+      }
+      Event composite = MakeComposite(by_input, w, output_schema);
       if (!composite.valid().empty()) out.push_back(std::move(composite));
       return;
     }
     for (size_t i = 0; i < k; ++i) {
-      if (used[i]) continue;
+      if (chosen[i] != nullptr) continue;
       for (const Event& e : inputs[i]) {
         if (!tuple.empty()) {
           if (e.vs <= tuple.back()->vs) continue;
           if (e.vs - tuple.front()->vs > w) continue;
         }
-        used[i] = true;
+        chosen[i] = &e;
         tuple.push_back(&e);
         if (pred(tuple)) extend();
         tuple.pop_back();
-        used[i] = false;
+        chosen[i] = nullptr;
       }
     }
   };
@@ -228,11 +234,16 @@ EventList NotSequence(const EventList& negated,
   EventList out;
   for (const Event& es : sequence_outputs) {
     if (es.cbt.empty()) continue;
-    Time first_vs = es.cbt.front()->vs;
-    Time last_vs = es.cbt.back()->vs;
     std::vector<const Event*> tuple;
     tuple.reserve(es.cbt.size());
     for (const EventRef& c : es.cbt) tuple.push_back(c.get());
+    // The window lies between the earliest and latest contributor.
+    Time first_vs = kInfinity;
+    Time last_vs = kMinTime;
+    for (const Event* c : tuple) {
+      first_vs = std::min(first_vs, c->vs);
+      last_vs = std::max(last_vs, c->vs);
+    }
     bool blocked = false;
     for (const Event& e : negated) {
       if (first_vs < e.vs && e.vs < last_vs && neg(tuple, e)) {

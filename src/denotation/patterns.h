@@ -28,8 +28,9 @@ EventList Sequence(const std::vector<EventList>& inputs, Duration w,
                    SchemaPtr output_schema = nullptr);
 
 /// ATLEAST(n, E1, ..., Ek, w): n events from n distinct inputs with
-/// strictly increasing Vs spanning at most w. Output: Vs = last.Vs,
-/// Ve = first.Vs + w.
+/// strictly increasing Vs spanning at most w. Output: Vs = latest.Vs,
+/// Ve = earliest.Vs + w, lineage in input order. `pred` sees the tuple
+/// in Vs order as it grows.
 EventList AtLeast(size_t n, const std::vector<EventList>& inputs, Duration w,
                   const TuplePredicate& pred = TrueTuplePredicate(),
                   SchemaPtr output_schema = nullptr);
@@ -69,7 +70,7 @@ EventList UnlessPrime(const EventList& e1s, const EventList& e2s, size_t n,
                       const NegationPredicate& neg = TrueNegationPredicate());
 
 /// NOT(E, SEQUENCE(...)): keeps sequence outputs es such that no E event
-/// falls strictly between the first and last contributor's Vs.
+/// falls strictly between the earliest and latest contributor's Vs.
 /// `sequence_outputs` must carry lineage (cbt).
 EventList NotSequence(const EventList& negated,
                       const EventList& sequence_outputs,

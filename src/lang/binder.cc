@@ -1,6 +1,7 @@
 #include "lang/binder.h"
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 
 #include "common/format.h"
@@ -186,13 +187,11 @@ Result<std::unique_ptr<LogicalNode>> Binder::BindPattern(
       CEDR_ASSIGN_OR_RETURN(std::unique_ptr<LogicalNode> positive,
                             BindPattern(*node.children[0], negated_position));
       if (node.count > 0) {
-        size_t contributors = positive->kind == LogicalKind::kLeaf
-                                  ? 1
-                                  : positive->children.size();
-        if (static_cast<size_t>(node.count) > contributors) {
+        const size_t length = plan::LineageLength(*positive);
+        if (static_cast<size_t>(node.count) > length) {
           return Status::BindError(StrCat(
-              "UNLESS' anchor index ", node.count, " exceeds the ",
-              contributors, " contributors of the positive arm (offset ",
+              "UNLESS' anchor index ", node.count, " exceeds the ", length,
+              " contributors of each positive arm output (offset ",
               node.offset, ")"));
         }
       }
@@ -291,6 +290,20 @@ void AddUnique(std::vector<AttributeComparison>* comparisons,
   }
 }
 
+/// The bind error for `what` reading a leaf through the non-positional
+/// `node`, naming the node below where positions are first lost.
+Status NoFixedPosition(const std::string& what, const LogicalNode& node) {
+  for (const auto& child : node.children) {
+    if (!plan::Positional(*child)) return NoFixedPosition(what, *child);
+  }
+  std::string name = plan::LogicalKindToString(node.kind);
+  for (char& ch : name) ch = static_cast<char>(std::toupper(ch));
+  return Status::BindError(
+      StrCat(what, " reads a contributor with no fixed position in the ",
+             "output of ", name, ": a match binds ", plan::LineageLength(node),
+             " of its ", node.children.size(), " inputs"));
+}
+
 LogicalNode* Binder::FindLca(LogicalNode* node, int lo, int hi) {
   if (node->kind == LogicalKind::kLeaf) return nullptr;
   for (auto& child : node->children) {
@@ -336,6 +349,10 @@ Status Binder::RouteComparison(AttributeComparison comparison,
     if (owner == nullptr) {
       return Status::Internal("negated leaf has no owning operator");
     }
+    if (!positive.empty() && !plan::Positional(*owner->children[0])) {
+      return NoFixedPosition(StrCat("the predicate at offset ", offset),
+                             *owner->children[0]);
+    }
     AddUnique(&owner->negation_comparisons, std::move(comparison));
     return Status::OK();
   }
@@ -362,6 +379,17 @@ Status Binder::RouteComparison(AttributeComparison comparison,
     return Status::BindError(StrCat(
         "ATMOST does not support multi-contributor predicates (offset ",
         offset, ")"));
+  }
+  // Each side is read from the port of the child holding its leaf.
+  for (const auto& child : lca->children) {
+    for (int id : positive) {
+      const int flat = out_.leaves[id].flat_index;
+      if (child->flat_lo <= flat && flat < child->flat_hi &&
+          !plan::Positional(*child)) {
+        return NoFixedPosition(StrCat("the predicate at offset ", offset),
+                               *child);
+      }
+    }
   }
   AddUnique(&lca->tuple_comparisons, std::move(comparison));
   return Status::OK();
@@ -499,17 +527,15 @@ Status Binder::BindOutput() {
           "OUTPUT cannot reference negated contributor '", item.binding,
           "' - it does not occur in the output event"));
     }
-    // Offset of this leaf's fields within the composite payload.
-    int base = 0;
-    for (const BoundLeaf& other : out_.leaves) {
-      if (!other.negated && other.flat_index < leaf.flat_index) {
-        base += static_cast<int>(other.schema->num_fields());
-      }
+    if (!plan::Positional(*out_.root)) {
+      return NoFixedPosition(
+          StrCat("OUTPUT ", item.binding, ".", item.attribute), *out_.root);
     }
     CEDR_ASSIGN_OR_RETURN(size_t field_idx,
                           leaf.schema->FieldIndex(item.attribute));
     plan::OutputColumn col;
-    col.field_index = base + static_cast<int>(field_idx);
+    col.field_index =
+        plan::FieldOffset(out_, leaf.flat_index) + static_cast<int>(field_idx);
     col.name = item.alias.empty() ? item.binding + "_" + item.attribute
                                   : item.alias;
     fields.push_back(

@@ -6,8 +6,8 @@
 namespace cedr {
 
 Event MakeCompositeEvent(Lineage tuple, Duration w, const SchemaPtr& schema) {
-  const Event& first = *tuple.front();
-  const Event& last = *tuple.back();
+  const Event* first = tuple.front().get();
+  const Event* last = first;
   Event out;
   IdGenMix id;
   size_t width = 0;
@@ -16,13 +16,15 @@ Event MakeCompositeEvent(Lineage tuple, Duration w, const SchemaPtr& schema) {
     id.Add(e->id);
     width += e->payload.size();
     out.rt = std::min(out.rt, e->rt);
+    if (e->vs < first->vs) first = e.get();
+    if (e->vs > last->vs) last = e.get();
   }
   out.id = id.id();
   out.k = out.id;
-  out.os = last.os;
-  out.oe = last.oe;
-  out.vs = last.vs;
-  out.ve = TimeAdd(first.vs, w);
+  out.os = last->os;
+  out.oe = last->oe;
+  out.vs = last->vs;
+  out.ve = TimeAdd(first->vs, w);
   std::vector<Value> values;
   values.reserve(width);
   for (const EventRef& e : tuple) {

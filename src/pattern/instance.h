@@ -12,11 +12,11 @@
 namespace cedr {
 
 /// Builds the composite event of the Section 3.3.2 operator tables from
-/// an ordered contributor tuple: id = idgen(contributor ids),
-/// Os/Oe/Vs from the last contributor, Ve = first.Vs + w, rt = min root
-/// time, lineage [e1..en], payload = concatenated contributor payloads
-/// under `schema` (may be null). `tuple` becomes the composite's cbt, so
-/// every copy of the composite shares it.
+/// a contributor tuple in declaration order: id = idgen(contributor
+/// ids), Os/Oe/Vs from the latest contributor, Ve = earliest.Vs + w,
+/// rt = min root time, lineage [e1..en], payload = concatenated
+/// contributor payloads under `schema` (may be null). `tuple` becomes
+/// the composite's cbt, so every copy of the composite shares it.
 Event MakeCompositeEvent(Lineage tuple, Duration w, const SchemaPtr& schema);
 
 /// Index from contributor event id to the composite outputs it

@@ -83,10 +83,11 @@ const char* NegationWindow::name() const {
 }
 
 NegationOp::NegationOp(NegationWindow window, NegationPredicate predicate,
-                       ConsistencySpec spec, int num_inputs)
+                       ConsistencySpec spec, int num_inputs, int depth)
     : Operator(window.name(), spec, num_inputs),
       window_(window),
-      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()) {}
+      predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()),
+      depth_(depth) {}
 
 bool NegationOp::Draw(const Event& e, Candidate* c) const {
   const Duration w = window_.w;
@@ -123,9 +124,15 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
       break;
     }
     case NegationWindow::Kind::kNot:
-      // Strictly between the first and last contributor.
-      c->block_lo = e.cbt.empty() ? e.vs : e.cbt.front()->vs;
-      c->block_hi = e.cbt.empty() ? e.vs : e.cbt.back()->vs;
+      // Strictly between the earliest and latest contributor.
+      c->block_lo = c->block_hi = e.vs;
+      if (!e.cbt.empty()) {
+        auto [earliest, latest] = std::minmax_element(
+            e.cbt.begin(), e.cbt.end(),
+            [](const EventRef& a, const EventRef& b) { return a->vs < b->vs; });
+        c->block_lo = (*earliest)->vs;
+        c->block_hi = (*latest)->vs;
+      }
       break;
     case NegationWindow::Kind::kCancelWhen:
       // Between the start of the partial detection and its completion.
@@ -253,8 +260,13 @@ void NegationOp::EmitCandidate(Candidate* c) {
   if (c->generation > 0) {
     // Re-emission after a full retraction: fresh identity (Section 4's
     // remove-and-reinsert protocol). The output remembers the identity
-    // actually emitted.
-    c->output.id = IdGen({c->output.id, c->generation});
+    // actually emitted. A negation over another one's output mixes in
+    // its depth: the one below may re-emit this candidate's positive
+    // under the identity this one gave it, which is dead by then.
+    c->output.id = depth_ == 0
+                       ? IdGen({c->output.id, c->generation})
+                       : IdGen({c->output.id, c->generation,
+                                static_cast<EventId>(depth_)});
     c->output.k = c->output.id;
   }
   ++c->generation;

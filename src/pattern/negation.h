@@ -40,8 +40,8 @@ namespace cedr {
 ///                      anchored at the n-th (1-based) contributor a of
 ///                      e: output e over [max(e.Vs, a.Vs + w), e.Vs + w);
 ///                      window (a.Vs, a.Vs + w).
-///   Not(lookback)      output e; window strictly between its first and
-///                      last contributor.
+///   Not(lookback)      output e; window strictly between its earliest
+///                      and latest contributor.
 ///   CancelWhen(lookback)
 ///                      output e; window (e.Rt, e.Vs), the detection
 ///                      itself.
@@ -49,8 +49,8 @@ namespace cedr {
 ///                      (e.Vs - w, e.Vs + 1), i.e. the pool (e.Vs - w,
 ///                      e.Vs], holding at most n events.
 ///
-/// `lookback` bounds how far before e.Vs the anchor, first contributor
-/// or root time lies: the positive arm's reach (plan::Reach). UNLESS and
+/// `lookback` bounds how far before e.Vs the anchor, earliest
+/// contributor or root time lies: the positive arm's reach (plan::Reach). UNLESS and
 /// ATMOST draw their windows from e.Vs and take 0.
 ///
 /// Every candidate is certain once the guarantee reaches the end of its
@@ -139,8 +139,9 @@ class DueQueue {
 class NegationOp : public Operator {
  public:
   /// A pooled window takes `num_inputs` ports; the other kinds take two.
+  /// `depth` counts the negations below this one in its plan.
   NegationOp(NegationWindow window, NegationPredicate predicate,
-             ConsistencySpec spec, int num_inputs = 2);
+             ConsistencySpec spec, int num_inputs = 2, int depth = 0);
 
   size_t StateSize() const override;
 
@@ -198,6 +199,7 @@ class NegationOp : public Operator {
 
   NegationWindow window_;
   NegationPredicate predicate_;
+  int depth_;
   /// The predicate's view of a candidate's tuple, refilled per call.
   mutable std::vector<const Event*> view_;
 

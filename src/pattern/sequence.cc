@@ -279,9 +279,15 @@ void PatternOp::Try(const EventRef& e, int port, const EventRef& anchor,
 }
 
 void PatternOp::EmitComposite() {
+  // Contributors sit in port (declaration) order, whatever order the
+  // enumeration bound them in.
   Lineage::List contributors;
   contributors.reserve(refs_.size());
-  for (const EventRef* ref : refs_) contributors.push_back(*ref);
+  for (int p = 0; p < num_inputs(); ++p) {
+    if (!used_[p]) continue;
+    auto i = std::find(ports_.begin(), ports_.end(), p) - ports_.begin();
+    contributors.push_back(*refs_[i]);
+  }
   Event composite =
       MakeCompositeEvent(std::move(contributors), scope_, output_schema_);
   // A tuple spanning exactly the scope has an empty lifetime: no match.

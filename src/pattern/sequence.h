@@ -85,6 +85,8 @@ class CandidateStore {
 /// once it is placed, in (prev.Vs, first.Vs + w]. Within that range a
 /// port's SC mode picks: FIRST the first candidate, LAST the last one,
 /// EACH every one. The bounds never admit a stored copy of the anchor.
+/// A composite lists its contributors in port order, so a contributor's
+/// position is its input's declaration order, not its arrival order.
 ///
 /// Each port's store is partitioned by a correlation key, one field per
 /// port in `partition_key` (any other size: a single partition). The

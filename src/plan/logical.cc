@@ -59,6 +59,35 @@ Duration Reach(const LogicalNode& node) {
   return kInfinity;
 }
 
+size_t LineageLength(const LogicalNode& node) {
+  switch (node.kind) {
+    case LogicalKind::kLeaf:
+    case LogicalKind::kAny:
+    case LogicalKind::kAtMost:
+      return 1;
+    case LogicalKind::kSequence:
+    case LogicalKind::kAll:
+      return node.children.size();
+    case LogicalKind::kAtLeast:
+      return static_cast<size_t>(node.count);
+    case LogicalKind::kUnless:
+    case LogicalKind::kNot:
+    case LogicalKind::kCancelWhen:
+      return LineageLength(*node.children[0]);
+  }
+  return 0;
+}
+
+bool Positional(const LogicalNode& node) {
+  for (const auto& child : node.children) {
+    if (!Positional(*child)) return false;
+  }
+  // A negation passes its arm's outputs through; any other node must
+  // bind every input in every match.
+  return node.kind == LogicalKind::kLeaf || node.negated_leaf_id >= 0 ||
+         LineageLength(node) == node.children.size();
+}
+
 std::string LogicalNode::ToString(const std::vector<BoundLeaf>& leaves,
                                   int indent) const {
   std::string pad(indent * 2, ' ');
@@ -103,6 +132,24 @@ std::string BoundQuery::ToString() const {
     out += "  #" + valid_slice->ToString() + "\n";
   }
   return out;
+}
+
+int FieldOffset(const BoundQuery& query, int flat_index) {
+  int offset = 0;
+  for (const BoundLeaf& leaf : query.leaves) {
+    if (!leaf.negated && leaf.flat_index < flat_index) {
+      offset += static_cast<int>(leaf.schema->num_fields());
+    }
+  }
+  return offset;
+}
+
+SchemaPtr SchemaSlice(const BoundQuery& query, int lo, int hi) {
+  if (query.composite_schema == nullptr) return nullptr;
+  const auto& fields = query.composite_schema->fields();
+  return Schema::Make(std::vector<Field>(
+      fields.begin() + FieldOffset(query, lo),
+      fields.begin() + FieldOffset(query, hi)));
 }
 
 }  // namespace plan

@@ -74,6 +74,19 @@ struct LogicalNode {
 /// kInfinity.
 Duration Reach(const LogicalNode& node);
 
+/// How many entries an output of `node` lists in its lineage, a
+/// primitive counting 1: k for SEQUENCE and ALL, the count for ATLEAST,
+/// 1 for ANY and ATMOST, the positive arm's for a negation. A PatternOp's
+/// match size, and the bound of an UNLESS' anchor.
+size_t LineageLength(const LogicalNode& node);
+
+/// Whether every output of `node`, its lineage flattened depth first,
+/// holds each positive leaf under `node` at the leaf's flat position
+/// (rebased by flat_lo). Lineages list contributors in declaration
+/// order, so this holds where every match binds every leaf. OUTPUT and
+/// predicates read contributors by position only through such nodes.
+bool Positional(const LogicalNode& node);
+
 struct OutputColumn {
   /// Index into the flattened composite payload.
   int field_index = 0;
@@ -96,6 +109,13 @@ struct BoundQuery {
 
   std::string ToString() const;
 };
+
+/// Payload-value offset of a positive flat index within the composite.
+int FieldOffset(const BoundQuery& query, int flat_index);
+
+/// The composite schema's slice covering positive flat range [lo, hi);
+/// null when the query has no composite schema.
+SchemaPtr SchemaSlice(const BoundQuery& query, int lo, int hi);
 
 }  // namespace plan
 }  // namespace cedr

@@ -25,6 +25,13 @@ const Event* NthLeaf(const Event* e, int* n) {
   return nullptr;
 }
 
+/// How many negations, ATMOST included, lie in `node`'s subtree.
+int Negations(const LogicalNode& node) {
+  int n = node.negated_leaf_id >= 0 || node.kind == LogicalKind::kAtMost;
+  for (const auto& child : node.children) n += Negations(*child);
+  return n;
+}
+
 /// An AttributeComparison resolved at plan time: each side is a flat slot
 /// relative to the node (a negated leaf keeps its marker) and a field of
 /// that slot's leaf schema.
@@ -54,8 +61,6 @@ class Builder {
     return raw;
   }
 
-  /// Payload-value offset of a positive flat index within the composite.
-  int FieldOffset(int flat_index) const;
   /// Schema of the leaf at a positive flat index or a negated marker.
   SchemaPtr LeafSchema(int index) const;
   std::vector<SlotComparison> Compile(
@@ -66,8 +71,6 @@ class Builder {
   /// each) binds equal key values; empty otherwise.
   std::vector<FieldSlot> PartitionKey(const LogicalNode& node,
                                       size_t n) const;
-  /// Schema slice covering positive flat range [lo, hi); null if empty.
-  SchemaPtr SchemaSlice(int lo, int hi) const;
 
   Result<Operator*> BuildNode(const LogicalNode& node);
   Status WirePositiveChild(const LogicalNode& child, Operator* parent,
@@ -77,16 +80,6 @@ class Builder {
   const BoundQuery& q_;
   std::unique_ptr<PhysicalPlan> plan_;
 };
-
-int Builder::FieldOffset(int flat_index) const {
-  int offset = 0;
-  for (const BoundLeaf& leaf : q_.leaves) {
-    if (!leaf.negated && leaf.flat_index < flat_index) {
-      offset += static_cast<int>(leaf.schema->num_fields());
-    }
-  }
-  return offset;
-}
 
 SchemaPtr Builder::LeafSchema(int index) const {
   const bool negated = index >= kNegatedIndexBase;
@@ -284,15 +277,6 @@ std::vector<FieldSlot> Builder::PartitionKey(const LogicalNode& node,
   return {};
 }
 
-SchemaPtr Builder::SchemaSlice(int lo, int hi) const {
-  if (q_.composite_schema == nullptr) return nullptr;
-  int from = FieldOffset(lo);
-  int to = FieldOffset(hi);
-  std::vector<Field> fields(q_.composite_schema->fields().begin() + from,
-                            q_.composite_schema->fields().begin() + to);
-  return Schema::Make(std::move(fields));
-}
-
 Status Builder::WireLeafInput(int leaf_id, Operator* parent, int port) {
   const BoundLeaf& leaf = q_.leaves[leaf_id];
   Operator* entry = parent;
@@ -333,15 +317,11 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
     case LogicalKind::kAny: {
       // ALL is ATLEAST(k), ANY is ATLEAST(1) with scope 1, and SEQUENCE
       // is ALL with contributors bound in port order.
-      size_t n = static_cast<size_t>(k);
-      if (node.kind == LogicalKind::kAtLeast) {
-        n = static_cast<size_t>(node.count);
-      } else if (node.kind == LogicalKind::kAny) {
-        n = 1;
-      }
-      SchemaPtr schema = n == static_cast<size_t>(k)
-                             ? SchemaSlice(node.flat_lo, node.flat_hi)
+      // Only a fixed layout has a schema to describe it.
+      SchemaPtr schema = Positional(node)
+                             ? SchemaSlice(q_, node.flat_lo, node.flat_hi)
                              : nullptr;
+      const size_t n = LineageLength(node);
       op = Own(std::make_unique<PatternOp>(
           n, node.kind == LogicalKind::kSequence, k, node.scope, tuple_pred,
           node.child_modes, std::move(schema), q_.spec,
@@ -370,7 +350,8 @@ Result<Operator*> Builder::BuildNode(const LogicalNode& node) {
                            lookback)
                      : NegationWindow::Unless(node.scope);
       }
-      op = Own(std::make_unique<NegationOp>(window, neg_pred, q_.spec));
+      op = Own(std::make_unique<NegationOp>(window, neg_pred, q_.spec, 2,
+                                            Negations(*node.children[0])));
       break;
     }
     case LogicalKind::kLeaf:

@@ -201,6 +201,45 @@ TEST(BinderTest, AtMostMultiLeafPredicateRejected) {
   EXPECT_NE(r.status().message().find("ATMOST"), std::string::npos);
 }
 
+TEST(BinderTest, ReadWithoutAFixedPositionRejected) {
+  // Each read goes through a node whose matches bind only some of its
+  // inputs, so no output layout can hold the leaf at one position.
+  const std::pair<const char*, const char*> cases[] = {
+      {"ANY(A AS a, B AS b) OUTPUT a.id", "ANY: a match binds 1 of its 2 inputs"},
+      {"SEQUENCE(ANY(A AS a, B AS b), C AS c, 100) WHERE {a.id = c.id}",
+       "ANY: a match binds 1 of its 2 inputs"},
+      {"ATLEAST(1, A AS a, B AS b, 10) OUTPUT b.qty", "ATLEAST: a match binds 1 of its 2 inputs"},
+      {"UNLESS(ATLEAST(1, A AS a, B AS b, 10), C AS c, 5) "
+       "WHERE {a.id = c.id}",
+       "ATLEAST: a match binds 1 of its 2 inputs"},
+      {"SEQUENCE(ATLEAST(2, A AS a, B AS b, INSTALL, 10), C AS c, 50) "
+       "WHERE {a.id = c.id}",
+       "ATLEAST: a match binds 2 of its 3 inputs"},
+      {"ATMOST(1, A AS a, B AS b, 10) OUTPUT a.price", "ATMOST: a match binds 1 of its 2 inputs"},
+  };
+  for (const auto& [when, node] : cases) {
+    auto r = BindText(std::string("EVENT Q WHEN ") + when);
+    ASSERT_FALSE(r.ok()) << when;
+    EXPECT_EQ(r.status().code(), StatusCode::kBindError);
+    EXPECT_NE(r.status().message().find(node), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(BinderTest, ReadAtAFixedPositionBinds) {
+  for (const char* when : {
+           "ANY(A AS a) OUTPUT a.id",
+           "ATLEAST(2, A AS a, B AS b, 10) OUTPUT a.id, b.qty",
+           // Read at the ATLEAST itself, from each contributor's port.
+           "ATLEAST(1, A AS a, B AS b, 10) WHERE {a.id = b.id}",
+           "UNLESS(ALL(A AS a, B AS b, 10), C AS c, 5) WHERE {b.id = c.id} "
+           "OUTPUT a.price",
+       }) {
+    auto r = BindText(std::string("EVENT Q WHEN ") + when);
+    EXPECT_TRUE(r.ok()) << when << ": " << r.status().ToString();
+  }
+}
+
 TEST(BinderTest, AtMostSingleLeafTwoAttributePredicateIsAFilter) {
   // {x.key = x.value} names one contributor twice: it filters A before
   // the pool is counted, as a single-attribute predicate would.

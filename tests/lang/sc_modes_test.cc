@@ -162,9 +162,10 @@ TEST(ScModeLangTest, AllLastChoosesOnEachSideOfTheArrival) {
     FeedAt(query.get(), "A", 2, 8);
     FeedAt(query.get(), "B", 3, 5);
     ASSERT_TRUE(query->Finish().ok());
-    // (A@1, B@5), the last A before B@5, and (B@5, A@8).
+    // (A@1, B@5), the last A before B@5, and (B@5, A@8), listed in
+    // declaration order.
     EXPECT_EQ(Matches(*query),
-              (std::vector<std::vector<EventId>>{{1, 3}, {3, 2}}))
+              (std::vector<std::vector<EventId>>{{1, 3}, {2, 3}}))
         << spec.ToString();
   }
 }

@@ -186,6 +186,98 @@ TEST(UnlessPrimeLangTest, AnchorIndexValidated) {
   EXPECT_EQ(r.status().code(), StatusCode::kBindError);
 }
 
+Catalog KvCatalog() {
+  SchemaPtr kv = testing::KeyValueSchema();
+  return {{"A", kv}, {"B", kv}, {"C", kv}, {"D", kv}, {"E", kv}};
+}
+
+TEST(UnlessPrimeLangTest, AnchorBoundIsTheArmsLineageLength) {
+  // The inner UNLESS passes its SEQUENCE's two-entry lineage through.
+  auto query =
+      CompiledQuery::Compile(
+          "EVENT Q WHEN UNLESS(UNLESS(SEQUENCE(A, B, 50), D, 5), C, 2, 10)",
+          KvCatalog(), ConsistencySpec::Middle())
+          .ValueOrDie();
+  EXPECT_EQ(query->bound().root->count, 2);
+  const Event a = E(1, 0);
+  const Event b = E(2, 20);
+  const Event c = E(3, 25);
+  Time cs = 1;
+  ASSERT_TRUE(query->Push("A", InsertOf(a, cs++)).ok());
+  ASSERT_TRUE(query->Push("B", InsertOf(b, cs++)).ok());
+  ASSERT_TRUE(query->Push("C", InsertOf(c, cs++)).ok());
+  ASSERT_TRUE(query->Finish().ok());
+  // Anchored on B, the last contributor, an output starts where it ends.
+  EventList ideal = denotation::UnlessPrime(
+      denotation::Unless(denotation::Sequence({{a}, {b}}, 50), {}, 5), {c},
+      2, 10);
+  EXPECT_TRUE(ideal.empty());
+  EXPECT_TRUE(StarEqual(query->sink().Ideal(), ideal));
+
+  // ATLEAST(1) outputs list one contributor: no second one to anchor on.
+  auto r = CompiledQuery::Compile(
+      "EVENT Q WHEN UNLESS(ATLEAST(1, A, B, 10), C, 2, 10)", KvCatalog());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kBindError);
+}
+
+TEST(UnlessPrimeLangTest, AnchorsOnTheSecondContributorOfANestedArm) {
+  const std::string text =
+      "EVENT Q WHEN UNLESS(UNLESS(SEQUENCE(A, B, E, 50), D, 5), C, 2, 10)";
+  const Event a = E(1, 0);
+  const Event b = E(2, 10);
+  const Event e = E(3, 30);
+  // C@5 lies in A's window (0, 10) only; C@15 in B's window (10, 20).
+  for (const Event& c : {E(4, 5), E(4, 15)}) {
+    auto query = CompiledQuery::Compile(text, KvCatalog(),
+                                        ConsistencySpec::Middle())
+                     .ValueOrDie();
+    Time cs = 1;
+    ASSERT_TRUE(query->Push("A", InsertOf(a, cs++)).ok());
+    ASSERT_TRUE(query->Push("C", InsertOf(c, cs++)).ok());
+    ASSERT_TRUE(query->Push("B", InsertOf(b, cs++)).ok());
+    ASSERT_TRUE(query->Push("E", InsertOf(e, cs++)).ok());
+    ASSERT_TRUE(query->Finish().ok());
+    EventList ideal = denotation::UnlessPrime(
+        denotation::Unless(denotation::Sequence({{a}, {b}, {e}}, 50), {}, 5),
+        {c}, 2, 10);
+    EXPECT_TRUE(StarEqual(query->sink().Ideal(), ideal));
+    EXPECT_EQ(query->sink().Ideal().size(), c.vs < b.vs ? 1u : 0u)
+        << "C@" << c.vs;
+  }
+}
+
+TEST(UnlessPrimeLangTest, NestedNegationsReissueDistinctIdentities) {
+  // C@5 blocks the outer UNLESS' and is removed, so the outer re-emits;
+  // C@22 blocks the inner UNLESS and is removed, so the inner re-emits
+  // the composite. Both re-emit the composite once: the outer's output
+  // must not take the identity its own re-emission already retracted.
+  auto query =
+      CompiledQuery::Compile(
+          "EVENT Q WHEN UNLESS(UNLESS(SEQUENCE(A AS x, B AS y, 25), C AS z, "
+          "5), C AS w, 1, 10) WHERE {x.key = w.key}",
+          KvCatalog(), ConsistencySpec::Middle())
+          .ValueOrDie();
+  const Event a = E(1, 0, /*key=*/1);
+  const Event b = E(2, 20);
+  const Event c1 = E(3, 5, /*key=*/1);
+  const Event c2 = E(4, 22);
+  Time cs = 1;
+  ASSERT_TRUE(query->Push("A", InsertOf(a, cs++)).ok());
+  ASSERT_TRUE(query->Push("B", InsertOf(b, cs++)).ok());
+  for (const Event& c : {c1, c2}) {
+    ASSERT_TRUE(query->Push("C", InsertOf(c, cs++)).ok());
+    ASSERT_TRUE(query->Push("C", RetractOf(c, c.vs, cs++)).ok());
+  }
+  ASSERT_TRUE(query->Finish().ok());
+  EventList ideal = denotation::UnlessPrime(
+      denotation::Unless(denotation::Sequence({{a}, {b}}, 25), {}, 5), {}, 1,
+      10);
+  ASSERT_EQ(ideal.size(), 1u);
+  EXPECT_TRUE(StarEqual(query->sink().Ideal(), ideal))
+      << denotation::ToTableString(query->sink().Ideal());
+}
+
 TEST(UnlessPrimeLangTest, PlainUnlessStillParses) {
   std::string text =
       "EVENT Q WHEN UNLESS(SEQUENCE(INSTALL, SHUTDOWN, 40), RESTART, 10)";

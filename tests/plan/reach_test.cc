@@ -20,10 +20,21 @@ Catalog AbcdCatalog() {
   return {{"A", kv}, {"B", kv}, {"C", kv}, {"D", kv}};
 }
 
-Duration ReachOf(const std::string& when) {
+plan::BoundQuery BoundOf(const std::string& when) {
   ast::Query query = ParseQuery("EVENT Q WHEN " + when).ValueOrDie();
-  plan::BoundQuery bound = Bind(query, AbcdCatalog()).ValueOrDie();
-  return plan::Reach(*bound.root);
+  return Bind(query, AbcdCatalog()).ValueOrDie();
+}
+
+Duration ReachOf(const std::string& when) {
+  return plan::Reach(*BoundOf(when).root);
+}
+
+size_t LengthOf(const std::string& when) {
+  return plan::LineageLength(*BoundOf(when).root);
+}
+
+bool PositionalOf(const std::string& when) {
+  return plan::Positional(*BoundOf(when).root);
 }
 
 TEST(ReachTest, FollowsThePositiveArm) {
@@ -39,6 +50,39 @@ TEST(ReachTest, FollowsThePositiveArm) {
   EXPECT_EQ(ReachOf("UNLESS(ATMOST(1, A, B, 10), D, 1, 5)"), 5);
   EXPECT_EQ(ReachOf("NOT(D, SEQUENCE(A, B, 10))"), 10);
   EXPECT_EQ(ReachOf("CANCEL-WHEN(SEQUENCE(A, B, 10), D)"), 10);
+}
+
+TEST(ShapeTest, LineageLengthCountsEachOutputsContributors) {
+  EXPECT_EQ(LengthOf("SEQUENCE(A, B, C, 10)"), 3u);
+  EXPECT_EQ(LengthOf("ALL(A, B, 10)"), 2u);
+  EXPECT_EQ(LengthOf("ATLEAST(2, A, B, C, 10)"), 2u);
+  EXPECT_EQ(LengthOf("ATLEAST(1, A, B, 10)"), 1u);
+  EXPECT_EQ(LengthOf("ANY(A, B)"), 1u);
+  EXPECT_EQ(LengthOf("ATMOST(1, A, B, 10)"), 1u);
+  EXPECT_EQ(LengthOf("SEQUENCE(SEQUENCE(A, B, 10), C, 20)"), 2u);
+  EXPECT_EQ(LengthOf("UNLESS(SEQUENCE(A, B, 50), D, 5)"), 2u);
+  EXPECT_EQ(LengthOf("UNLESS(UNLESS(SEQUENCE(A, B, 50), D, 5), C, 2, 10)"),
+            2u);
+  EXPECT_EQ(LengthOf("UNLESS(ATLEAST(1, A, B, 10), C, 1, 10)"), 1u);
+  EXPECT_EQ(LengthOf("NOT(D, SEQUENCE(A, B, C, 10))"), 3u);
+  EXPECT_EQ(LengthOf("CANCEL-WHEN(ALL(A, B, 10), D)"), 2u);
+}
+
+TEST(ShapeTest, PositionalWhereEveryMatchBindsEveryLeaf) {
+  EXPECT_TRUE(PositionalOf("SEQUENCE(A, B, 10)"));
+  EXPECT_TRUE(PositionalOf("ALL(A, SEQUENCE(B, C, 5), 10)"));
+  EXPECT_TRUE(PositionalOf("ATLEAST(2, A, B, 10)"));
+  EXPECT_TRUE(PositionalOf("ANY(A)"));
+  EXPECT_TRUE(PositionalOf("ATMOST(1, A, 10)"));
+  EXPECT_TRUE(PositionalOf("UNLESS(ALL(A, B, 10), D, 2, 5)"));
+  EXPECT_TRUE(PositionalOf("CANCEL-WHEN(SEQUENCE(A, B, 10), D)"));
+  EXPECT_FALSE(PositionalOf("ANY(A, B)"));
+  EXPECT_FALSE(PositionalOf("ATLEAST(1, A, B, 10)"));
+  EXPECT_FALSE(PositionalOf("ATLEAST(2, A, B, C, 10)"));
+  EXPECT_FALSE(PositionalOf("ATMOST(1, A, B, 10)"));
+  EXPECT_FALSE(PositionalOf("SEQUENCE(ANY(A, B), C, 10)"));
+  EXPECT_FALSE(PositionalOf("ATLEAST(2, ANY(A, B), C, 10)"));
+  EXPECT_FALSE(PositionalOf("NOT(D, SEQUENCE(ATLEAST(1, A, B, 5), C, 10))"));
 }
 
 TEST(ReachTest, NestedUnlessPrimeKeepsBlockersForTheWholeArm) {
