@@ -3,6 +3,8 @@
 #define CEDR_COMMON_RESULT_H_
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -23,17 +25,18 @@ class Result {
   bool ok() const { return value_.has_value(); }
   const Status& status() const { return status_; }
 
-  /// Precondition: ok().
+  /// The value; on an error, prints the status and aborts, whatever the
+  /// build type.
   const T& ValueOrDie() const& {
-    assert(ok());
+    DieUnlessOk();
     return *value_;
   }
   T& ValueOrDie() & {
-    assert(ok());
+    DieUnlessOk();
     return *value_;
   }
   T ValueOrDie() && {
-    assert(ok());
+    DieUnlessOk();
     return std::move(*value_);
   }
   /// Same as ValueOrDie; name used by CEDR_ASSIGN_OR_RETURN.
@@ -43,6 +46,13 @@ class Result {
   T ValueOr(T alternative) const& { return ok() ? *value_ : alternative; }
 
  private:
+  void DieUnlessOk() const {
+    if (ok()) return;
+    std::fprintf(stderr, "Result::ValueOrDie on an error: %s\n",
+                 status_.ToString().c_str());
+    std::abort();
+  }
+
   Status status_;
   std::optional<T> value_;
 };

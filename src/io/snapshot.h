@@ -24,7 +24,9 @@ inline constexpr char kSnapshotMagic[] = "CEDRSNP1";  // 8 chars + NUL
 /// (CompiledQuery::SnapshotPlan), without the sink's output log.
 /// 4: a NegationOp candidate writes its lineage once, and ATMOST is a
 /// NegationOp.
-inline constexpr uint32_t kSnapshotVersion = 4;
+/// 5: a PatternOp writes its composites once, and each candidate names
+/// the composites it is part of, with a consumed flag.
+inline constexpr uint32_t kSnapshotVersion = 5;
 
 /// Wraps a serialized payload in the versioned, checksummed envelope.
 std::string SealSnapshot(const std::string& payload);

@@ -13,7 +13,9 @@
 #ifndef CEDR_PATTERN_SEQUENCE_H_
 #define CEDR_PATTERN_SEQUENCE_H_
 
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ops/operator.h"
@@ -22,6 +24,19 @@
 #include "pattern/sc_mode.h"
 
 namespace cedr {
+
+/// A composite PatternOp emitted, shared by the store entries of its
+/// contributors. With the operator's scope and output schema its lineage
+/// rebuilds the emitted event. Retracting or expiring it releases the
+/// lineage.
+struct CompositeRecord {
+  Lineage cbt;
+  /// Recording order: retractions are emitted in it.
+  uint64_t seq = 0;
+
+  bool live() const { return !cbt.empty(); }
+};
+using CompositeRecordRef = std::shared_ptr<CompositeRecord>;
 
 /// One port's candidates in one partition, ordered by (Vs, id): a flat
 /// vector, not a tree. Arrivals mostly come in Vs order, so an insert
@@ -33,22 +48,30 @@ class CandidateStore {
     Time vs = 0;
     EventId id = 0;
     EventRef event;
+    /// A CONSUMEd contributor: enumeration skips it, but it stays so
+    /// that its full retraction still finds its composites.
+    bool consumed = false;
+    /// The composites this contributor is part of.
+    std::vector<CompositeRecordRef> composites;
   };
   using iterator = std::vector<Entry>::iterator;
   using const_iterator = std::vector<Entry>::const_iterator;
 
-  /// Stores `e` at its (Vs, id) position. On a duplicate (Vs, id) the
-  /// stored event stays and this returns false.
-  bool Insert(EventRef e);
-  /// Moves `other`'s entries in; on a duplicate (Vs, id) the entry
-  /// already here stays.
+  /// Stores `e` at its (Vs, id) position and returns its entry. On a
+  /// duplicate (Vs, id) the stored entry stays and `second` is false.
+  std::pair<iterator, bool> Emplace(EventRef e);
+  bool Insert(EventRef e) { return Emplace(std::move(e)).second; }
+  /// Moves `other`'s entries in. On a duplicate (Vs, id) the entry
+  /// already here stays, unless only it is consumed, and takes the
+  /// other's composites.
   void Merge(CandidateStore&& other);
   /// The first entry with Vs >= vs.
-  const_iterator lower_bound(Time vs) const;
+  iterator lower_bound(Time vs);
   /// The entry at (vs, id), or end().
   iterator find(Time vs, EventId id);
   void erase(iterator it) { entries_.erase(it); }
-  /// Erases the prefix of entries for which `pred` holds.
+  /// Erases the prefix of entries for which `pred` holds; `pred` sees
+  /// each erased entry, and then the first kept one, once.
   template <typename Pred>
   void ErasePrefixWhile(Pred pred) {
     auto it = entries_.begin();
@@ -94,6 +117,11 @@ class CandidateStore {
 /// an arrival scans only its own key's partition; the full predicate
 /// still runs. Stores hold shared, immutable contributors that
 /// composites point at.
+///
+/// Each emitted composite is recorded once, on the entry of every
+/// contributor. A contributor's full retraction retracts the live
+/// composites on its entries on every port, in recording order; the
+/// trim that drops the earliest contributor's entry expires them.
 class PatternOp : public Operator {
  public:
   PatternOp(size_t n, bool ordered, int num_inputs, Duration scope,
@@ -109,25 +137,28 @@ class PatternOp : public Operator {
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
   void TrimState(Time horizon) override;
-  /// Serializes the candidate stores (each port's partitions merged in
-  /// (Vs, id) order), pending consumptions, and lineage index.
+  /// Serializes the live composites in recording order, whether events
+  /// are shared across ports, then the candidate stores (each port's
+  /// partitions merged in (Vs, id) order), each entry with its consumed
+  /// flag and its composites' positions in that order.
   void SnapshotState(io::BinaryWriter* w) const override;
   Status RestoreState(io::BinaryReader* r) override;
 
  private:
   using Store = CandidateStore;
+  using Entry = CandidateStore::Entry;
   using Partitions = std::unordered_map<Value, Store>;
 
   /// Binds the next contributor of the match completing `anchor`, and
   /// emits each match of n contributors that holds the anchor.
   void Extend(const EventRef& anchor, int anchor_port);
-  /// Binds `e` from `port`, extends the match if the predicate holds,
-  /// and unbinds.
-  void Try(const EventRef& e, int port, const EventRef& anchor,
-           int anchor_port);
-  /// Emits a composite of the match being enumerated, records lineage,
-  /// applies consumption modes.
-  void EmitComposite();
+  /// Binds the event stored in `owner` (the anchor as it arrived, on its
+  /// port) from `port`, extends the match if the predicate holds, and
+  /// unbinds.
+  void Try(Entry* owner, int port, const EventRef& anchor, int anchor_port);
+  /// Emits a composite of the match being enumerated, records it on its
+  /// contributors' entries, and marks CONSUME contributors for consumption.
+  void EmitComposite(const EventRef& anchor, int anchor_port);
 
   /// The partition key of `e` on `port`; null when unpartitioned.
   Value KeyOf(const Event& e, int port) const;
@@ -137,7 +168,8 @@ class PatternOp : public Operator {
   /// Finds `e`'s stored entry on `port`: in its key's partition, else
   /// (a retraction whose payload differs from the insert's) in any.
   Store* Find(const Event& e, int port, Store::iterator* it);
-  void Erase(int port, Store* s, Store::iterator it);
+  /// `e`'s entry in its key's partition on `port`, or null.
+  Entry* Stored(const Event& e, int port);
 
   size_t n_;
   bool ordered_;
@@ -145,19 +177,32 @@ class PatternOp : public Operator {
   PatternTuplePredicate predicate_;
   ScModes sc_modes_;
   SchemaPtr output_schema_;
-  CompositeIndex emitted_;
 
   std::vector<Partitions> stores_;
   std::vector<FieldSlot> partition_key_;
-  /// Each port's partition holding the current arrival's key.
-  std::vector<const Store*> scan_;
-  // The match being enumerated: contributors, their refs, their ports,
-  // and which ports are bound.
+  /// Entries flagged consumed, and live composites (for StateSize).
+  size_t consumed_ = 0;
+  size_t live_composites_ = 0;
+  uint64_t next_seq_ = 0;
+  /// Each port's partition holding the current arrival's key, or
+  /// `no_candidates_`.
+  std::vector<Store*> scan_;
+  Store no_candidates_;
+  // The match being enumerated: contributors, the entries they are
+  // stored in, their ports, and which ports are bound.
   std::vector<const Event*> tuple_;
-  std::vector<const EventRef*> refs_;
+  std::vector<Entry*> owners_;
   std::vector<int> ports_;
   std::vector<bool> used_;
-  std::vector<std::pair<int, EventRef>> pending_consumption_;
+  /// The arrival's entry on its own port.
+  Entry* anchor_entry_ = nullptr;
+  /// Whether an event has been stored on two ports (a self-join). From
+  /// then on, or on a duplicate (Vs, id) arrival, a match can rebuild a
+  /// composite already recorded; it is recorded on the arrival's
+  /// entries, which `arrival_entries_` then lists on every port.
+  bool shared_events_ = false;
+  std::vector<Entry*> arrival_entries_;
+  std::vector<Entry*> pending_consumption_;
 };
 
 }  // namespace cedr

@@ -14,7 +14,10 @@ namespace cedr {
 namespace plan {
 
 struct PhysicalPlan {
-  /// Owned operators in construction (children-first topological) order.
+  /// Owned operators in construction order, which is not topological:
+  /// each pattern node comes before the children and leaf filters that
+  /// feed it (pre-order), then the output stages (projection, slices)
+  /// follow in stream order. CompiledQuery::Finish drains twice for this.
   std::vector<std::unique_ptr<Operator>> operators;
   /// Event type -> input entry points (operator + port). One type may
   /// feed several leaves.

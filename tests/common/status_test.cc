@@ -98,6 +98,14 @@ TEST(ResultTest, HoldsError) {
   EXPECT_EQ(r.ValueOr(-1), -1);
 }
 
+TEST(ResultDeathTest, ValueOrDieOnAnErrorPrintsTheStatusAndAborts) {
+  Result<int> r = GiveInt(false);
+  EXPECT_DEATH(r.ValueOrDie(), "ValueOrDie on an error: .*no int");
+  EXPECT_DEATH(std::move(r).ValueOrDie(), "no int");
+  const Result<std::unique_ptr<int>> empty = Status::NotFound("no ptr");
+  EXPECT_DEATH(empty.ValueOrDie(), "no ptr");
+}
+
 TEST(ResultTest, AssignOrReturnMacro) {
   Result<int> ok = UseAssignOrReturn(true);
   ASSERT_TRUE(ok.ok());

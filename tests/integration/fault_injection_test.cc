@@ -234,9 +234,9 @@ TEST(FaultInjectionTest, MismatchedJournalEpochIsDataLoss) {
 }
 
 TEST(FaultInjectionTest, PreviousSnapshotVersionIsCorruption) {
-  // Each version changes the plan-state layout (version 4 writes a
-  // negation candidate's lineage once), so a snapshot of the previous
-  // version is refused rather than misread.
+  // Each version changes the plan-state layout (version 5 keeps a
+  // pattern operator's composites on its candidates), so a snapshot of
+  // the previous version is refused rather than misread.
   ServiceScenario scenario =
       MachineScenario(7, ConsistencySpec::Middle(), /*disorder=*/0.0);
   std::string snapshot;
