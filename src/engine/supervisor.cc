@@ -126,7 +126,7 @@ Result<std::string> SupervisedService::RegisterQuery(
   if (finished_) return Status::ExecutionError("supervisor already finished");
   // Calls staged before the registration must not reach the new query
   // (only a journal replay ever stages outside a drain).
-  CEDR_RETURN_NOT_OK(FlushStaged());
+  FlushStaged();
   TenantState& tenant_state = TenantFor(tenant);
   if (tenant_state.status.queries >= tenant_state.quota.max_queries) {
     ++tenant_state.status.rejected_registration;
@@ -135,20 +135,9 @@ Result<std::string> SupervisedService::RegisterQuery(
                tenant_state.quota.max_queries, "); retry after ",
                RetryAfterHint(queue_.size()), " ticks"));
   }
-  ConsistencySpec probe_spec =
-      spec_override.value_or(ConsistencySpec::Middle());
   CEDR_ASSIGN_OR_RETURN(
       std::unique_ptr<SwitchableQuery> query,
-      SwitchableQuery::Create(text, ingress_.catalog(), probe_spec));
-  if (!spec_override.has_value()) {
-    // Honor the query's own CONSISTENCY clause: recreate at the bound
-    // spec when it differs from the probe.
-    ConsistencySpec bound = query->active().bound().spec;
-    if (!(bound == probe_spec)) {
-      CEDR_ASSIGN_OR_RETURN(
-          query, SwitchableQuery::Create(text, ingress_.catalog(), bound));
-    }
-  }
+      SwitchableQuery::Create(text, ingress_.catalog(), spec_override));
   std::string name = query->active().bound().name;
   if (queries_.count(name) > 0) {
     return Status::AlreadyExists(
@@ -415,28 +404,19 @@ Status SupervisedService::ApplyNow(const io::JournalRecord& record) {
     return Status::OK();
   }
   CEDR_ASSIGN_OR_RETURN(Message msg, ingress_.Stamp(record));
+  journal_.Append(record);
   staged_batch_.emplace_back(record.name, std::move(msg));
-  staged_records_.push_back(record);
-  if (staged_batch_.size() >= kMaxRouteBatch) {
-    return FlushStaged();
-  }
+  if (staged_batch_.size() >= kMaxRouteBatch) FlushStaged();
   return Status::OK();
 }
 
-Status SupervisedService::FlushStaged() {
-  if (staged_batch_.empty()) return Status::OK();
-  Status routed = RouteBatch(staged_batch_);
-  if (routed.ok()) {
-    for (const io::JournalRecord& rec : staged_records_) {
-      journal_.Append(rec);
-    }
-  }
+void SupervisedService::FlushStaged() {
+  if (staged_batch_.empty()) return;
+  RouteBatch(staged_batch_);
   staged_batch_.clear();
-  staged_records_.clear();
-  return routed;
 }
 
-Status SupervisedService::RouteBatch(std::span<const TypedMessage> batch) {
+void SupervisedService::RouteBatch(std::span<const TypedMessage> batch) {
   // Every query filters the shared batch by its own input types
   // (SwitchableQuery::PushBatch), so the batch is handed to each query
   // verbatim. Parallelism is across queries: one task per query, each
@@ -451,7 +431,7 @@ Status SupervisedService::RouteBatch(std::span<const TypedMessage> batch) {
     if (entry.second.status.phase == GovernorPhase::kQuarantined) continue;
     targets.push_back(&entry);
   }
-  if (targets.empty()) return Status::OK();
+  if (targets.empty()) return;
   const bool timed = config_.watchdog.enabled;
   std::vector<Status> statuses(targets.size());
   route_pool_->ParallelFor(targets.size(), [&](size_t i) {
@@ -473,7 +453,6 @@ Status SupervisedService::RouteBatch(std::span<const TypedMessage> batch) {
     auto& [name, g] = *targets[i];
     if (!statuses[i].ok()) QuarantineQuery(name, &g, statuses[i], "push");
   }
-  return Status::OK();
 }
 
 Status SupervisedService::DrainSome(int budget) {
@@ -499,9 +478,10 @@ Status SupervisedService::DrainSome(int budget) {
     }
     CEDR_RETURN_NOT_OK(applied);
   }
-  // Drain boundary: route everything staged and journal it, so liveness
-  // and the governor see fully up-to-date queries.
-  return FlushStaged();
+  // Drain boundary: route everything staged, so liveness and the
+  // governor see fully up-to-date queries.
+  FlushStaged();
+  return Status::OK();
 }
 
 Status SupervisedService::SynthesizeFor(SourceSession* session,
@@ -511,16 +491,17 @@ Status SupervisedService::SynthesizeFor(SourceSession* session,
     rec.source = kSupervisorSource;
     Result<Message> cti = ingress_.Stamp(rec);
     if (!cti.ok()) continue;  // the type's frontier is already past target
+    journal_.Append(rec);
     staged_batch_.emplace_back(type, std::move(cti).ValueOrDie());
-    staged_records_.push_back(std::move(rec));
     Time& offered = last_offered_sync_[type];
     offered = std::max(offered, target);
     ++shed_.synthesized_syncs;
     ++type_shed_[type].synthesized;
     ++session->mutable_stats()->synthesized_syncs;
   }
-  // Routed and journaled like a drain's batch.
-  return FlushStaged();
+  // Routed like a drain's batch.
+  FlushStaged();
+  return Status::OK();
 }
 
 Status SupervisedService::CheckLiveness() {
@@ -832,7 +813,7 @@ Status SupervisedService::Finish() {
   }
   // Recovery replays ApplyNow directly (no DrainSome), so a staged
   // batch can still be pending here.
-  CEDR_RETURN_NOT_OK(FlushStaged());
+  FlushStaged();
   // Restore every degraded query to its requested level before the
   // final convergence: the splice repairs the degraded window, so the
   // converged ideal matches an unpressured run wherever nothing was
@@ -1020,9 +1001,9 @@ Result<std::unique_ptr<SupervisedService>> SupervisedService::Recover(
                        "'"));
           } else {
             it->second.RestoreProgress(record.seq, it->second.next_seq());
-            // Journal it like Reconnect does, after the routes staged
-            // before it, so the recovered journal keeps the record order.
-            applied = svc->FlushStaged();
+            // Route the calls staged before it first, as the live run
+            // did before its Reconnect, and journal it like Reconnect.
+            svc->FlushStaged();
             svc->journal_.Append(record);
           }
         }
@@ -1058,11 +1039,7 @@ Result<std::unique_ptr<SupervisedService>> SupervisedService::Recover(
     ++index;
   }
   // Replay stages routes like a live drain does; flush the tail batch.
-  Status flushed = svc->FlushStaged();
-  if (!flushed.ok()) {
-    return Status::Corruption(StrCat("supervisor journal replay failed: ",
-                                     flushed.ToString()));
-  }
+  svc->FlushStaged();
   return svc;
 }
 

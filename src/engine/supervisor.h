@@ -280,9 +280,10 @@ class SupervisedService {
   Status RegisterEventType(const std::string& name, SchemaPtr schema);
 
   /// Registers a governed standing query under `tenant` ("" = the
-  /// anonymous default tenant). Without a budget the query is never
-  /// governed. Rejected with kResourceExhausted when the tenant is at its
-  /// query quota.
+  /// anonymous default tenant). `spec_override` replaces the query's own
+  /// CONSISTENCY clause, as in CompiledQuery::Compile. Without a budget
+  /// the query is never governed. Rejected with kResourceExhausted when
+  /// the tenant is at its query quota.
   Result<std::string> RegisterQuery(
       const std::string& text,
       std::optional<ConsistencySpec> spec_override = std::nullopt,
@@ -454,17 +455,17 @@ class SupervisedService {
   io::JournalRecord Dequeue(size_t index);
   /// Applies one accepted call: sheds a sync point overtaken while
   /// queued, stamps through the ingress core (whose reference check
-  /// fails with kNotFound), then *stages* the message for routing.
-  /// Staged messages are routed (and their records journaled) by
-  /// FlushStaged, called at every drain boundary, after synthesized sync
-  /// points, before a query registers, and whenever 512 are staged.
+  /// fails with kNotFound), journals the call, then *stages* the message
+  /// for routing. Staged messages are routed by FlushStaged, called at
+  /// every drain boundary, after synthesized sync points, before a query
+  /// registers, and whenever 512 are staged.
   Status ApplyNow(const io::JournalRecord& record);
-  /// Routes the staged batch across every query, then journals the
-  /// staged records.
-  Status FlushStaged();
+  /// Routes the staged batch across every query.
+  void FlushStaged();
   /// Fans the batch out over the routing pool, one guarded task per live
-  /// query; a task that fails or throws quarantines its query.
-  Status RouteBatch(std::span<const TypedMessage> batch);
+  /// query; a task that fails or throws quarantines its query, so the
+  /// batch itself always routes.
+  void RouteBatch(std::span<const TypedMessage> batch);
   /// Sheds one queued message (retractions first, then inserts; choice
   /// among candidates seeded with a fixed seed, so runs reproduce). With `tenant_filter` only that tenant's
   /// queued calls are candidates (a tenant over its queue share sheds
@@ -503,10 +504,8 @@ class SupervisedService {
   std::map<std::string, std::string> type_owner_;  // type -> source
   std::map<std::string, Governed> queries_;
   std::deque<io::JournalRecord> queue_;
-  /// Applied-but-not-yet-routed messages and their journal records
-  /// (index-aligned); nonempty only inside a drain.
+  /// Applied-but-not-yet-routed messages; nonempty only inside a drain.
   std::vector<TypedMessage> staged_batch_;
-  std::vector<io::JournalRecord> staged_records_;
   /// Routing pool of `routing.route_workers` (size 1 runs inline).
   std::unique_ptr<WorkerPool> route_pool_;
   io::JournalWriter journal_;

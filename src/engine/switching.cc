@@ -25,13 +25,13 @@ void SwitchableQuery::SpliceState::Append(const std::vector<Message>& more) {
 
 Result<std::unique_ptr<SwitchableQuery>> SwitchableQuery::Create(
     const std::string& text, const Catalog& catalog,
-    ConsistencySpec initial_spec) {
+    std::optional<ConsistencySpec> initial_spec) {
   auto query = std::unique_ptr<SwitchableQuery>(new SwitchableQuery());
   query->text_ = text;
   query->catalog_ = catalog;
-  query->spec_ = initial_spec;
   CEDR_ASSIGN_OR_RETURN(query->active_,
                         CompiledQuery::Compile(text, catalog, initial_spec));
+  query->spec_ = query->active_->bound().spec;
   for (std::string& type : query->active_->InputTypes()) {
     query->input_types_.insert(std::move(type));
   }

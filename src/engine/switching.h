@@ -42,9 +42,12 @@ namespace cedr {
 
 class SwitchableQuery {
  public:
+  /// Compiles `text` at `initial_spec`, or at the query's own
+  /// CONSISTENCY clause (CompiledQuery's default without one) when it is
+  /// nullopt.
   static Result<std::unique_ptr<SwitchableQuery>> Create(
       const std::string& text, const Catalog& catalog,
-      ConsistencySpec initial_spec);
+      std::optional<ConsistencySpec> initial_spec);
 
   Status Push(const std::string& event_type, const Message& msg);
 

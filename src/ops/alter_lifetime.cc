@@ -29,7 +29,7 @@ std::optional<Event> AlterLifetimeOp::Apply(const Event& e) const {
 Status AlterLifetimeOp::ProcessInsert(const Event& e, int /*port*/) {
   std::optional<Event> out = Apply(e);
   if (!out.has_value()) return Status::OK();
-  emitted_[e.id] = *out;
+  Track(e.id, *out);
   EmitInsert(*out);
   return Status::OK();
 }
@@ -48,7 +48,7 @@ Status AlterLifetimeOp::ProcessRetract(const Event& e, Time new_ve,
         // The output only now came into existence (e.g. Deletes once the
         // end time became known). Use the input id: there was no prior
         // output under it.
-        emitted_[e.id] = *new_out;
+        Track(e.id, *new_out);
         EmitInsert(*new_out);
       }
       return Status::OK();
@@ -70,7 +70,8 @@ Status AlterLifetimeOp::ProcessRetract(const Event& e, Time new_ve,
   if (new_out->vs == old.vs && new_out->ve <= old.ve) {
     if (new_out->ve < old.ve) {
       EmitRetract(old, new_out->ve);
-      it->second.ve = new_out->ve;
+      old.ve = new_out->ve;
+      Track(e.id, old);
     }
     return Status::OK();
   }
@@ -81,9 +82,17 @@ Status AlterLifetimeOp::ProcessRetract(const Event& e, Time new_ve,
   Event fresh = *new_out;
   fresh.id = IdGen({e.id, ++reissue_counter_});
   fresh.k = fresh.id;
-  it->second = fresh;
+  Track(e.id, fresh);
   EmitInsert(fresh);
   return Status::OK();
+}
+
+void AlterLifetimeOp::Track(EventId id, const Event& out) {
+  if (out.ve <= repair_horizon()) {
+    emitted_.erase(id);
+  } else {
+    emitted_[id] = out;
+  }
 }
 
 void AlterLifetimeOp::TrimState(Time horizon) {

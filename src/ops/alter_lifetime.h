@@ -44,6 +44,11 @@ class AlterLifetimeOp : public Operator {
  private:
   /// The remapped event, or nullopt when the lifetime is empty.
   std::optional<Event> Apply(const Event& e) const;
+  /// Records `out` as input `id`'s live output, unless the repair
+  /// horizon already passed its end. A start function that moves Vs back
+  /// (a hopping window with wl < period) maps an input above the horizon
+  /// to such an output, and nothing can repair it.
+  void Track(EventId id, const Event& out);
 
   LifetimeStartFn fvs_;
   LifetimeDurationFn fdelta_;

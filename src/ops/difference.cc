@@ -21,6 +21,9 @@ Status DifferenceOp::ProcessCti(Time t, int port) {
       CEDR_RETURN_NOT_OK(Recompute(payload));
     }
   }
+  // Output before the new guarantee is final from here on; the release
+  // above still reconciled from the previous one.
+  frontier_ = std::max(frontier_, input_guarantee());
   return Operator::ProcessCti(t, port);
 }
 
@@ -100,7 +103,6 @@ Status DifferenceOp::Recompute(const Row& payload) {
 }
 
 void DifferenceOp::TrimState(Time horizon) {
-  frontier_ = std::max(frontier_, input_guarantee());
   output_.Trim(horizon);
   for (auto it = state_.begin(); it != state_.end();) {
     auto trim_side = [horizon](std::map<EventId, Interval>* side) {

@@ -152,11 +152,13 @@ Status GroupByAggregateOp::ProcessCti(Time t, int port) {
       CEDR_RETURN_NOT_OK(Recompute(key));
     }
   }
+  // Output before the new guarantee is final from here on; the release
+  // above still reconciled from the previous one.
+  frontier_ = std::max(frontier_, input_guarantee());
   return Operator::ProcessCti(t, port);
 }
 
 void GroupByAggregateOp::TrimState(Time horizon) {
-  frontier_ = std::max(frontier_, input_guarantee());
   output_.Trim(horizon);
   for (auto git = groups_.begin(); git != groups_.end();) {
     auto& members = git->second;

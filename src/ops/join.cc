@@ -8,9 +8,7 @@ JoinOp::JoinOp(JoinPredicate theta, SchemaPtr output_schema,
                ConsistencySpec spec, std::string name)
     : Operator(std::move(name), spec, /*num_inputs=*/2),
       theta_(std::move(theta)),
-      output_schema_(std::move(output_schema)) {
-  trim_on_advance_ = true;  // pure trim keyed on (ve, horizon)
-}
+      output_schema_(std::move(output_schema)) {}
 
 void JoinOp::SetEquiKeys(KeyExtractor left, KeyExtractor right) {
   sides_[0].key = std::move(left);

@@ -88,7 +88,7 @@ Status Operator::Drain() {
 
 Status Operator::Dispatch(const Message& msg, int port) {
   monitor_.NoteDispatch(port, msg);
-  if (trim_on_advance_ && msg.SyncTime() <= last_trim_horizon_) {
+  if (msg.SyncTime() <= last_trim_horizon_) {
     // Disorder released below the trimmed horizon (optimistic repair):
     // it may create or shrink state into trimmable territory.
     trim_dirty_ = true;
@@ -106,12 +106,10 @@ Status Operator::Dispatch(const Message& msg, int port) {
 
 void Operator::AfterBatch(bool force) {
   const Time horizon = monitor_.RepairHorizon();
-  // For pure-trim operators, a TrimState call is a no-op unless the
-  // horizon advanced past the last trim or disorder dispatched a message
-  // at-or-below it: releases are otherwise guaranteed above the horizon,
-  // so they can only create state that outlives it.
-  if (force || !trim_on_advance_ || horizon > last_trim_horizon_ ||
-      trim_dirty_) {
+  // Trim only when the horizon advanced past the last trim or disorder
+  // dispatched a message at or below it: releases are otherwise above
+  // the horizon, so they can only create state that outlives it.
+  if (force || horizon > last_trim_horizon_ || trim_dirty_) {
     TrimState(horizon);
     last_trim_horizon_ = horizon;
     trim_dirty_ = false;

@@ -97,8 +97,11 @@ class Operator {
   virtual Status ProcessRetract(const Event& e, Time new_ve, int port) = 0;
   /// Default: advances and emits the output guarantee.
   virtual Status ProcessCti(Time t, int port);
-  /// Called after each released batch with the current repair horizon;
-  /// subclasses trim state here. Default no-op.
+  /// Drops the state the repair horizon has passed, and nothing else:
+  /// work keyed on the guarantee or the watermark belongs where they
+  /// move. Called after a released batch only when the horizon advanced
+  /// past the last trim, or when a message at or below the last trimmed
+  /// horizon was dispatched since. Default no-op.
   virtual void TrimState(Time horizon);
   /// Maps the combined input guarantee to the output guarantee. Identity
   /// unless the operator shifts valid start times (e.g. hopping windows).
@@ -132,14 +135,6 @@ class Operator {
   /// time (optimistic emission deadlines).
   Time max_watermark() const { return monitor_.MaxWatermark(); }
 
- protected:
-  /// Subclasses whose TrimState is a pure trim keyed on the repair
-  /// horizon (no other side effects) set this in their constructor: the
-  /// base class then skips TrimState calls that are provably no-ops
-  /// (horizon unchanged and no released message below it), amortizing
-  /// the per-event O(state) trim scans into per-advance ones.
-  bool trim_on_advance_ = false;
-
  private:
   Status PushOne(int port, const Message& msg);
   Status Dispatch(const Message& msg, int port);
@@ -157,8 +152,7 @@ class Operator {
   /// this operator).
   std::vector<Message> scratch_released_;
   /// Repair horizon at the last TrimState call, and whether a message
-  /// at-or-below it was dispatched since (only tracked when
-  /// trim_on_advance_ is set).
+  /// at-or-below it was dispatched since.
   Time last_trim_horizon_ = kMinTime;
   bool trim_dirty_ = false;
   /// First downstream failure observed during an Emit* call; surfaced by

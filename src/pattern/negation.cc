@@ -161,45 +161,43 @@ bool NegationOp::Draw(const Event& e, Candidate* c) const {
 }
 
 Status NegationOp::ProcessInsert(const Event& e, int port) {
+  bool positive = port == 0;
   if (window_.pooled()) {
     // The pool, like the ideal, holds no empty lifetime. An arrival is a
     // blocker first, so its candidate counts itself; one dropped behind
     // the trim frontier has no candidate either.
-    if (e.valid().empty() || !AddBlocker(e)) return Status::OK();
-  } else if (port == 1) {
+    positive = !e.valid().empty() && AddBlocker(e);
+  } else if (!positive) {
     AddBlocker(e);
-    return Status::OK();
   }
   Candidate c;
-  if (!Draw(e, &c)) return Status::OK();
-  AddCandidate(std::move(c));
+  if (positive && Draw(e, &c)) AddCandidate(std::move(c));
+  // Every arrival moves the watermark: resolve what it made due.
   Advance(max_watermark(), input_guarantee());
   return Status::OK();
 }
 
 Status NegationOp::ProcessRetract(const Event& e, Time new_ve, int port) {
-  if (new_ve > e.vs) return Status::OK();  // partial shrink: Vs intact
-  if (window_.pooled()) {
-    // Retract e's own output before freeing its slot in the pool, so the
-    // removal cannot resurrect it; a final or dropped e has no candidate.
-    if (candidates_.count(e.id) > 0) CancelCandidate(e.id);
-    RemoveBlocker(e);
-  } else if (port == 1) {
-    RemoveBlocker(e);
-  } else {
-    CancelCandidate(e.id);
+  if (new_ve <= e.vs) {  // a partial shrink leaves Vs intact
+    if (window_.pooled()) {
+      // Retract e's own output before freeing its slot in the pool, so
+      // the removal cannot resurrect it; a final or dropped e has no
+      // candidate.
+      if (candidates_.count(e.id) > 0) CancelCandidate(e.id);
+      RemoveBlocker(e);
+    } else if (port == 1) {
+      RemoveBlocker(e);
+    } else {
+      CancelCandidate(e.id);
+    }
   }
+  Advance(max_watermark(), input_guarantee());
   return Status::OK();
 }
 
 Status NegationOp::ProcessCti(Time t, int port) {
   Advance(max_watermark(), input_guarantee());
   return Operator::ProcessCti(t, port);
-}
-
-void NegationOp::TrimState(Time horizon) {
-  Advance(max_watermark(), input_guarantee());
-  Trim(horizon, input_guarantee());
 }
 
 Time NegationOp::OutputGuarantee(Time input_guarantee) const {
@@ -307,11 +305,10 @@ void NegationOp::RemoveBlocker(const Event& e) {
       return;
     }
     if (IsBlocked(*c)) return;  // another blocker still applies
-    // Resurrect: emit now if due, otherwise go back to pending.
-    bool due = last_guarantee_ >= c->certain_at ||
-               (spec().max_blocking != kInfinity &&
-                last_watermark_ >= c->resolve_at);
-    if (due) {
+    // Resurrect: emit now if due, otherwise go back to pending. (It is
+    // not certain yet: Advance forgets a candidate once it is.)
+    if (spec().max_blocking != kInfinity &&
+        last_watermark_ >= c->resolve_at) {
       EmitCandidate(c);
     } else {
       // Back to pending; its resolution index entries may already have
@@ -366,46 +363,24 @@ void NegationOp::Advance(Time watermark, Time guarantee) {
   while (!by_certain_at_.empty() &&
          by_certain_at_.top_time() <= last_guarantee_) {
     auto it = candidates_.find(by_certain_at_.Pop());
-    if (it != candidates_.end()) Resolve(&it->second);
+    if (it == candidates_.end()) continue;
+    Resolve(&it->second);
+    // Certain: final. (The key of a cancelled candidate's entry may name
+    // a later, uncertain one.)
+    if (it->second.certain_at <= last_guarantee_) candidates_.erase(it);
   }
-  if (spec().max_blocking == kInfinity) return;
-
-  // Optimistic resolution after at most B application-time units.
-  while (!by_resolve_at_.empty() &&
-         by_resolve_at_.top_time() <= last_watermark_) {
-    auto it = candidates_.find(by_resolve_at_.Pop());
-    if (it != candidates_.end()) Resolve(&it->second);
+  if (spec().max_blocking != kInfinity) {
+    // Optimistic resolution after at most B application-time units.
+    while (!by_resolve_at_.empty() &&
+           by_resolve_at_.top_time() <= last_watermark_) {
+      auto it = candidates_.find(by_resolve_at_.Pop());
+      if (it != candidates_.end()) Resolve(&it->second);
+    }
   }
+  CompactIndexes();
 }
 
-void NegationOp::Trim(Time horizon, Time guarantee) {
-  Advance(last_watermark_, guarantee);
-  trim_frontier_ = std::max(trim_frontier_, horizon);
-
-  for (auto it = candidates_.begin(); it != candidates_.end();) {
-    Candidate& c = it->second;
-    bool final_by_guarantee =
-        c.state != State::kPending && c.certain_at <= last_guarantee_;
-    bool frozen = c.block_hi <= horizon && c.output.ve <= horizon;
-    if (frozen && c.state == State::kPending) {
-      Resolve(&c);  // freeze: decide from what is known
-    }
-    if (final_by_guarantee || (frozen && c.state != State::kPending)) {
-      it = candidates_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // Blockers can affect candidates whose windows reach back at most the
-  // window's blocker retention behind the horizon.
-  while (!blockers_.empty()) {
-    Time vs = blockers_.begin()->first.first;
-    if (TimeAdd(vs, window_.BlockerRetention()) > horizon) break;
-    blockers_.erase(blockers_.begin());
-  }
-
-  // Compact stale index entries.
+void NegationOp::CompactIndexes() {
   auto live = [this](EventId key) { return candidates_.count(key) > 0; };
   if (by_block_lo_.size() > 2 * candidates_.size() + 16) {
     std::erase_if(by_block_lo_,
@@ -417,6 +392,31 @@ void NegationOp::Trim(Time horizon, Time guarantee) {
   if (by_certain_at_.size() > 2 * candidates_.size() + 16) {
     by_certain_at_.Filter(live);
   }
+}
+
+void NegationOp::TrimState(Time horizon) {
+  trim_frontier_ = std::max(trim_frontier_, horizon);
+
+  // A candidate whose window and output the horizon passed is frozen:
+  // decide a pending one from what is known, then forget it.
+  for (auto it = candidates_.begin(); it != candidates_.end();) {
+    Candidate& c = it->second;
+    if (c.block_hi > horizon || c.output.ve > horizon) {
+      ++it;
+      continue;
+    }
+    Resolve(&c);
+    it = candidates_.erase(it);
+  }
+
+  // Blockers can affect candidates whose windows reach back at most the
+  // window's blocker retention behind the horizon.
+  while (!blockers_.empty()) {
+    Time vs = blockers_.begin()->first.first;
+    if (TimeAdd(vs, window_.BlockerRetention()) > horizon) break;
+    blockers_.erase(blockers_.begin());
+  }
+  CompactIndexes();
 }
 
 size_t NegationOp::StateSize() const {

@@ -149,6 +149,8 @@ class NegationOp : public Operator {
   Status ProcessInsert(const Event& e, int port) override;
   Status ProcessRetract(const Event& e, Time new_ve, int port) override;
   Status ProcessCti(Time t, int port) override;
+  /// Freezes (resolves) and drops the candidates whose window and output
+  /// the horizon passed, and drops the blockers no candidate can reach.
   void TrimState(Time horizon) override;
   Time OutputGuarantee(Time input_guarantee) const override;
   /// Serializes candidates, resolution indexes, blockers, and frontier
@@ -187,12 +189,13 @@ class NegationOp : public Operator {
   const std::vector<const Event*>& View(const Candidate& c) const;
   void Resolve(Candidate* c);
   void EmitCandidate(Candidate* c);
-  /// Resolves due candidates. Called whenever watermark/guarantee
-  /// advance, and *before* forwarding a CTI downstream.
+  /// Resolves due candidates, forgets the ones the guarantee made
+  /// certain, and compacts the indexes. Called after every message,
+  /// *before* forwarding a CTI downstream.
   void Advance(Time watermark, Time guarantee);
-  /// Drops final candidates and unreachable blockers; freezes (resolves)
-  /// candidates whose window fell behind the horizon.
-  void Trim(Time horizon, Time guarantee);
+  /// Drops the index entries of forgotten candidates once they outnumber
+  /// the live ones two to one (amortized O(1) per forgotten candidate).
+  void CompactIndexes();
   /// Applies fn to every candidate whose window contains vs.
   template <typename Fn>
   void ForEachAffected(Time vs, Fn fn);

@@ -111,9 +111,6 @@ PatternOp::PatternOp(size_t n, bool ordered, int num_inputs, Duration scope,
   tuple_.reserve(n);
   owners_.reserve(n);
   ports_.reserve(n);
-  // TrimState here is a pure trim keyed on (Vs + scope, horizon): safe
-  // to run only when the horizon advances.
-  trim_on_advance_ = true;
 }
 
 size_t PatternOp::StateSize() const {

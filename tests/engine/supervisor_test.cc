@@ -419,6 +419,29 @@ TEST(SupervisorTest, RecoverRebuildsSessionsAndHistory) {
   EXPECT_EQ(recovered->GetQuery("Pair").ValueOrDie()->Ideal().size(), 1u);
 }
 
+TEST(SupervisorTest, RegistrationHonorsTheQuerysConsistencyClause) {
+  // Registered without an override, the query runs at its own
+  // CONSISTENCY clause: strong holds the detection back until a sync
+  // point, live and in a Recover of the journal (which has no spec).
+  SupervisedService svc = MakeService();
+  ASSERT_TRUE(svc.RegisterQuery(PairQuery() + " CONSISTENCY STRONG").ok());
+  ASSERT_TRUE(svc.AttachSource("src", {"INSTALL", "SHUTDOWN"}).ok());
+  ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 0}, "INSTALL",
+                          MakeEvent(1, 2, kInfinity, Payload(7)))
+                  .ok());
+  ASSERT_TRUE(svc.Publish(Ingress{"src", 0, 1}, "SHUTDOWN",
+                          MakeEvent(2, 20, kInfinity, Payload(7)))
+                  .ok());
+  ASSERT_TRUE(svc.Tick().ok());
+  std::unique_ptr<SupervisedService> recovered =
+      SupervisedService::Recover(svc.journal().bytes()).ValueOrDie();
+  for (const SupervisedService* s : {&svc, recovered.get()}) {
+    EXPECT_TRUE(s->GovernorOf("Pair").ValueOrDie().requested ==
+                ConsistencySpec::Strong());
+    EXPECT_TRUE(s->GetQuery("Pair").ValueOrDie()->OutputMessages().empty());
+  }
+}
+
 TEST(SupervisorTest, RecoveringARecoveredSupervisorKeepsReconnectEpochs) {
   SupervisedService svc = MakeService();
   ASSERT_TRUE(svc.RegisterQuery(PairQuery()).ok());

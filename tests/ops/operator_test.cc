@@ -161,6 +161,38 @@ TEST(OperatorTest, DrainReleasesStrongBuffers) {
   EXPECT_EQ(sink.inserts(), 1u);
 }
 
+TEST(OperatorTest, TrimsOnlyWhenTheRepairHorizonAdvances) {
+  // Counts TrimState calls and records the horizons they see.
+  class TrimCountingOp : public Operator {
+   public:
+    TrimCountingOp() : Operator("trims", ConsistencySpec::Middle(), 1) {}
+    std::vector<Time> trims;
+
+   protected:
+    Status ProcessInsert(const Event&, int) override { return Status::OK(); }
+    Status ProcessRetract(const Event&, Time, int) override {
+      return Status::OK();
+    }
+    void TrimState(Time horizon) override { trims.push_back(horizon); }
+  };
+  TrimCountingOp op;
+  ASSERT_TRUE(op.Push(0, CtiOf(10, 1)).ok());
+  EXPECT_EQ(op.trims, (std::vector<Time>{10}));
+  // Above the horizon, which holds: no trim.
+  ASSERT_TRUE(op.Push(0, InsertOf(MakeEvent(1, 15, 30, KV(0, 1)), 2)).ok());
+  ASSERT_TRUE(op.Push(0, RetractOf(MakeEvent(1, 15, 30, KV(0, 1)), 25, 3))
+                  .ok());
+  EXPECT_EQ(op.trims, (std::vector<Time>{10}));
+  // The horizon advances: one trim.
+  ASSERT_TRUE(op.Push(0, CtiOf(20, 4)).ok());
+  EXPECT_EQ(op.trims, (std::vector<Time>{10, 20}));
+  // A message at the trimmed horizon: one more trim, then none again.
+  ASSERT_TRUE(op.Push(0, InsertOf(MakeEvent(2, 20, 40, KV(0, 2)), 5)).ok());
+  EXPECT_EQ(op.trims, (std::vector<Time>{10, 20, 20}));
+  ASSERT_TRUE(op.Push(0, InsertOf(MakeEvent(3, 21, 40, KV(0, 3)), 6)).ok());
+  EXPECT_EQ(op.trims, (std::vector<Time>{10, 20, 20}));
+}
+
 TEST(OperatorTest, MaxWatermarkTracksFastestPort) {
   class TwoPort : public Operator {
    public:

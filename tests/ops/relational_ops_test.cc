@@ -210,6 +210,19 @@ TEST(AlterLifetimeOpTest, HoppingWindowMatchesDenotation) {
       StarEqual(result.Ideal(), denotation::HoppingWindow(input, 10, 5)));
 }
 
+TEST(AlterLifetimeOpTest, HoppingWindowKeepsNoOutputBehindTheHorizon) {
+  // wl < period moves Vs back: an input above the repair horizon can map
+  // to an output that ended behind it, which nothing can repair.
+  auto op = MakeHoppingWindowOp(/*wl=*/5, /*period=*/20,
+                                ConsistencySpec::Middle());
+  ASSERT_TRUE(op->Push(0, CtiOf(30, 1)).ok());
+  ASSERT_TRUE(op->Push(0, InsertOf(MakeEvent(1, 35, 36, KV(1, 1)), 2)).ok());
+  EXPECT_EQ(op->StateSize(), 0u);  // output [20, 25)
+  ASSERT_TRUE(op->Push(0, InsertOf(MakeEvent(2, 45, 46, KV(1, 2)), 3)).ok());
+  EXPECT_EQ(op->StateSize(), 1u);  // output [40, 45)
+  EXPECT_EQ(op->stats().max_state_size, 1u);
+}
+
 TEST(AlterLifetimeOpTest, WindowRetractionOnlyWhenClippedEndShrinks) {
   Event e = MakeEvent(1, 0, 100, KV(1, 1));
   auto op = MakeSlidingWindowOp(5, ConsistencySpec::Middle());

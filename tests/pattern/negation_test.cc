@@ -257,6 +257,40 @@ NegationOp MakeAtMost(size_t n, int num_inputs, Duration scope,
                     num_inputs);
 }
 
+TEST(NegationOpTest, WeakForgetsACertainCandidateWhileTheHorizonHolds) {
+  // Weak(5): the horizon is max(guarantee, watermark - 5). The CTI at 50
+  // makes the candidate at 10 certain (its detection window is empty and
+  // its output never ends, so the horizon cannot freeze it), while the
+  // watermark at 100 holds the horizon at 95.
+  NegationOp op(NegationWindow::CancelWhen(/*lookback=*/20), nullptr,
+                ConsistencySpec::Weak(5));
+  ASSERT_TRUE(op.Push(0, InsertOf(MakeEvent(1, 10, kInfinity, KV(0, 1)), 1))
+                  .ok());
+  ASSERT_TRUE(op.Push(1, InsertOf(E(2, 100), 2)).ok());
+  ASSERT_TRUE(
+      op.Push(0, InsertOf(MakeEvent(3, 100, kInfinity, KV(0, 3)), 3)).ok());
+  EXPECT_EQ(op.StateSize(), 3u);  // two candidates, one blocker
+  ASSERT_TRUE(op.Push(0, CtiOf(50, 4)).ok());
+  ASSERT_TRUE(op.Push(1, CtiOf(50, 5)).ok());
+  EXPECT_EQ(op.StateSize(), 2u);
+}
+
+TEST(NegationOpTest, ABlockerThatMovesTheWatermarkEmitsADueCandidate) {
+  // B = 5: the CTI at 12 releases the candidate at 10, due at 15. The
+  // blocker at 40 releases the one at 30, outside the candidate's window,
+  // which moves the watermark to 30: that push emits the candidate.
+  NegationOp op(NegationWindow::Unless(10), nullptr,
+                ConsistencySpec::Custom(5, kInfinity));
+  CollectingSink sink;
+  op.ConnectTo(&sink, 0);
+  ASSERT_TRUE(op.Push(0, InsertOf(E(1, 10), 1)).ok());
+  ASSERT_TRUE(op.Push(0, CtiOf(12, 2)).ok());
+  ASSERT_TRUE(op.Push(1, InsertOf(E(2, 30), 3)).ok());
+  EXPECT_EQ(sink.inserts(), 0u);
+  ASSERT_TRUE(op.Push(1, InsertOf(E(3, 40), 4)).ok());
+  EXPECT_EQ(sink.inserts(), 1u);
+}
+
 TEST(AtMostOpTest, MatchesDenotationInOrder) {
   EventList a = {E(1, 1), E(2, 2), E(3, 3)};
   NegationOp op = MakeAtMost(1, 1, /*scope=*/2, ConsistencySpec::Middle());
