@@ -81,8 +81,7 @@ Status Operator::Drain() {
       CEDR_RETURN_NOT_OK(Dispatch(m, port));
     }
   }
-  // Drained messages may lie below the repair horizon, so force the trim.
-  AfterBatch(/*force=*/true);
+  AfterBatch();
   return Status::OK();
 }
 
@@ -104,12 +103,12 @@ Status Operator::Dispatch(const Message& msg, int port) {
   return Status::Internal("unknown message kind");
 }
 
-void Operator::AfterBatch(bool force) {
+void Operator::AfterBatch() {
   const Time horizon = monitor_.RepairHorizon();
   // Trim only when the horizon advanced past the last trim or disorder
   // dispatched a message at or below it: releases are otherwise above
   // the horizon, so they can only create state that outlives it.
-  if (force || horizon > last_trim_horizon_ || trim_dirty_) {
+  if (horizon > last_trim_horizon_ || trim_dirty_) {
     TrimState(horizon);
     last_trim_horizon_ = horizon;
     trim_dirty_ = false;

@@ -138,7 +138,7 @@ class Operator {
  private:
   Status PushOne(int port, const Message& msg);
   Status Dispatch(const Message& msg, int port);
-  void AfterBatch(bool force = false);
+  void AfterBatch();
 
   std::string name_;
   ConsistencyMonitor monitor_;
