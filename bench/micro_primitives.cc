@@ -97,7 +97,11 @@ void BM_Coalesce(benchmark::State& state) {
 }
 BENCHMARK(BM_Coalesce)->Range(64, 4096);
 
-void BM_AlignmentBuffer(benchmark::State& state) {
+// Disordered inserts with a CTI after every 16th, in arrival order. With
+// `retract_every` > 0, each insert whose id that divides is followed at
+// once by a partial retraction of it, which the buffer usually still
+// holds the insert for: the merge scan runs.
+std::vector<Message> AlignmentInput(int retract_every, Time* last) {
   Rng rng(6);
   std::vector<Message> input;
   Time t = 1;
@@ -110,6 +114,22 @@ void BM_AlignmentBuffer(benchmark::State& state) {
   }
   std::sort(input.begin(), input.end(),
             [](const Message& a, const Message& b) { return a.cs < b.cs; });
+  *last = t;
+  if (retract_every == 0) return input;
+  std::vector<Message> with_retractions;
+  for (const Message& m : input) {
+    with_retractions.push_back(m);
+    if (m.kind == MessageKind::kInsert && m.event.id % retract_every == 0) {
+      with_retractions.push_back(
+          RetractOf(m.event, TimeAdd(m.event.vs, 2), m.cs));
+    }
+  }
+  return with_retractions;
+}
+
+void RunAlignment(benchmark::State& state, int retract_every) {
+  Time last = 0;
+  const std::vector<Message> input = AlignmentInput(retract_every, &last);
   for (auto _ : state) {
     AlignmentBuffer buffer(state.range(0) == 0 ? kInfinity
                                                : state.range(0));
@@ -118,13 +138,21 @@ void BM_AlignmentBuffer(benchmark::State& state) {
       buffer.Offer(m, m.cs, &released);
       released.clear();
     }
-    buffer.Drain(t + 100, &released);
+    buffer.Drain(last + 100, &released);
     benchmark::DoNotOptimize(released);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(input.size()));
 }
+
+void BM_AlignmentBuffer(benchmark::State& state) { RunAlignment(state, 0); }
 BENCHMARK(BM_AlignmentBuffer)->Arg(0)->Arg(10)->Arg(40)->ArgName("B");
+
+// About one message in ten retracts an insert offered just before it.
+void BM_AlignmentBufferRetract(benchmark::State& state) {
+  RunAlignment(state, 9);
+}
+BENCHMARK(BM_AlignmentBufferRetract)->Arg(0)->Arg(10)->Arg(40)->ArgName("B");
 
 // --- Row primitives (join hot path) ---------------------------------
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/flat_order.h"
+
 namespace cedr {
 
 AlignmentBuffer::AlignmentBuffer(Duration max_blocking)
@@ -16,7 +18,7 @@ Time AlignmentBuffer::Frontier() const {
 }
 
 bool AlignmentBuffer::OfferDirect(const Message& msg, Time /*now_cs*/) {
-  if (!buffered_.empty()) return false;
+  if (size() != 0) return false;
   if (msg.kind == MessageKind::kCti) {
     guarantee_ = std::max(guarantee_, msg.time);
     watermark_ = std::max(watermark_, msg.time);
@@ -47,23 +49,27 @@ void AlignmentBuffer::Offer(const Message& msg, Time now_cs,
     case MessageKind::kRetract: {
       // Merge with a still-buffered insert when possible: the lifetime is
       // corrected before anyone downstream ever saw the optimistic value.
-      auto it = insert_index_.find(msg.event.id);
-      if (it != insert_index_.end()) {
-        auto held_it = buffered_.find(it->second);
-        if (held_it != buffered_.end()) {
-          Event& held_event = held_it->second.msg.event;
-          held_event.ve = std::min(held_event.ve, msg.new_ve);
-          ++stats_.merged_retractions;
-          if (held_event.valid().empty()) {
-            ++stats_.annihilated_inserts;
-            buffered_.erase(held_it);
-            insert_index_.erase(it);
-          }
-          watermark_ = std::max(watermark_, msg.SyncTime());
-          ReleaseUpTo(Frontier(), now_cs, released);
-          return;
+      // Retractions into a non-empty buffer are rare and the buffer is
+      // short, so the newest insert of the id is found by a scan.
+      auto target = buffered_.end();
+      for (auto it = buffered_.begin() + head_; it != buffered_.end(); ++it) {
+        if (it->msg.kind == MessageKind::kInsert &&
+            it->msg.event.id == msg.event.id &&
+            (target == buffered_.end() || it->seq > target->seq)) {
+          target = it;
         }
-        insert_index_.erase(it);
+      }
+      if (target != buffered_.end()) {
+        Event& held_event = target->msg.event;
+        held_event.ve = std::min(held_event.ve, msg.new_ve);
+        ++stats_.merged_retractions;
+        if (held_event.valid().empty()) {
+          ++stats_.annihilated_inserts;
+          buffered_.erase(target);
+        }
+        watermark_ = std::max(watermark_, msg.SyncTime());
+        ReleaseUpTo(Frontier(), now_cs, released);
+        return;
       }
       break;
     }
@@ -81,50 +87,53 @@ void AlignmentBuffer::Offer(const Message& msg, Time now_cs,
     return;
   }
 
-  Held held{msg, now_cs, next_seq_++};
-  auto key = std::make_pair(msg.SyncTime(), held.seq);
-  if (msg.kind == MessageKind::kInsert) {
-    insert_index_[msg.event.id] = key;
-  }
-  buffered_.emplace(key, std::move(held));
-  stats_.max_size = std::max(stats_.max_size, buffered_.size());
+  Hold(Held{msg, msg.SyncTime(), now_cs, next_seq_++});
+  stats_.max_size = std::max(stats_.max_size, size());
+}
+
+void AlignmentBuffer::Hold(Held held) {
+  auto key = [](const Held& h) { return std::make_pair(h.sync, h.seq); };
+  auto at =
+      LowerPlace(buffered_.begin() + head_, buffered_.end(), key(held), key);
+  buffered_.insert(at, std::move(held));
 }
 
 void AlignmentBuffer::ReleaseUpTo(Time frontier, Time now_cs,
                                   std::vector<Message>* released) {
-  while (!buffered_.empty() && buffered_.begin()->first.first <= frontier) {
-    Held held = std::move(buffered_.begin()->second);
-    buffered_.erase(buffered_.begin());
-    Release(std::move(held), now_cs, released);
+  while (head_ < buffered_.size() && buffered_[head_].sync <= frontier) {
+    Release(&buffered_[head_++], now_cs, released);
+  }
+  // Drop the released prefix once it is at least half the vector, so a
+  // pop costs amortized O(1).
+  if (head_ == buffered_.size()) {
+    buffered_.clear();
+    head_ = 0;
+  } else if (2 * head_ >= buffered_.size()) {
+    buffered_.erase(buffered_.begin(), buffered_.begin() + head_);
+    head_ = 0;
   }
 }
 
-void AlignmentBuffer::Release(Held held, Time now_cs,
+void AlignmentBuffer::Release(Held* held, Time now_cs,
                               std::vector<Message>* released) {
-  if (held.msg.kind == MessageKind::kInsert) {
-    insert_index_.erase(held.msg.event.id);
-  }
-  Time blocked = std::max<Time>(0, now_cs - held.arrival_cs);
+  Time blocked = std::max<Time>(0, now_cs - held->arrival_cs);
   stats_.total_blocking_cs += blocked;
   stats_.max_blocking_cs = std::max(stats_.max_blocking_cs, blocked);
   ++stats_.released;
-  released->push_back(std::move(held.msg));
+  released->push_back(std::move(held->msg));
 }
 
 void AlignmentBuffer::Drain(Time now_cs, std::vector<Message>* released) {
-  while (!buffered_.empty()) {
-    Held held = std::move(buffered_.begin()->second);
-    buffered_.erase(buffered_.begin());
-    Release(std::move(held), now_cs, released);
-  }
+  ReleaseUpTo(kInfinity, now_cs, released);
 }
 
 void AlignmentBuffer::Snapshot(io::BinaryWriter* w) const {
   w->PutTime(guarantee_);
   w->PutTime(watermark_);
   w->PutU64(next_seq_);
-  w->PutU64(buffered_.size());
-  for (const auto& [key, held] : buffered_) {
+  w->PutU64(size());
+  for (auto it = buffered_.begin() + head_; it != buffered_.end(); ++it) {
+    const Held& held = *it;
     io::WriteMessage(w, held.msg);
     w->PutTime(held.arrival_cs);
     w->PutU64(held.seq);
@@ -143,17 +152,14 @@ Status AlignmentBuffer::Restore(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(next_seq_, r->GetU64());
   CEDR_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
   buffered_.clear();
-  insert_index_.clear();
+  head_ = 0;
   for (uint64_t i = 0; i < n; ++i) {
     Held held;
     CEDR_ASSIGN_OR_RETURN(held.msg, io::ReadMessage(r));
     CEDR_ASSIGN_OR_RETURN(held.arrival_cs, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(held.seq, r->GetU64());
-    auto key = std::make_pair(held.msg.SyncTime(), held.seq);
-    if (held.msg.kind == MessageKind::kInsert) {
-      insert_index_[held.msg.event.id] = key;
-    }
-    buffered_.emplace(key, std::move(held));
+    held.sync = held.msg.SyncTime();
+    Hold(std::move(held));
   }
   CEDR_ASSIGN_OR_RETURN(stats_.merged_retractions, r->GetU64());
   CEDR_ASSIGN_OR_RETURN(stats_.annihilated_inserts, r->GetU64());

@@ -8,13 +8,18 @@
 // immediately). Messages are released in sync order. While buffered,
 // retractions are merged into their buffered insert (the mechanism by
 // which blocking shrinks output size, Figure 8): the insert's lifetime is
-// simply corrected in place and the retraction disappears.
+// simply corrected in place and the retraction disappears. The merge
+// target is the newest (last offered) buffered insert of the
+// retraction's id, a rule the buffer alone decides, so it is the same
+// after a Snapshot/Restore.
+//
+// The held messages sit in one flat vector ordered by (sync, arrival):
+// an in-order arrival appends, a late one is placed by binary search, and
+// a release pops a prefix by advancing a head offset.
 #ifndef CEDR_OPS_ALIGNMENT_BUFFER_H_
 #define CEDR_OPS_ALIGNMENT_BUFFER_H_
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "consistency/spec.h"
@@ -53,7 +58,7 @@ class AlignmentBuffer {
   /// Releases everything still buffered (end of stream).
   void Drain(Time now_cs, std::vector<Message>* released);
 
-  size_t size() const { return buffered_.size(); }
+  size_t size() const { return buffered_.size() - head_; }
   bool pass_through() const { return max_blocking_ == 0; }
 
   Time guarantee() const { return guarantee_; }
@@ -67,29 +72,31 @@ class AlignmentBuffer {
   /// and statistics. max_blocking_ comes from construction and is not
   /// part of the snapshot.
   void Snapshot(io::BinaryWriter* w) const;
-  /// Restores into an empty buffer constructed with the same spec; the
-  /// insert index is rebuilt from the buffered messages.
+  /// Restores into an empty buffer constructed with the same spec.
   Status Restore(io::BinaryReader* r);
 
  private:
   struct Held {
     Message msg;
-    Time arrival_cs;
-    uint64_t seq;  // tie-break for equal sync times: arrival order
+    Time sync = 0;  // msg.SyncTime()
+    Time arrival_cs = 0;
+    uint64_t seq = 0;  // tie-break for equal sync times: arrival order
   };
 
+  /// Places `held` at its (sync, seq) position.
+  void Hold(Held held);
   void ReleaseUpTo(Time frontier, Time now_cs, std::vector<Message>* released);
-  void Release(Held held, Time now_cs, std::vector<Message>* released);
+  void Release(Held* held, Time now_cs, std::vector<Message>* released);
 
   Duration max_blocking_;
   Time guarantee_ = kMinTime;
   Time watermark_ = kMinTime;
   uint64_t next_seq_ = 0;
 
-  // Buffered messages keyed by (sync, seq). For inserts we also index by
-  // event id so retractions can merge in place.
-  std::map<std::pair<Time, uint64_t>, Held> buffered_;
-  std::unordered_map<EventId, std::pair<Time, uint64_t>> insert_index_;
+  // Held messages in (sync, seq) order from head_ on; the entries before
+  // head_ are released and moved from.
+  std::vector<Held> buffered_;
+  size_t head_ = 0;
 
   AlignmentStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "ops/alter_lifetime.h"
 
 #include <algorithm>
+#include <map>
 
 namespace cedr {
 

@@ -1,8 +1,25 @@
 #include "ops/join.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace cedr {
+
+namespace {
+
+// A total order on bucket keys for snapshot bytes: Value's own order,
+// except that a NaN key (which equals nothing, so each lands in its own
+// bucket) sorts after every other double.
+bool KeyBefore(const Value& a, const Value& b) {
+  if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble) {
+    const bool a_nan = std::isnan(a.AsDouble());
+    const bool b_nan = std::isnan(b.AsDouble());
+    if (a_nan || b_nan) return a_nan < b_nan;
+  }
+  return a < b;
+}
+
+}  // namespace
 
 JoinOp::JoinOp(JoinPredicate theta, SchemaPtr output_schema,
                ConsistencySpec spec, std::string name)
@@ -117,12 +134,23 @@ void JoinOp::SnapshotState(io::BinaryWriter* w) const {
     w->PutU64(side.events.size());
     for (const auto& [id, e] : side.events) io::WriteEvent(w, e);
     // Buckets are serialized verbatim (not rebuilt) so the per-bucket
-    // probe order survives recovery.
-    w->PutU64(side.buckets.size());
-    for (const auto& [key, ids] : side.buckets) {
-      io::WriteValue(w, key);
-      w->PutU64(ids.size());
-      for (EventId id : ids) w->PutU64(id);
+    // probe order survives recovery, in key order (then id order, for NaN
+    // keys) so the bytes do not depend on the table's history.
+    using Bucket = std::pair<const Value, std::vector<EventId>>;
+    std::vector<const Bucket*> sorted;
+    sorted.reserve(side.buckets.size());
+    for (const Bucket& bucket : side.buckets) sorted.push_back(&bucket);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Bucket* a, const Bucket* b) {
+                if (KeyBefore(a->first, b->first)) return true;
+                if (KeyBefore(b->first, a->first)) return false;
+                return a->second < b->second;
+              });
+    w->PutU64(sorted.size());
+    for (const Bucket* bucket : sorted) {
+      io::WriteValue(w, bucket->first);
+      w->PutU64(bucket->second.size());
+      for (EventId id : bucket->second) w->PutU64(id);
     }
   }
 }

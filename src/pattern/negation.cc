@@ -1,15 +1,22 @@
 #include "pattern/negation.h"
 
 #include <algorithm>
+#include <map>
 
+#include "common/flat_order.h"
 #include "pattern/instance.h"
 
 namespace cedr {
 
 namespace {
 
-void WriteIndex(io::BinaryWriter* w,
-                const std::multimap<Time, EventId>& index) {
+using BlockLoIndex = std::vector<std::pair<Time, EventId>>;
+
+Time BlockLo(const std::pair<Time, EventId>& entry) { return entry.first; }
+
+std::pair<Time, EventId> BlockerKey(const Event& e) { return {e.vs, e.id}; }
+
+void WriteIndex(io::BinaryWriter* w, const BlockLoIndex& index) {
   w->PutU64(index.size());
   for (const auto& [t, id] : index) {
     w->PutTime(t);
@@ -17,14 +24,15 @@ void WriteIndex(io::BinaryWriter* w,
   }
 }
 
-Status ReadIndex(io::BinaryReader* r, std::multimap<Time, EventId>* index) {
+Status ReadIndex(io::BinaryReader* r, BlockLoIndex* index) {
   index->clear();
   CEDR_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
   for (uint64_t i = 0; i < n; ++i) {
     CEDR_ASSIGN_OR_RETURN(Time t, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(EventId id, r->GetU64());
-    // emplace_hint at end preserves the serialized equal-key order.
-    index->emplace_hint(index->end(), t, id);
+    // Placing after equal keys preserves the serialized equal-key order.
+    index->emplace(UpperPlace(index->begin(), index->end(), t, BlockLo), t,
+                   id);
   }
   return Status::OK();
 }
@@ -213,15 +221,28 @@ const std::vector<const Event*>& NegationOp::View(const Candidate& c) const {
   return view_;
 }
 
+std::vector<Event>::iterator NegationOp::BlockerPlace(const Event& e) {
+  return LowerPlace(blockers_.begin(), blockers_.end(), BlockerKey(e),
+                    BlockerKey);
+}
+
+void NegationOp::StoreBlocker(Event e) {
+  auto at = BlockerPlace(e);
+  if (at == blockers_.end() || BlockerKey(*at) != BlockerKey(e)) {
+    blockers_.insert(at, std::move(e));
+  }
+}
+
 bool NegationOp::IsBlocked(const Candidate& c) const {
   if (c.block_lo >= c.block_hi) return false;
-  auto begin = blockers_.lower_bound(
-      std::make_pair(TimeAdd(c.block_lo, 1), EventId{0}));
+  auto begin = std::partition_point(
+      blockers_.begin(), blockers_.end(),
+      [lo = c.block_lo](const Event& b) { return b.vs <= lo; });
   const std::vector<const Event*>& tuple = View(c);
   size_t matches = 0;
   for (auto it = begin; it != blockers_.end(); ++it) {
-    if (it->first.first >= c.block_hi) break;
-    if (predicate_(tuple, it->second) && ++matches > window_.bound()) {
+    if (it->vs >= c.block_hi) break;
+    if (predicate_(tuple, *it) && ++matches > window_.bound()) {
       return true;
     }
   }
@@ -238,7 +259,10 @@ void NegationOp::AddCandidate(Candidate c) {
   EventId key = c.key;
   auto [it, inserted] = candidates_.emplace(key, std::move(c));
   if (!inserted) return;  // duplicate key: first wins
-  by_block_lo_.emplace(it->second.block_lo, key);
+  const Time block_lo = it->second.block_lo;
+  by_block_lo_.emplace(
+      UpperPlace(by_block_lo_.begin(), by_block_lo_.end(), block_lo, BlockLo),
+      block_lo, key);
   by_resolve_at_.Push(it->second.resolve_at, key);
   by_certain_at_.Push(it->second.certain_at, key);
   // It may already be due.
@@ -279,7 +303,7 @@ bool NegationOp::AddBlocker(const Event& e) {
     CountLostCorrection();
     return false;
   }
-  blockers_.emplace(std::make_pair(e.vs, e.id), e);
+  StoreBlocker(e);
   // With bound 0 one match blocks; a larger bound needs a recount.
   const bool counted = window_.bound() > 0;
   ForEachAffected(e.vs, [&](Candidate* c) {
@@ -292,8 +316,8 @@ bool NegationOp::AddBlocker(const Event& e) {
 }
 
 void NegationOp::RemoveBlocker(const Event& e) {
-  auto it = blockers_.find(std::make_pair(e.vs, e.id));
-  if (it == blockers_.end()) {
+  auto it = BlockerPlace(e);
+  if (it == blockers_.end() || BlockerKey(*it) != BlockerKey(e)) {
     // Possibly already trimmed: the blocker (and any suppression it
     // caused) is beyond repair.
     if (e.vs <= trim_frontier_) CountLostCorrection();
@@ -339,20 +363,25 @@ void NegationOp::ForEachAffected(Time vs, Fn fn) {
   // Candidates whose (block_lo, block_hi) contains vs have
   // block_lo < vs and block_hi > vs. block_lo ranges over
   // [vs - max_window, vs).
-  auto begin = max_window_ == kInfinity
-                   ? by_block_lo_.begin()
-                   : by_block_lo_.lower_bound(TimeSub(vs, max_window_));
-  for (auto it = begin; it != by_block_lo_.end();) {
-    if (it->first >= vs) break;
+  auto begin = by_block_lo_.begin();
+  if (max_window_ != kInfinity) {
+    begin = std::partition_point(
+        begin, by_block_lo_.end(),
+        [lo = TimeSub(vs, max_window_)](const auto& entry) {
+          return entry.first < lo;
+        });
+  }
+  // Live entries slide down over stale ones; the gap is erased once.
+  auto kept = begin;
+  auto it = begin;
+  for (; it != by_block_lo_.end() && it->first < vs; ++it) {
     auto cit = candidates_.find(it->second);
-    if (cit == candidates_.end()) {
-      it = by_block_lo_.erase(it);  // stale index entry
-      continue;
-    }
+    if (cit == candidates_.end()) continue;  // stale index entry
+    *kept++ = *it;
     Candidate& c = cit->second;
     if (c.block_lo < vs && vs < c.block_hi) fn(&c);
-    ++it;
   }
+  by_block_lo_.erase(kept, it);
 }
 
 void NegationOp::Advance(Time watermark, Time guarantee) {
@@ -411,11 +440,11 @@ void NegationOp::TrimState(Time horizon) {
 
   // Blockers can affect candidates whose windows reach back at most the
   // window's blocker retention behind the horizon.
-  while (!blockers_.empty()) {
-    Time vs = blockers_.begin()->first.first;
-    if (TimeAdd(vs, window_.BlockerRetention()) > horizon) break;
-    blockers_.erase(blockers_.begin());
-  }
+  auto kept = std::partition_point(
+      blockers_.begin(), blockers_.end(), [&](const Event& b) {
+        return TimeAdd(b.vs, window_.BlockerRetention()) <= horizon;
+      });
+  blockers_.erase(blockers_.begin(), kept);
   CompactIndexes();
 }
 
@@ -445,7 +474,7 @@ void NegationOp::SnapshotState(io::BinaryWriter* w) const {
   by_resolve_at_.Write(w);
   by_certain_at_.Write(w);
   w->PutU64(blockers_.size());
-  for (const auto& [key, e] : blockers_) io::WriteEvent(w, e);
+  for (const Event& e : blockers_) io::WriteEvent(w, e);
   w->PutI64(max_window_);
   w->PutTime(last_watermark_);
   w->PutTime(last_guarantee_);
@@ -485,8 +514,7 @@ Status NegationOp::RestoreState(io::BinaryReader* r) {
   CEDR_ASSIGN_OR_RETURN(uint64_t num_blockers, r->GetU64());
   for (uint64_t i = 0; i < num_blockers; ++i) {
     CEDR_ASSIGN_OR_RETURN(Event e, io::ReadEvent(r));
-    auto key = std::make_pair(e.vs, e.id);
-    blockers_.emplace(key, std::move(e));
+    StoreBlocker(std::move(e));
   }
   CEDR_ASSIGN_OR_RETURN(max_window_, r->GetI64());
   CEDR_ASSIGN_OR_RETURN(last_watermark_, r->GetTime());

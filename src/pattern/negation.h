@@ -23,8 +23,8 @@
 #define CEDR_PATTERN_NEGATION_H_
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ops/operator.h"
@@ -196,9 +196,15 @@ class NegationOp : public Operator {
   /// Drops the index entries of forgotten candidates once they outnumber
   /// the live ones two to one (amortized O(1) per forgotten candidate).
   void CompactIndexes();
-  /// Applies fn to every candidate whose window contains vs.
+  /// Applies fn to every candidate whose window contains vs, and drops
+  /// the stale index entries of the range it walks.
   template <typename Fn>
   void ForEachAffected(Time vs, Fn fn);
+  /// The first blocker at or after e's (Vs, id).
+  std::vector<Event>::iterator BlockerPlace(const Event& e);
+  /// Stores e unless a blocker with its (Vs, id) is stored: the first
+  /// copy stays.
+  void StoreBlocker(Event e);
 
   NegationWindow window_;
   NegationPredicate predicate_;
@@ -207,10 +213,12 @@ class NegationOp : public Operator {
   mutable std::vector<const Event*> view_;
 
   std::unordered_map<EventId, Candidate> candidates_;  // by key
-  std::multimap<Time, EventId> by_block_lo_;
+  /// (block_lo, key), ordered by block_lo; equal ones in insertion order.
+  std::vector<std::pair<Time, EventId>> by_block_lo_;
   DueQueue by_resolve_at_;
   DueQueue by_certain_at_;
-  std::map<std::pair<Time, EventId>, Event> blockers_;  // by (vs, id)
+  /// Ordered by (vs, id), one per key: the first to arrive stays.
+  std::vector<Event> blockers_;
   Duration max_window_ = 0;  // kInfinity once an unbounded window is seen
   Time last_watermark_ = kMinTime;
   Time last_guarantee_ = kMinTime;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 
+#include "common/flat_order.h"
 #include "io/serde.h"
 
 namespace cedr {
@@ -42,23 +43,15 @@ bool SameContributors(const Lineage& a, const Lineage& b) {
 
 }  // namespace
 
-bool CandidateStore::Before(const Entry& a, Time vs, EventId id) {
-  return a.vs < vs || (a.vs == vs && a.id < id);
-}
-
 CandidateStore::iterator CandidateStore::Position(Time vs, EventId id) {
-  return std::partition_point(
-      entries_.begin(), entries_.end(),
-      [vs, id](const Entry& a) { return Before(a, vs, id); });
+  return LowerPlace(entries_.begin(), entries_.end(), std::make_pair(vs, id),
+                    [](const Entry& a) { return std::make_pair(a.vs, a.id); });
 }
 
 std::pair<CandidateStore::iterator, bool> CandidateStore::Emplace(EventRef e) {
   const Time vs = e->vs;
   const EventId id = e->id;
-  // In-order arrivals append; anything else goes through binary search.
-  auto it = entries_.empty() || Before(entries_.back(), vs, id)
-                ? entries_.end()
-                : Position(vs, id);
+  auto it = Position(vs, id);
   if (it != entries_.end() && it->vs == vs && it->id == id) return {it, false};
   return {entries_.insert(it, Entry{vs, id, std::move(e), false, {}}), true};
 }
@@ -114,11 +107,7 @@ PatternOp::PatternOp(size_t n, bool ordered, int num_inputs, Duration scope,
 }
 
 size_t PatternOp::StateSize() const {
-  size_t n = live_composites_;
-  for (const Partitions& parts : stores_) {
-    for (const auto& [key, s] : parts) n += s.size();
-  }
-  return n - consumed_;
+  return stored_ + live_composites_ - consumed_;
 }
 
 Value PatternOp::KeyOf(const Event& e, int port) const {
@@ -130,11 +119,13 @@ Value PatternOp::StoreKey(const Event& e, int port) {
   Value key = KeyOf(e, port);
   if (!IsNaN(key)) return key;
   partition_key_.clear();
+  stored_ = 0;
   consumed_ = 0;
   for (Partitions& parts : stores_) {
     Store merged;
     for (auto& [k, s] : parts) merged.Merge(std::move(s));
     parts.clear();
+    stored_ += merged.size();
     for (const Entry& entry : merged) consumed_ += entry.consumed;
     if (!merged.empty()) parts.emplace(Value(), std::move(merged));
   }
@@ -171,6 +162,7 @@ Status PatternOp::ProcessInsert(const Event& e, int port) {
   // still enumerated as it came.
   EventRef ref = std::make_shared<const Event>(e);
   auto [entry, inserted] = stores_[port][key].Emplace(ref);
+  stored_ += inserted;
   if (entry->consumed) {
     // A consumed entry is no candidate any more: the arrival replaces it.
     entry->event = ref;
@@ -245,6 +237,7 @@ Status PatternOp::ProcessRetract(const Event& e, Time new_ve, int port) {
   if (s != nullptr) {
     // An emptied partition goes at the next trim.
     consumed_ -= it->consumed;
+    --stored_;
     s->erase(it);
   }
   return Status::OK();
@@ -265,6 +258,7 @@ void PatternOp::TrimState(Time horizon) {
           c->cbt = Lineage();
         }
         consumed_ -= entry.consumed;
+        --stored_;
         return true;
       });
       pit = s.empty() ? parts.erase(pit) : std::next(pit);
@@ -435,6 +429,7 @@ void PatternOp::SnapshotState(io::BinaryWriter* w) const {
 
 Status PatternOp::RestoreState(io::BinaryReader* r) {
   for (Partitions& parts : stores_) parts.clear();
+  stored_ = 0;
   consumed_ = 0;
   CEDR_ASSIGN_OR_RETURN(uint64_t num_composites, r->GetU64());
   std::vector<CompositeRecordRef> composites;
@@ -460,9 +455,10 @@ Status PatternOp::RestoreState(io::BinaryReader* r) {
     for (uint64_t i = 0; i < n; ++i) {
       CEDR_ASSIGN_OR_RETURN(Event e, io::ReadEvent(r));
       Value key = StoreKey(e, port);
-      Entry* entry = &*stores_[port][key]
-                           .Emplace(std::make_shared<const Event>(std::move(e)))
-                           .first;
+      auto [it, inserted] = stores_[port][key].Emplace(
+          std::make_shared<const Event>(std::move(e)));
+      stored_ += inserted;
+      Entry* entry = &*it;
       CEDR_ASSIGN_OR_RETURN(entry->consumed, r->GetBool());
       consumed_ += entry->consumed;
       CEDR_ASSIGN_OR_RETURN(uint64_t num_owned, r->GetU64());

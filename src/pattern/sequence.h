@@ -87,8 +87,6 @@ class CandidateStore {
   bool empty() const { return entries_.empty(); }
 
  private:
-  /// Whether `a` orders before (vs, id).
-  static bool Before(const Entry& a, Time vs, EventId id);
   /// The first entry at or after (vs, id).
   iterator Position(Time vs, EventId id);
 
@@ -180,7 +178,9 @@ class PatternOp : public Operator {
 
   std::vector<Partitions> stores_;
   std::vector<FieldSlot> partition_key_;
-  /// Entries flagged consumed, and live composites (for StateSize).
+  /// Stored entries, those of them flagged consumed, and live composites:
+  /// StateSize, kept as running counts.
+  size_t stored_ = 0;
   size_t consumed_ = 0;
   size_t live_composites_ = 0;
   uint64_t next_seq_ = 0;

@@ -116,6 +116,107 @@ TEST(AlignmentBufferTest, MaxSizeTracked) {
   EXPECT_EQ(buffer.stats().max_size, 5u);
 }
 
+// Offers a retraction of `e` to ve 20 and then CTI(inf); returns what
+// comes out.
+std::vector<Message> RetractAndClose(AlignmentBuffer* buffer, const Event& e) {
+  std::vector<Message> out;
+  buffer->Offer(RetractOf(e, 20, 10), 10, &out);
+  buffer->Offer(CtiOf(kInfinity, 11), 11, &out);
+  return out;
+}
+
+AlignmentBuffer Restored(const AlignmentBuffer& buffer) {
+  io::BinaryWriter w;
+  buffer.Snapshot(&w);
+  AlignmentBuffer restored(kInfinity);
+  io::BinaryReader r(w.bytes());
+  EXPECT_TRUE(restored.Restore(&r).ok());
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  return restored;
+}
+
+TEST(AlignmentBufferTest, RetractionMergesIntoTheNewestInsertOfItsId) {
+  // B (Vs 10) and then A (Vs 5) share id 7. The newest is A, although B
+  // is later in sync order; a restored buffer picks the same target.
+  AlignmentBuffer buffer(kInfinity);
+  std::vector<Message> released;
+  Event b = MakeEvent(7, 10, 100), a = MakeEvent(7, 5, 100);
+  buffer.Offer(InsertOf(b, 1), 1, &released);
+  buffer.Offer(InsertOf(a, 2), 2, &released);
+  AlignmentBuffer restored = Restored(buffer);
+  for (AlignmentBuffer* copy : {&buffer, &restored}) {
+    std::vector<Message> out = RetractAndClose(copy, a);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].event.vs, 5);
+    EXPECT_EQ(out[0].event.ve, 20);
+    EXPECT_EQ(out[1].event.vs, 10);
+    EXPECT_EQ(out[1].event.ve, 100);
+    EXPECT_EQ(out[2].kind, MessageKind::kCti);
+  }
+}
+
+TEST(AlignmentBufferTest, RetractionAfterAReleaseMergesAliveAndRestored) {
+  // CTI 6 releases A, the newest insert of id 7; the retraction then
+  // merges into B, the one still buffered, with or without a snapshot
+  // in between.
+  AlignmentBuffer buffer(kInfinity);
+  std::vector<Message> released;
+  Event b = MakeEvent(7, 10, 100), a = MakeEvent(7, 5, 100);
+  buffer.Offer(InsertOf(b, 1), 1, &released);
+  buffer.Offer(InsertOf(a, 2), 2, &released);
+  buffer.Offer(CtiOf(6, 3), 3, &released);
+  ASSERT_EQ(released.size(), 2u);  // A, then the CTI
+  AlignmentBuffer restored = Restored(buffer);
+  for (AlignmentBuffer* copy : {&buffer, &restored}) {
+    std::vector<Message> out = RetractAndClose(copy, b);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].kind, MessageKind::kInsert);
+    EXPECT_EQ(out[0].event.vs, 10);
+    EXPECT_EQ(out[0].event.ve, 20);
+    EXPECT_EQ(out[1].kind, MessageKind::kCti);
+    EXPECT_EQ(copy->stats().merged_retractions, 1u);
+  }
+}
+
+TEST(AlignmentBufferTest, LateArrivalsReleaseInSyncThenArrivalOrder) {
+  // Out-of-order arrivals and equal sync times around released prefixes:
+  // each release is in (sync, arrival) order, and a snapshot taken with
+  // a released prefix pending restores to the same buffer.
+  AlignmentBuffer buffer(kInfinity);
+  std::vector<Message> released;
+  const std::vector<std::pair<EventId, Time>> arrivals = {
+      {1, 8}, {2, 3}, {3, 8}, {4, 1}, {5, 12}, {6, 3}, {7, 20}, {8, 12}};
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    const Time cs = static_cast<Time>(i + 1);
+    buffer.Offer(Ins(arrivals[i].first, arrivals[i].second, 50, cs), cs,
+                 &released);
+  }
+  buffer.Offer(CtiOf(4, 9), 9, &released);
+  std::vector<EventId> ids;
+  for (const Message& m : released) {
+    if (m.kind == MessageKind::kInsert) ids.push_back(m.event.id);
+  }
+  EXPECT_EQ(ids, (std::vector<EventId>{4, 2, 6}));
+  buffer.Offer(Ins(9, 8, 50, 10), 10, &released);  // equal sync, newest
+  EXPECT_EQ(buffer.size(), 6u);
+
+  AlignmentBuffer restored = Restored(buffer);
+  io::BinaryWriter a, b;
+  buffer.Snapshot(&a);
+  restored.Snapshot(&b);
+  EXPECT_EQ(a.bytes(), b.bytes());
+  for (AlignmentBuffer* copy : {&buffer, &restored}) {
+    std::vector<Message> out;
+    copy->Offer(CtiOf(kInfinity, 11), 11, &out);
+    ids.clear();
+    for (const Message& m : out) {
+      if (m.kind == MessageKind::kInsert) ids.push_back(m.event.id);
+    }
+    EXPECT_EQ(ids, (std::vector<EventId>{1, 3, 9, 5, 8, 7}));
+    EXPECT_EQ(copy->size(), 0u);
+  }
+}
+
 TEST(ConsistencyMonitorTest, EffectiveSpecClampsBlockingToMemory) {
   ConsistencyMonitor monitor(ConsistencySpec::Custom(100, 10), 1);
   EXPECT_EQ(monitor.spec().max_blocking, 10);

@@ -1,12 +1,16 @@
 // The flat containers behind pattern state: the (Vs, id)-ordered
-// candidate store of SEQUENCE/ATLEAST and the due queues of negation.
-// Both must reproduce the order of the tree containers they replaced,
-// since that order drives enumeration, resolution and snapshot bytes.
+// candidate store of SEQUENCE/ATLEAST, and the due queues, window index
+// and blockers of negation. Each must reproduce the order of the tree
+// container it replaced, since that order drives enumeration,
+// resolution and snapshot bytes.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <string>
 
 #include "common/rng.h"
+#include "engine/sink.h"
 #include "pattern/negation.h"
 #include "pattern/sequence.h"
 #include "testing/helpers.h"
@@ -171,6 +175,195 @@ TEST(DueQueueTest, WrittenOrderEqualsAMultimapFedTheSamePushes) {
   q.Push(3, 1000);
   restored.Push(3, 1000);
   EXPECT_EQ(Drain(&restored), Drain(&q));
+}
+
+std::string SnapshotOf(const Operator& op) {
+  io::BinaryWriter w;
+  op.Snapshot(&w);
+  return w.Take();
+}
+
+std::vector<EventId> IdsOf(const CollectingSink& sink, MessageKind kind) {
+  std::vector<EventId> ids;
+  for (const Message& m : sink.messages()) {
+    if (m.kind == kind) ids.push_back(m.event.id);
+  }
+  return ids;
+}
+
+TEST(NegationIndexTest, EqualBlockLoKeepsInsertionOrderThroughSnapshot) {
+  // UNLESS(w = 10) at middle: positives 5, 3 and 9 share Vs 10, hence
+  // block_lo, and are emitted as they arrive. A blocker at Vs 12 retracts
+  // them in window-index order, which is arrival order, not id order, in
+  // the operator and in a copy restored from its snapshot.
+  NegationOp op(NegationWindow::Unless(10), nullptr, ConsistencySpec::Middle());
+  CollectingSink sink;
+  op.ConnectTo(&sink, 0);
+  Time cs = 0;
+  for (EventId id : {5, 3, 9}) {
+    ASSERT_TRUE(op.Push(0, InsertOf(MakeEvent(id, 10, 11, KV(0, 0)), ++cs))
+                    .ok());
+  }
+  ASSERT_EQ(IdsOf(sink, MessageKind::kInsert),
+            (std::vector<EventId>{5, 3, 9}));
+  const std::string bytes = SnapshotOf(op);
+
+  NegationOp restored(NegationWindow::Unless(10), nullptr,
+                      ConsistencySpec::Middle());
+  CollectingSink restored_sink;
+  restored.ConnectTo(&restored_sink, 0);
+  io::BinaryReader r(bytes);
+  ASSERT_TRUE(restored.Restore(&r).ok());
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_EQ(SnapshotOf(restored), bytes);
+
+  const Message blocker = InsertOf(MakeEvent(20, 12, 13, KV(0, 0)), ++cs);
+  ASSERT_TRUE(op.Push(1, blocker).ok());
+  ASSERT_TRUE(restored.Push(1, blocker).ok());
+  EXPECT_EQ(IdsOf(sink, MessageKind::kRetract),
+            (std::vector<EventId>{5, 3, 9}));
+  EXPECT_EQ(IdsOf(restored_sink, MessageKind::kRetract),
+            (std::vector<EventId>{5, 3, 9}));
+}
+
+TEST(NegationIndexTest, DuplicateBlockerKeepsTheFirstCopy) {
+  // Strong UNLESS(w = 10) whose predicate blocks only on value 2. The
+  // blocker (Vs 12, id 2) arrives with value 1, then again with value 2:
+  // the first copy stays, so the positive is emitted at the guarantee,
+  // and a restored copy holds that same single blocker.
+  auto blocks_on_two = [](const std::vector<const Event*>&, const Event& b) {
+    return b.payload.at(1) == Value(int64_t{2});
+  };
+  NegationOp op(NegationWindow::Unless(10), blocks_on_two,
+                ConsistencySpec::Strong());
+  CollectingSink sink;
+  op.ConnectTo(&sink, 0);
+  Time cs = 0;
+  ASSERT_TRUE(op.Push(0, InsertOf(MakeEvent(1, 10, 11, KV(0, 0)), ++cs)).ok());
+  ASSERT_TRUE(op.Push(1, InsertOf(MakeEvent(2, 12, 13, KV(0, 1)), ++cs)).ok());
+  ASSERT_TRUE(op.Push(1, InsertOf(MakeEvent(2, 12, 13, KV(0, 2)), ++cs)).ok());
+  // Release both blockers from the alignment buffer, short of the window.
+  for (int port = 0; port < 2; ++port) {
+    ASSERT_TRUE(op.Push(port, CtiOf(15, ++cs)).ok());
+  }
+  EXPECT_EQ(op.StateSize(), 2u);  // the candidate and one blocker
+
+  NegationOp restored(NegationWindow::Unless(10), blocks_on_two,
+                      ConsistencySpec::Strong());
+  CollectingSink restored_sink;
+  restored.ConnectTo(&restored_sink, 0);
+  const std::string bytes = SnapshotOf(op);
+  io::BinaryReader r(bytes);
+  ASSERT_TRUE(restored.Restore(&r).ok());
+  EXPECT_EQ(SnapshotOf(restored), bytes);
+
+  for (NegationOp* copy : {&op, &restored}) {
+    for (int port = 0; port < 2; ++port) {
+      ASSERT_TRUE(copy->Push(port, CtiOf(30, ++cs)).ok());
+    }
+  }
+  EXPECT_EQ(IdsOf(sink, MessageKind::kInsert), (std::vector<EventId>{1}));
+  EXPECT_EQ(IdsOf(restored_sink, MessageKind::kInsert),
+            (std::vector<EventId>{1}));
+}
+
+// A SEQUENCE whose SnapshotState a test can read.
+class ProbedPattern : public PatternOp {
+ public:
+  using PatternOp::PatternOp;
+  using PatternOp::SnapshotState;
+};
+
+// StateSize recounted from the operator's snapshot: live composites plus
+// stored entries, less the consumed ones.
+size_t Recount(const ProbedPattern& op) {
+  io::BinaryWriter w;
+  op.SnapshotState(&w);
+  io::BinaryReader r(w.bytes());
+  size_t n = r.GetU64().ValueOrDie();
+  for (size_t i = 0, composites = n; i < composites; ++i) {
+    EXPECT_TRUE(io::ReadEvent(&r).ok());
+  }
+  r.GetBool().ValueOrDie();  // shared events
+  const uint64_t stores = r.GetU64().ValueOrDie();
+  for (uint64_t s = 0; s < stores; ++s) {
+    const uint64_t entries = r.GetU64().ValueOrDie();
+    for (uint64_t i = 0; i < entries; ++i) {
+      EXPECT_TRUE(io::ReadEvent(&r).ok());
+      if (!r.GetBool().ValueOrDie()) ++n;  // a consumed entry is no state
+      const uint64_t owned = r.GetU64().ValueOrDie();
+      for (uint64_t j = 0; j < owned; ++j) r.GetU64().ValueOrDie();
+    }
+  }
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  return n;
+}
+
+TEST(PatternStateSizeTest, RunningCountEqualsARecount) {
+  // SEQUENCE(A, B, 20) partitioned on a double key, A consumed by each
+  // match. Inserts, matches, a full retraction, a NaN key (which merges
+  // every partition), a trimming CTI and a restore each keep StateSize
+  // equal to a recount.
+  const SchemaPtr schema = Schema::Make({{"key", ValueType::kDouble}});
+  auto make = [&] {
+    ScModes modes(2);
+    modes[0].consumption = ConsumptionMode::kConsume;
+    return std::make_unique<ProbedPattern>(
+        2, /*ordered=*/true, 2, /*scope=*/20, nullptr, modes, nullptr,
+        ConsistencySpec::Middle(),
+        std::vector<FieldSlot>{FieldSlot(schema, "key"),
+                               FieldSlot(schema, "key")});
+  };
+  auto op = make();
+  ASSERT_TRUE(op->partitioned());
+  CollectingSink sink;
+  op->ConnectTo(&sink, 0);
+  Time cs = 0;
+  auto event = [&](EventId id, Time vs, double key) {
+    return MakeEvent(id, vs, vs + 30, Row(schema, {Value(key)}));
+  };
+  auto check = [&](const std::string& step) {
+    EXPECT_EQ(op->StateSize(), Recount(*op)) << step;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Event b4 = event(4, 4, 2);
+  struct Step {
+    int port;
+    Message msg;
+  };
+  const std::vector<Step> steps = {
+      {0, InsertOf(event(1, 1, 1), 0)},
+      {0, InsertOf(event(2, 2, 2), 0)},
+      {1, InsertOf(event(3, 3, 1), 0)},  // (1, 3); A1 consumed
+      {1, InsertOf(b4, 0)},              // (2, 4); A2 consumed
+      {1, RetractOf(b4, 4, 0)},          // retracts (2, 4), drops B4
+      {0, InsertOf(event(5, 5, 7), 0)},
+      {0, InsertOf(event(6, 6, nan), 0)},  // merges the partitions
+      {1, InsertOf(event(7, 8, 7), 0)},    // (5, 7), (6, 7)
+      {1, InsertOf(event(3, 3, 1), 0)},    // a duplicate (Vs, id)
+  };
+  for (size_t i = 0; i < steps.size(); ++i) {
+    Message msg = steps[i].msg;
+    msg.cs = ++cs;
+    ASSERT_TRUE(op->Push(steps[i].port, msg).ok());
+    check("step " + std::to_string(i));
+  }
+  EXPECT_FALSE(op->partitioned());
+  EXPECT_GT(sink.inserts(), 0u);
+  EXPECT_GT(sink.retracts(), 0u);
+
+  auto restored = make();
+  const std::string bytes = SnapshotOf(*op);
+  io::BinaryReader r(bytes);
+  ASSERT_TRUE(restored->Restore(&r).ok());
+  EXPECT_EQ(restored->StateSize(), Recount(*restored));
+  EXPECT_EQ(restored->StateSize(), op->StateSize());
+
+  for (int port = 0; port < 2; ++port) {
+    ASSERT_TRUE(op->Push(port, CtiOf(26, ++cs)).ok());
+  }
+  check("trim");
+  EXPECT_LT(op->StateSize(), restored->StateSize());
 }
 
 }  // namespace
